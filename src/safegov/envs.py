@@ -35,21 +35,6 @@ class AccParams:
     low_speed_gap_target: float = 7.5  # [m] (= target headway x threshold)
 
 
-@dataclass(frozen=True)
-class AccState:
-    ds: float
-    dv: float
-    v_ego: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.ds, self.dv, self.v_ego])
-
-    @classmethod
-    def from_array(cls, x) -> "AccState":
-        x = np.asarray(x, dtype=float).ravel()
-        return cls(float(x[0]), float(x[1]), float(x[2]))
-
-
 # Operating region standing in for R^3: gap, relative speed, ego speed.
 BOX_LO = np.array([0.0, -20.0, 0.0])
 BOX_HI = np.array([120.0, 20.0, 40.0])

@@ -7,7 +7,6 @@ from .polytope import (
     PolyUnion,
     RegionBudgetError,
     UnboundedSetError,
-    VPolytope,
     affine_map,
     convex_hull,
     convhull_union,
@@ -19,19 +18,16 @@ from .polytope import (
     set_equal,
     subset,
     subset_of_union,
-    support,
     union_minkowski,
     union_subset,
-    vertices,
 )
 
 __all__ = [
     "FEAS_TOL", "OPT_TOL", "INFEASIBLE", "OPTIMAL", "UNBOUNDED",
     "LpError", "LpResult", "chebyshev_center", "lp_solve",
     "GeometryError", "HPolytope", "PolyUnion", "RegionBudgetError",
-    "UnboundedSetError", "VPolytope", "affine_map", "convex_hull",
+    "UnboundedSetError", "affine_map", "convex_hull",
     "convhull_union", "inverse_affine_map", "merge_convex_members",
     "minkowski_sum", "pontryagin_diff", "region_diff", "set_equal",
-    "subset", "subset_of_union", "support", "union_minkowski",
-    "union_subset", "vertices",
+    "subset", "subset_of_union", "union_minkowski", "union_subset",
 ]

@@ -162,14 +162,6 @@ class HPolytope:
             raise GeometryError("dimension mismatch")
         return HPolytope(np.vstack([self.A, other.A]), np.concatenate([self.b, other.b]), self.dim)
 
-    def with_row(self, a, beta: float) -> "HPolytope":
-        a = np.asarray(a, dtype=float).reshape(1, self.dim)
-        return HPolytope(np.vstack([self.A, a]), np.concatenate([self.b, [beta]]), self.dim)
-
-    def translate(self, v) -> "HPolytope":
-        v = np.asarray(v, dtype=float).ravel()
-        return HPolytope(self.A, self.b + self.A @ v, self.dim)
-
     def normalized(self) -> "HPolytope":
         """Unit row normals; vacuous rows dropped, infeasible zero rows kept."""
         norms = np.linalg.norm(self.A, axis=1)
@@ -273,26 +265,6 @@ class HPolytope:
 
     def __repr__(self) -> str:
         return f"HPolytope(dim={self.dim}, rows={self.A.shape[0]})"
-
-
-class VPolytope:
-    """Vertex-form polytope; convex hull of a finite point set."""
-
-    __slots__ = ("vertices", "dim")
-
-    def __init__(self, vertices):
-        v = np.atleast_2d(np.asarray(vertices, dtype=float))
-        if v.size == 0:
-            raise GeometryError("VPolytope needs at least one vertex")
-        self.vertices = v
-        self.vertices.setflags(write=False)
-        self.dim = v.shape[1]
-
-    def to_h(self) -> HPolytope:
-        return convex_hull(self.vertices)
-
-    def __repr__(self) -> str:
-        return f"VPolytope(dim={self.dim}, nverts={self.vertices.shape[0]})"
 
 
 class PolyUnion:
@@ -420,16 +392,8 @@ def convex_hull(points) -> HPolytope:
     return HPolytope(A, b, d)._dedup()
 
 
-def vertices(P: HPolytope) -> VPolytope:
-    return VPolytope(P.vertices())
-
-
 # ----------------------------------------------------------------------
 # set algebra
-
-
-def support(P: HPolytope, a) -> float:
-    return P.support(a)
 
 
 def subset(P: HPolytope, Q: HPolytope, tol: float = FEAS_TOL) -> bool:

@@ -2,11 +2,12 @@
 state robustly avoids the unrecoverable set.
 
 The one-step constraint "A x + B u stays outside every member of the
-inflated unsafe union" is a disjunction per member (at least one face of
-the member must be violated).  With binary face selectors and big-M
-constants this is a small mixed-integer QP; it is solved exactly by
-depth-first branch and bound over the face assignments, with a dense
-convex QP relaxation at every node.
+inflated unsafe union" is a disjunction per member: at least one face of
+the member must be violated.  Choosing one face per member makes this a
+small mixed-integer QP.  It is solved exactly by depth-first branch and
+bound over the face assignments: a node adds the chosen face rows to the
+input set and solves that convex QP, and members without a chosen face
+are simply left out of it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +43,6 @@ class GovernorConfig:
     """Weight matrix and solver knobs for the action governor."""
 
     S: np.ndarray
-    bigM_mode: str | float = "auto"
     eps_feas: float = FEAS_TOL
     node_budget: int = 20000
 
@@ -58,8 +58,6 @@ class GovernorConfig:
             raise GovernorError("S must be positive definite") from exc
         S.setflags(write=False)
         object.__setattr__(self, "S", S)
-        if isinstance(self.bigM_mode, str) and self.bigM_mode != "auto":
-            raise GovernorError("bigM_mode must be 'auto' or a fixed float")
 
 
 @dataclass
@@ -149,29 +147,42 @@ def _qp_solve_scalar(s: float, t: float, g: np.ndarray, h: np.ndarray, eps: floa
 
 
 @dataclass
-class DisjunctionGroup:
-    """One inflated unsafe member: at least one face row must be violated.
+class MIQPProblem:
+    """min (u - u_nom)' S (u - u_nom) over U_A u <= U_b, with one disjunction
+    per group: some row i of the group must satisfy alpha_i' u >= beta_i.
 
-    Row i reads  alpha_i ' u >= beta_i  on the action; bigM_i certifies the
-    row is vacuous over U when its selector is off.
+    The rows of all groups are stacked.  Group j owns rows
+    starts[j]:starts[j + 1] of alpha (rows, m) and beta (rows,); starts is
+    an int array with one entry more than there are groups, starting at 0
+    and ending at the row count.  A group with no rows can never be met.
     """
 
-    alpha: np.ndarray   # (s, m)
-    beta: np.ndarray    # (s,)
-    bigM: np.ndarray    # (s,)
-
-
-@dataclass
-class MIQPProblem:
     S: np.ndarray
     u_nom: np.ndarray
     U_A: np.ndarray
     U_b: np.ndarray
-    groups: list[DisjunctionGroup]
+    alpha: np.ndarray
+    beta: np.ndarray
+    starts: np.ndarray
 
     @property
     def m(self) -> int:
         return self.u_nom.size
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.starts) - 1
+
+    def slacks(self, u: np.ndarray) -> np.ndarray:
+        return self.alpha @ u - self.beta
+
+    def group_max(self, slack: np.ndarray) -> np.ndarray:
+        """Largest row slack per group; -inf for a group with no rows."""
+        out = np.full(self.n_groups, -np.inf)
+        if slack.size:
+            full = self.starts[:-1] < self.starts[1:]
+            out[full] = np.maximum.reduceat(slack, self.starts[:-1][full])
+        return out
 
 
 @dataclass
@@ -200,29 +211,18 @@ def _prepared(artifact: SafeSetArtifact, sys: LinearSystem):
     if cache is not None and cache["sys"] is sys:
         return cache
     members = artifact.inflated_unsafe.members
-    Gs, gs, starts = [], [], [0]
-    for mbr in members:
-        Gs.append(mbr.A)
-        gs.append(mbr.b)
-        starts.append(starts[-1] + mbr.A.shape[0])
-    G_all = np.vstack(Gs) if Gs else np.zeros((0, sys.n))
-    g_all = np.concatenate(gs) if gs else np.zeros(0)
-    u_verts = artifact.spec.U.vertices()
+    G_all = np.vstack([mbr.A for mbr in members]) if members else np.zeros((0, sys.n))
+    g_all = np.concatenate([mbr.b for mbr in members]) if members else np.zeros(0)
     cache = {
         "sys": sys,
-        "G": G_all,
         "g": g_all,
-        "starts": np.asarray(starts, dtype=int),
+        "starts": np.cumsum([0] + [mbr.A.shape[0] for mbr in members]),
         "GA": G_all @ sys.A,
         "GB": G_all @ sys.B,
-        "u_verts": u_verts,
         "U_A": artifact.spec.U.A,
         "U_b": artifact.spec.U.b,
     }
-    try:
-        artifact._governor_cache = cache
-    except AttributeError:  # pragma: no cover - plain dataclass accepts it
-        pass
+    artifact._governor_cache = cache
     return cache
 
 
@@ -231,47 +231,28 @@ def build_miqp(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Gove
 
     Per inflated member j with rows (G_ij, g_ij), the next nominal state
     A x + B u must violate at least one row: G_ij (A x + B u) >= g_ij.
-    The state term folds into the offsets, leaving rows on u alone.
+    The state term folds into the offsets, leaving rows on u alone:
+    alpha = G B and beta = g - G A x.
     """
     x = np.asarray(x, dtype=float).ravel()
     u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
     pre = _prepared(artifact, sys)
-    beta_all = pre["g"] - pre["GA"] @ x
-    alpha_all = pre["GB"]
-    if isinstance(cfg.bigM_mode, str):  # auto
-        # max over u in U of (beta - alpha'u) = beta + h_U(-alpha), exact
-        # over the precomputed input-set vertices.
-        hu = (-alpha_all @ pre["u_verts"].T).max(axis=1) if alpha_all.size else np.zeros(0)
-        bigM_all = beta_all + hu + 1.0
-    else:
-        bigM_all = np.full(beta_all.shape, float(cfg.bigM_mode))
-    starts = pre["starts"]
-    groups = [
-        DisjunctionGroup(
-            alpha=alpha_all[starts[j]:starts[j + 1]],
-            beta=beta_all[starts[j]:starts[j + 1]],
-            bigM=bigM_all[starts[j]:starts[j + 1]],
-        )
-        for j in range(len(starts) - 1)
-    ]
-    return MIQPProblem(S=cfg.S, u_nom=u_nom, U_A=pre["U_A"], U_b=pre["U_b"], groups=groups)
-
-
-def _group_slacks(g: DisjunctionGroup, u: np.ndarray) -> np.ndarray:
-    return g.alpha @ u - g.beta
+    return MIQPProblem(S=cfg.S, u_nom=u_nom, U_A=pre["U_A"], U_b=pre["U_b"],
+                       alpha=pre["GB"], beta=pre["g"] - pre["GA"] @ x, starts=pre["starts"])
 
 
 def solve_miqp(prob: MIQPProblem, node_budget: int = 20000, eps_feas: float = FEAS_TOL) -> GovernorResult:
     """Exact branch-and-bound over per-group face assignments.
 
-    Fixing a face in group j adds the row alpha_i'u >= beta_i; unfixed
-    groups are relaxed away (their big-M rows are vacuous over U).  Nodes
-    are pruned against the incumbent; exploring every surviving
-    assignment makes the optimum exact.  Deterministic for fixed inputs.
+    Fixing a face in group j adds the row alpha_i'u >= beta_i to the node's
+    QP; groups without a fixed face are left out of it.  Nodes are pruned
+    against the incumbent; exploring every surviving assignment makes the
+    optimum exact.  Deterministic for fixed inputs.
     """
     t0 = time.perf_counter()
     t = prob.u_nom
     m = prob.m
+    starts = prob.starts
     nodes = 0
 
     def mkres(u, status, nodes):
@@ -282,10 +263,10 @@ def solve_miqp(prob: MIQPProblem, node_budget: int = 20000, eps_feas: float = FE
     # Fast path: nominal action already admissible and group-feasible.
     u_scale = np.maximum(1.0, np.linalg.norm(prob.U_A, axis=1)) if prob.U_A.size else np.zeros(0)
     nom_ok = prob.U_A.size == 0 or np.all(prob.U_A @ t - prob.U_b <= eps_feas * u_scale)
-    if nom_ok and all(_group_slacks(g, t).max(initial=-np.inf) >= -eps_feas for g in prob.groups):
+    if nom_ok and np.all(prob.group_max(prob.slacks(t)) >= -eps_feas):
         return GovernorResult(t.copy(), False, 0.0, 0, time.perf_counter() - t0, STATUS_OPTIMAL)
 
-    if not prob.groups:
+    if prob.n_groups == 0:
         res = qp_solve(prob.S, t, prob.U_A, prob.U_b, eps_feas)
         if res.status == QP_OPTIMAL:
             return mkres(res.u, STATUS_OPTIMAL, 1)
@@ -295,38 +276,32 @@ def solve_miqp(prob: MIQPProblem, node_budget: int = 20000, eps_feas: float = FE
     incumbent_val = float("inf")
     budget_hit = False
 
-    base_A = prob.U_A
-    base_b = prob.U_b
-
     def solve_node(rows_A, rows_b):
         nonlocal nodes
         nodes += 1
         return qp_solve(prob.S, t, rows_A, rows_b, eps_feas)
 
-    def dfs(fixed_rows_A, fixed_rows_b, unfixed: list[int], u_rel, val_rel):
+    def dfs(fixed_rows_A, fixed_rows_b, unfixed: np.ndarray, u_rel, val_rel):
         nonlocal incumbent_u, incumbent_val, budget_hit
         if budget_hit:
             return
         if val_rel >= incumbent_val - 1e-12:
             return
-        sat = []
-        unsat = []
-        for gi in unfixed:
-            grp = prob.groups[gi]
-            smax = _group_slacks(grp, u_rel).max(initial=-np.inf)
-            (sat if smax >= -eps_feas else unsat).append((smax, gi))
-        if not unsat:
+        slack = prob.slacks(u_rel)
+        smax = prob.group_max(slack)[unfixed]
+        unsat = smax < -eps_feas
+        if not unsat.any():
             if val_rel < incumbent_val - 1e-12:
                 incumbent_u, incumbent_val = u_rel, val_rel
             return
-        # branch on the most violated group; deterministic index tie-break
-        unsat.sort(key=lambda p: (p[0], p[1]))
-        _, gi = unsat[0]
-        grp = prob.groups[gi]
-        rest = [g for g in unfixed if g != gi]
-        order = np.lexsort((np.arange(grp.beta.size), -_group_slacks(grp, u_rel)))
+        # branch on the most violated group; unfixed is ascending, so argmin
+        # breaks ties by the lowest group index
+        gi = unfixed[unsat][np.argmin(smax[unsat])]
+        lo, hi = starts[gi], starts[gi + 1]
+        rest = unfixed[unfixed != gi]
+        order = lo + np.lexsort((np.arange(hi - lo), -slack[lo:hi]))
         for i in order:
-            a, b = grp.alpha[i], grp.beta[i]
+            a, b = prob.alpha[i], prob.beta[i]
             if np.linalg.norm(a) < 1e-12:
                 if b <= eps_feas:
                     dfs(fixed_rows_A, fixed_rows_b, rest, u_rel, val_rel)
@@ -341,10 +316,10 @@ def solve_miqp(prob: MIQPProblem, node_budget: int = 20000, eps_feas: float = FE
                 continue
             dfs(A2, b2, rest, res.u, res.value)
 
-    root = solve_node(base_A, base_b)
+    root = solve_node(prob.U_A, prob.U_b)
     if root.status != QP_OPTIMAL:
         return mkres(None, STATUS_INFEASIBLE, nodes)
-    dfs(base_A, base_b, list(range(len(prob.groups))), root.u, root.value)
+    dfs(prob.U_A, prob.U_b, np.arange(prob.n_groups), root.u, root.value)
 
     if budget_hit:
         return mkres(incumbent_u, STATUS_FALLBACK, nodes)
@@ -356,23 +331,23 @@ def solve_miqp(prob: MIQPProblem, node_budget: int = 20000, eps_feas: float = FE
 def _min_violation_action(prob: MIQPProblem, eps_feas: float) -> np.ndarray | None:
     """Assignment minimizing the worst face-row violation (LP per assignment)."""
     m = prob.m
-    sizes = [g.beta.size for g in prob.groups]
-    total = int(np.prod(sizes)) if sizes else 0
+    heads = prob.starts[:-1]
+    sizes = np.diff(prob.starts)
+    total = int(np.prod(sizes)) if sizes.size else 0
     if total == 0:
         return None
 
     def assignment_lp(choice):
-        rows_A = [np.hstack([prob.U_A, np.zeros((prob.U_A.shape[0], 1))])]
-        rows_b = [prob.U_b]
-        for gi, i in enumerate(choice):
-            g = prob.groups[gi]
-            rows_A.append(np.hstack([-g.alpha[i:i + 1], [[-1.0]]]))
-            rows_b.append(np.array([-g.beta[i]]))
-        rows_A.append(np.hstack([np.zeros((1, m)), [[-1.0]]]))
-        rows_b.append(np.zeros(1))
+        rows = heads + np.asarray(choice)
+        A = np.vstack([
+            np.hstack([prob.U_A, np.zeros((prob.U_A.shape[0], 1))]),
+            np.hstack([-prob.alpha[rows], np.full((rows.size, 1), -1.0)]),
+            np.hstack([np.zeros((1, m)), [[-1.0]]]),
+        ])
+        b = np.concatenate([prob.U_b, -prob.beta[rows], np.zeros(1)])
         c = np.zeros(m + 1)
         c[m] = 1.0
-        res = lp_solve(c, np.vstack(rows_A), np.concatenate(rows_b))
+        res = lp_solve(c, A, b)
         if res.status != OPTIMAL:
             return None
         return res.value, res.x[:m]
@@ -384,7 +359,8 @@ def _min_violation_action(prob: MIQPProblem, eps_feas: float) -> np.ndarray | No
         # greedy: best-slack row per group at the clipped nominal
         clip = qp_solve(prob.S, prob.u_nom, prob.U_A, prob.U_b, eps_feas)
         u0 = clip.u if clip.status == QP_OPTIMAL else prob.u_nom
-        choices = [tuple(int(np.argmax(_group_slacks(g, u0))) for g in prob.groups)]
+        slack = prob.slacks(u0)
+        choices = [tuple(int(np.argmax(slack[lo:hi])) for lo, hi in zip(heads, prob.starts[1:]))]
     for choice in choices:
         out = assignment_lp(choice)
         if out is None:

@@ -14,7 +14,7 @@ and keeps exploring its full action grid.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,21 +135,14 @@ class QFunction:
 
 
 class ReplayBuffer:
-    """Bounded FIFO of (state, nominal action, Q-target) tuples."""
+    """Append-only store of (state, nominal action, Q-target) tuples."""
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise LearnerError("buffer capacity must be positive")
-        self.capacity = int(capacity)
+    def __init__(self):
         self._x: list[np.ndarray] = []
         self._u: list[float] = []
         self._t: list[float] = []
 
     def push(self, x, u: float, target: float) -> None:
-        if len(self._x) >= self.capacity:
-            self._x.pop(0)
-            self._u.pop(0)
-            self._t.pop(0)
         self._x.append(np.asarray(x, dtype=float).copy())
         self._u.append(float(u))
         self._t.append(float(target))
@@ -183,9 +176,11 @@ def select_action(q: QFunction, x, eps: float, actions: np.ndarray, rng: np.rand
 
 
 def action_grid(u_min: float, u_max: float, step: float) -> np.ndarray:
+    """u_min, u_min + step, ... up to u_max; a step that does not divide the
+    range stops short of u_max rather than stepping past it."""
     if step <= 0:
         raise LearnerError("action discretization step must be positive")
-    n = int(round((u_max - u_min) / step))
+    n = int(np.floor((u_max - u_min) / step + 1e-9))
     return u_min + step * np.arange(n + 1)
 
 
@@ -206,7 +201,6 @@ class TrainConfig:
     fit_epochs: int = 120
     batch_size: int = 64
     fit_lr: float = 3e-3
-    buffer_capacity: int | None = None   # default: one episode
     seed: int = 0
     mode: str = "safe"               # "safe" | "conventional"
     pretrain_states: int = 1200
@@ -376,7 +370,6 @@ def pretrain_to_policy(q: QFunction, env: AccEnv, actions: np.ndarray, cfg: Trai
     k = len(actions)
     X = np.hstack([np.repeat(states, k, axis=0), np.tile(actions, len(states))[:, None]])
     y = -((X[:, 3] - np.repeat(targets_u, k)) ** 2)
-    buf = ReplayBuffer(capacity=len(y))
     out = q.copy()
     _adam_run(out, X, y, np.arange(len(y)), cfg.pretrain_epochs, 256, 5e-3, rng)
     return out
@@ -484,10 +477,9 @@ def train(env: AccEnv, cfg: TrainConfig, artifact: SafeSetArtifact | None = None
         return q, logs
     q = pretrain_to_policy(q, env, actions, cfg, rng)
     gov_cfg = GovernorConfig(S=np.eye(1), node_budget=cfg.node_budget) if cfg.mode == "safe" else None
-    capacity = cfg.buffer_capacity or cfg.n_trajectories * cfg.horizon
     for e in range(cfg.episodes):
         eps = cfg.epsilon(e)
-        buffer = ReplayBuffer(capacity)
+        buffer = ReplayBuffer()
         traj_rows = []
         for _ in range(cfg.n_trajectories):
             traj_rows.append(run_trajectory(

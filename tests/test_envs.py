@@ -4,7 +4,6 @@ import pytest
 from safegov.envs import (
     AccEnv,
     AccParams,
-    AccState,
     CycleError,
     DrivingCycle,
     derive_disturbance,
@@ -56,11 +55,6 @@ def test_step_superposition():
 def test_step_clips_out_of_bound_inputs():
     x = step([50.0, 0.0, 20.0], 10.0, 0.0, P)
     assert np.allclose(x, step([50.0, 0.0, 20.0], 3.0, 0.0, P))
-
-
-def test_state_container_roundtrip():
-    s = AccState(30.0, -1.0, 20.0)
-    assert AccState.from_array(s.as_array()) == s
 
 
 # ----------------------------------------------------------------- reward

@@ -6,7 +6,6 @@ from scipy.optimize import minimize
 
 from safegov.geometry import HPolytope, PolyUnion
 from safegov.governor import (
-    DisjunctionGroup,
     GovernorConfig,
     GovernorError,
     MIQPProblem,
@@ -36,17 +35,27 @@ def artifact_1d(K=2, w=2.0):
     return build_safe_artifact(sets, sys, spec), sys, spec, sets
 
 
+def stacked_miqp(S, u_nom, U_A, U_b, groups):
+    """MIQPProblem from a list of per-group (alpha, beta) pairs."""
+    m = np.size(u_nom)
+    return MIQPProblem(
+        S=S, u_nom=u_nom, U_A=U_A, U_b=U_b,
+        alpha=np.vstack([a for a, _ in groups]) if groups else np.zeros((0, m)),
+        beta=np.concatenate([b for _, b in groups]) if groups else np.zeros(0),
+        starts=np.cumsum([0] + [b.size for _, b in groups]),
+    )
+
+
 def enumerate_miqp(prob):
     """Exhaustive oracle: try every face assignment, keep the best QP."""
-    sizes = [g.beta.size for g in prob.groups]
+    sizes = np.diff(prob.starts)
     best = None
     for choice in itertools.product(*[range(s) for s in sizes]):
         A = [prob.U_A]
         b = [prob.U_b]
-        for gi, i in enumerate(choice):
-            g = prob.groups[gi]
-            A.append(-g.alpha[i:i + 1])
-            b.append(np.array([-g.beta[i]]))
+        for start, i in zip(prob.starts, choice):
+            A.append(-prob.alpha[start + i:start + i + 1])
+            b.append(np.array([-prob.beta[start + i]]))
         res = qp_solve(prob.S, prob.u_nom, np.vstack(A), np.concatenate(b))
         if res.status == QP_OPTIMAL and (best is None or res.value < best[0]):
             best = (res.value, res.u)
@@ -118,7 +127,7 @@ def test_qp_zero_rows():
 
 
 def test_miqp_no_groups_equals_qp():
-    prob = MIQPProblem(
+    prob = stacked_miqp(
         S=np.array([[1.0]]), u_nom=np.array([5.0]),
         U_A=np.array([[1.0], [-1.0]]), U_b=np.array([3.0, 3.0]), groups=[],
     )
@@ -130,12 +139,8 @@ def test_miqp_no_groups_equals_qp():
 
 def test_miqp_unsafe_interval_next_state():
     # plant z = u, unsafe z in (2, 4), u_nom = 3: nearest escape is z = 2.
-    g = DisjunctionGroup(
-        alpha=np.array([[1.0], [-1.0]]),
-        beta=np.array([4.0, -2.0]),
-        bigM=np.array([10.0, 10.0]),
-    )
-    prob = MIQPProblem(
+    g = (np.array([[1.0], [-1.0]]), np.array([4.0, -2.0]))
+    prob = stacked_miqp(
         S=np.array([[1.0]]), u_nom=np.array([3.0]),
         U_A=np.array([[1.0], [-1.0]]), U_b=np.array([3.0, 3.0]), groups=[g],
     )
@@ -161,8 +166,8 @@ def random_miqp(rng, m=None):
         if rng.random() < 0.15:
             alpha[rng.integers(0, s)] = 0.0
         beta = rng.normal(size=s) * 2
-        groups.append(DisjunctionGroup(alpha=alpha, beta=beta, bigM=np.abs(beta) + 10))
-    return MIQPProblem(S=S, u_nom=u_nom, U_A=U_A, U_b=U_b, groups=groups)
+        groups.append((alpha, beta))
+    return stacked_miqp(S=S, u_nom=u_nom, U_A=U_A, U_b=U_b, groups=groups)
 
 
 def test_miqp_matches_enumeration_on_random_instances():
@@ -192,10 +197,23 @@ def test_miqp_determinism():
         assert np.array_equal(r1.u_safe, r2.u_safe)
 
 
+def test_miqp_empty_group_is_never_met():
+    empty = (np.zeros((0, 1)), np.zeros(0))
+    groups = [(np.array([[1.0], [-1.0]]), np.array([4.0, -2.0])), empty,
+              (np.array([[2.0]]), np.array([1.0])), empty]
+    prob = stacked_miqp(S=np.array([[1.0]]), u_nom=np.array([0.0]),
+                        U_A=np.array([[1.0], [-1.0]]), U_b=np.array([3.0, 3.0]), groups=groups)
+    u = np.array([0.5])
+    per_group = [(a @ u - b).max(initial=-np.inf) for a, b in groups]
+    assert np.array_equal(prob.group_max(prob.slacks(u)), per_group)
+    assert enumerate_miqp(prob) is None
+    assert solve_miqp(prob).status == "infeasible"
+
+
 def test_miqp_node_budget_fallback():
     rng = np.random.default_rng(33)
     prob = random_miqp(rng, m=2)
-    while not prob.groups:
+    while prob.n_groups == 0:
         prob = random_miqp(rng, m=2)
     res = solve_miqp(prob, node_budget=1)
     assert res.status in ("fallback", "infeasible")
@@ -235,14 +253,14 @@ def test_govern_modifies_toward_boundary():
 def test_govern_build_structure():
     art, sys, spec, _ = artifact_1d()
     cfg = GovernorConfig(S=np.array([[1.0]]))
-    prob = build_miqp([5.0], [0.0], art, sys, cfg)
-    assert len(prob.groups) == len(art.inflated_unsafe)
-    for g in prob.groups:
-        assert np.all(np.isfinite(g.bigM))
-        # auto big-M certifies rows vacuous over U when switched off
-        for a, M in zip(g.alpha, g.bigM):
-            worst = (-g.alpha @ art.spec.U.vertices().T).max()
-            assert M >= 0 or worst < 0
+    x = np.array([5.0])
+    prob = build_miqp(x, [0.0], art, sys, cfg)
+    assert prob.n_groups == len(art.inflated_unsafe)
+    G = np.vstack([m.A for m in art.inflated_unsafe.members])
+    g = np.concatenate([m.b for m in art.inflated_unsafe.members])
+    assert np.allclose(prob.alpha, G @ sys.B)
+    assert np.allclose(prob.beta, g - G @ sys.A @ x)
+    assert np.array_equal(np.diff(prob.starts), [m.A.shape[0] for m in art.inflated_unsafe.members])
 
 
 def test_govern_robust_one_step_safety_1d():
