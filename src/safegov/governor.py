@@ -4,10 +4,13 @@ state robustly avoids the unrecoverable set.
 The one-step constraint "A x + B u stays outside every member of the
 inflated unsafe union" is a disjunction per member: at least one face of
 the member must be violated.  Choosing one face per member makes this a
-small mixed-integer QP.  It is solved exactly by depth-first branch and
-bound over the face assignments: a node adds the chosen face rows to the
-input set and solves that convex QP, and members without a chosen face
-are simply left out of it.
+small mixed-integer QP, which is solved exactly by enumerating candidate
+points.  The optimum is the S-weighted projection of the nominal action
+onto U cut by one chosen face per member, so it is a KKT point of at most
+m linearly independent rows taken from U's rows and the face rows.  Every
+such point is a candidate; the admissible one with the least objective is
+the optimum.  For a scalar action the candidates are the rows' break
+points b_i / a_i, which makes this the closed-form interval projection.
 """
 
 from __future__ import annotations
@@ -38,13 +41,15 @@ class GovernorError(RuntimeError):
     pass
 
 
+# Candidates tested per admissibility block; bounds memory to block x rows.
+CANDIDATE_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class GovernorConfig:
-    """Weight matrix and solver knobs for the action governor."""
+    """Weight matrix of the governor's objective (u - u_nom)' S (u - u_nom)."""
 
     S: np.ndarray
-    eps_feas: float = FEAS_TOL
-    node_budget: int = 20000
 
     def __post_init__(self):
         S = np.atleast_2d(np.asarray(self.S, dtype=float))
@@ -177,16 +182,25 @@ class MIQPProblem:
         return self.alpha @ u - self.beta
 
     def group_max(self, slack: np.ndarray) -> np.ndarray:
-        """Largest row slack per group; -inf for a group with no rows."""
-        out = np.full(self.n_groups, -np.inf)
+        """Largest row slack per group along the last axis; -inf for a group
+        with no rows."""
+        out = np.full(slack.shape[:-1] + (self.n_groups,), -np.inf)
         if slack.size:
             full = self.starts[:-1] < self.starts[1:]
-            out[full] = np.maximum.reduceat(slack, self.starts[:-1][full])
+            out[..., full] = np.maximum.reduceat(slack, self.starts[:-1][full], axis=-1)
         return out
 
 
 @dataclass
 class GovernorResult:
+    """Outcome of one governor solve.
+
+    nodes_explored is 0 when the nominal action is admissible as it is;
+    otherwise it counts the candidates tried in ascending objective order,
+    up to and including the one returned (all of them when none is
+    admissible).
+    """
+
     u_safe: np.ndarray | None
     modified: bool
     objective: float
@@ -236,29 +250,30 @@ def build_miqp(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Gove
     """
     x = np.asarray(x, dtype=float).ravel()
     u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
+    if u_nom.size != sys.m:
+        raise GovernorError(f"u_nom has {u_nom.size} entries; the system has {sys.m} inputs")
+    if cfg.S.shape != (sys.m, sys.m):
+        raise GovernorError(f"S has shape {cfg.S.shape}; the system has {sys.m} inputs")
     pre = _prepared(artifact, sys)
     return MIQPProblem(S=cfg.S, u_nom=u_nom, U_A=pre["U_A"], U_b=pre["U_b"],
                        alpha=pre["GB"], beta=pre["g"] - pre["GA"] @ x, starts=pre["starts"])
 
 
-def solve_miqp(prob: MIQPProblem, node_budget: int = 20000, eps_feas: float = FEAS_TOL) -> GovernorResult:
-    """Exact branch-and-bound over per-group face assignments.
+def solve_miqp(prob: MIQPProblem, eps_feas: float = FEAS_TOL) -> GovernorResult:
+    """Exact solve by enumerating KKT candidates.
 
-    Fixing a face in group j adds the row alpha_i'u >= beta_i to the node's
-    QP; groups without a fixed face are left out of it.  Nodes are pruned
-    against the incumbent; exploring every surviving assignment makes the
-    optimum exact.  Deterministic for fixed inputs.
+    If u_nom is not admissible, the optimum is the S-projection of u_nom
+    onto U cut by one chosen face per group.  That projection lies on the
+    affine set of at most m linearly independent rows taken from U's rows
+    and the face rows alpha_i'u = beta_i, so it is among the candidates
+    below.  A candidate is admissible when it lies in U and meets some row
+    of every group, each within eps_feas; every admissible candidate is
+    feasible for the disjunctive program, so the admissible candidate with
+    the least objective is the optimum.  Ties go to the first candidate in
+    a stable sort by objective.  Deterministic for fixed inputs.
     """
     t0 = time.perf_counter()
     t = prob.u_nom
-    m = prob.m
-    starts = prob.starts
-    nodes = 0
-
-    def mkres(u, status, nodes):
-        obj = float("inf") if u is None else float((u - t) @ prob.S @ (u - t))
-        modified = u is not None and bool(np.linalg.norm(u - t) > eps_feas)
-        return GovernorResult(u, modified, obj, nodes, time.perf_counter() - t0, status)
 
     # Fast path: nominal action already admissible and group-feasible.
     u_scale = np.maximum(1.0, np.linalg.norm(prob.U_A, axis=1)) if prob.U_A.size else np.zeros(0)
@@ -266,66 +281,49 @@ def solve_miqp(prob: MIQPProblem, node_budget: int = 20000, eps_feas: float = FE
     if nom_ok and np.all(prob.group_max(prob.slacks(t)) >= -eps_feas):
         return GovernorResult(t.copy(), False, 0.0, 0, time.perf_counter() - t0, STATUS_OPTIMAL)
 
-    if prob.n_groups == 0:
-        res = qp_solve(prob.S, t, prob.U_A, prob.U_b, eps_feas)
-        if res.status == QP_OPTIMAL:
-            return mkres(res.u, STATUS_OPTIMAL, 1)
-        return mkres(None, STATUS_INFEASIBLE, 1)
+    cands = _candidates(prob)
+    d = cands - t
+    order = np.argsort(((d @ prob.S) * d).sum(axis=1), kind="stable")
+    for lo in range(0, order.size, CANDIDATE_BLOCK):
+        C = cands[order[lo:lo + CANDIDATE_BLOCK]]
+        ok = np.all(C @ prob.U_A.T - prob.U_b <= eps_feas * u_scale, axis=1)
+        ok &= np.all(prob.group_max(C @ prob.alpha.T - prob.beta) >= -eps_feas, axis=1)
+        if ok.any():
+            k = int(np.argmax(ok))
+            u = C[k]
+            obj = float((u - t) @ prob.S @ (u - t))
+            modified = bool(np.linalg.norm(u - t) > eps_feas)
+            return GovernorResult(u, modified, obj, lo + k + 1, time.perf_counter() - t0, STATUS_OPTIMAL)
+    return GovernorResult(None, False, float("inf"), order.size, time.perf_counter() - t0, STATUS_INFEASIBLE)
 
-    incumbent_u: np.ndarray | None = None
-    incumbent_val = float("inf")
-    budget_hit = False
 
-    def solve_node(rows_A, rows_b):
-        nonlocal nodes
-        nodes += 1
-        return qp_solve(prob.S, t, rows_A, rows_b, eps_feas)
+def _candidates(prob: MIQPProblem) -> np.ndarray:
+    """KKT points of every linearly independent set of at most m rows of
+    [U_A; alpha] u = [U_b; beta], one per row of the result.
 
-    def dfs(fixed_rows_A, fixed_rows_b, unfixed: np.ndarray, u_rel, val_rel):
-        nonlocal incumbent_u, incumbent_val, budget_hit
-        if budget_hit:
-            return
-        if val_rel >= incumbent_val - 1e-12:
-            return
-        slack = prob.slacks(u_rel)
-        smax = prob.group_max(slack)[unfixed]
-        unsat = smax < -eps_feas
-        if not unsat.any():
-            if val_rel < incumbent_val - 1e-12:
-                incumbent_u, incumbent_val = u_rel, val_rel
-            return
-        # branch on the most violated group; unfixed is ascending, so argmin
-        # breaks ties by the lowest group index
-        gi = unfixed[unsat][np.argmin(smax[unsat])]
-        lo, hi = starts[gi], starts[gi + 1]
-        rest = unfixed[unfixed != gi]
-        order = lo + np.lexsort((np.arange(hi - lo), -slack[lo:hi]))
-        for i in order:
-            a, b = prob.alpha[i], prob.beta[i]
-            if np.linalg.norm(a) < 1e-12:
-                if b <= eps_feas:
-                    dfs(fixed_rows_A, fixed_rows_b, rest, u_rel, val_rel)
-                continue
-            if nodes >= node_budget:
-                budget_hit = True
-                return
-            A2 = np.vstack([fixed_rows_A, -a.reshape(1, m)])
-            b2 = np.concatenate([fixed_rows_b, [-b]])
-            res = solve_node(A2, b2)
-            if res.status != QP_OPTIMAL:
-                continue
-            dfs(A2, b2, rest, res.u, res.value)
-
-    root = solve_node(prob.U_A, prob.U_b)
-    if root.status != QP_OPTIMAL:
-        return mkres(None, STATUS_INFEASIBLE, nodes)
-    dfs(prob.U_A, prob.U_b, np.arange(prob.n_groups), root.u, root.value)
-
-    if budget_hit:
-        return mkres(incumbent_u, STATUS_FALLBACK, nodes)
-    if incumbent_u is None:
-        return mkres(None, STATUS_INFEASIBLE, nodes)
-    return mkres(incumbent_u, STATUS_OPTIMAL, nodes)
+    A set of k < m rows gives the S-weighted projection of u_nom onto its
+    affine set; a set of k = m rows gives its vertex A_I^-1 b_I.  For a
+    scalar action both reduce to the break points b_i / a_i.
+    """
+    m = prob.m
+    R = np.vstack([prob.U_A, prob.alpha])
+    h = np.concatenate([prob.U_b, prob.beta])
+    if m == 1:
+        a = R[:, 0]
+        keep = np.abs(a) > 1e-12
+        return (h[keep] / a[keep])[:, None]
+    out = []
+    for k in range(1, min(m, h.size) + 1):
+        I = np.array(list(itertools.combinations(range(h.size), k)))
+        I = I[np.linalg.matrix_rank(R[I], tol=1e-10) == k]
+        A = R[I]
+        K = np.zeros((len(I), m + k, m + k))
+        K[:, :m, :m] = 2.0 * prob.S
+        K[:, :m, m:] = A.transpose(0, 2, 1)
+        K[:, m:, :m] = A
+        rhs = np.concatenate([np.broadcast_to(2.0 * prob.S @ prob.u_nom, (len(I), m)), h[I]], axis=1)
+        out.append(np.linalg.solve(K, rhs[..., None])[:, :m, 0])
+    return np.vstack(out) if out else np.zeros((0, m))
 
 
 def _min_violation_action(prob: MIQPProblem, eps_feas: float) -> np.ndarray | None:
@@ -380,21 +378,19 @@ def govern(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Governor
     """
     t0 = time.perf_counter()
     prob = build_miqp(x, u_nom, artifact, sys, cfg)
-    res = solve_miqp(prob, node_budget=cfg.node_budget, eps_feas=cfg.eps_feas)
+    res = solve_miqp(prob)
     if res.status == STATUS_INFEASIBLE:
-        res = solve_miqp(prob, node_budget=cfg.node_budget, eps_feas=cfg.eps_feas * 10)
-        if res.status in (STATUS_OPTIMAL, STATUS_FALLBACK) and res.u_safe is not None:
+        res = solve_miqp(prob, eps_feas=10 * FEAS_TOL)
+        if res.status == STATUS_OPTIMAL:
             res.status = STATUS_FALLBACK
         else:
-            u = _min_violation_action(prob, cfg.eps_feas)
+            u = _min_violation_action(prob, FEAS_TOL)
             t = prob.u_nom
             obj = float("inf") if u is None else float((u - t) @ prob.S @ (u - t))
             res = GovernorResult(
-                u, u is not None and bool(np.linalg.norm(u - t) > cfg.eps_feas),
+                u, u is not None and bool(np.linalg.norm(u - t) > FEAS_TOL),
                 obj, res.nodes_explored, 0.0, STATUS_FALLBACK,
             )
             logger.warning("governor fallback engaged at state %s", np.asarray(x).tolist())
-    elif res.status == STATUS_FALLBACK:
-        logger.warning("governor node budget exhausted at state %s", np.asarray(x).tolist())
     res.solve_time = time.perf_counter() - t0
     return res

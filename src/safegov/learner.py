@@ -205,7 +205,6 @@ class TrainConfig:
     mode: str = "safe"               # "safe" | "conventional"
     pretrain_states: int = 1200
     pretrain_epochs: int = 40
-    node_budget: int = 20000
 
     def __post_init__(self):
         if not (0.0 < self.lam < 1.0):
@@ -401,7 +400,7 @@ def run_trajectory(
     if safe_mode and artifact is None:
         raise LearnerError("safe mode requires a safe-set artifact")
     if safe_mode and gov_cfg is None:
-        gov_cfg = GovernorConfig(S=np.eye(1), node_budget=cfg.node_budget)
+        gov_cfg = GovernorConfig(S=np.eye(1))
     if x0 is None:
         x0 = env.sample_safe_state(rng, artifact) if safe_mode else _sample_band_state(env, rng)
     w_seq = disturbance if disturbance is not None else env.segment_disturbance(rng, cfg.horizon)
@@ -476,7 +475,7 @@ def train(env: AccEnv, cfg: TrainConfig, artifact: SafeSetArtifact | None = None
     if cfg.episodes == 0:
         return q, logs
     q = pretrain_to_policy(q, env, actions, cfg, rng)
-    gov_cfg = GovernorConfig(S=np.eye(1), node_budget=cfg.node_budget) if cfg.mode == "safe" else None
+    gov_cfg = GovernorConfig(S=np.eye(1)) if cfg.mode == "safe" else None
     for e in range(cfg.episodes):
         eps = cfg.epsilon(e)
         buffer = ReplayBuffer()

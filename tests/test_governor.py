@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from safegov.governor import (
     qp_solve,
     solve_miqp,
 )
-from safegov.safeset import ConstraintSpec, LinearSystem, build_safe_artifact, compute_unrecoverable
+from safegov.safeset import (
+    ConstraintSpec,
+    LinearSystem,
+    SafeSetArtifact,
+    build_safe_artifact,
+    compute_unrecoverable,
+)
 
 
 def interval(lo, hi):
@@ -153,7 +160,7 @@ def test_miqp_unsafe_interval_next_state():
 
 
 def random_miqp(rng, m=None):
-    m = m or int(rng.integers(1, 3))
+    m = m or int(rng.integers(1, 4))
     L = rng.normal(size=(m, m))
     S = L @ L.T + 0.3 * np.eye(m)
     u_nom = rng.normal(size=m) * 2
@@ -161,9 +168,9 @@ def random_miqp(rng, m=None):
     U_b = np.full(2 * m, 3.0)
     groups = []
     for _ in range(int(rng.integers(0, 4))):
-        s = int(rng.integers(1, 5))
+        s = int(rng.integers(0, 5))
         alpha = rng.normal(size=(s, m))
-        if rng.random() < 0.15:
+        if s and rng.random() < 0.15:
             alpha[rng.integers(0, s)] = 0.0
         beta = rng.normal(size=s) * 2
         groups.append((alpha, beta))
@@ -173,7 +180,7 @@ def random_miqp(rng, m=None):
 def test_miqp_matches_enumeration_on_random_instances():
     rng = np.random.default_rng(101)
     n_feasible = 0
-    for _ in range(60):
+    for _ in range(150):
         prob = random_miqp(rng)
         res = solve_miqp(prob)
         ref = enumerate_miqp(prob)
@@ -210,15 +217,6 @@ def test_miqp_empty_group_is_never_met():
     assert solve_miqp(prob).status == "infeasible"
 
 
-def test_miqp_node_budget_fallback():
-    rng = np.random.default_rng(33)
-    prob = random_miqp(rng, m=2)
-    while prob.n_groups == 0:
-        prob = random_miqp(rng, m=2)
-    res = solve_miqp(prob, node_budget=1)
-    assert res.status in ("fallback", "infeasible")
-
-
 # --------------------------------------------------------------- governor
 
 
@@ -248,6 +246,37 @@ def test_govern_modifies_toward_boundary():
     assert res.status == "optimal"
     assert res.modified
     assert res.u_safe[0] == pytest.approx(-1.0, abs=1e-7)
+
+
+def test_build_miqp_rejects_mis_sized_weight_or_action():
+    art, sys, spec, _ = artifact_1d()
+    # x = 8 with u_nom = 0 is admissible as it is; x = 5 with u_nom = -3 is not.
+    for x, u in (([8.0], [0.0]), ([5.0], [-3.0])):
+        with pytest.raises(GovernorError):
+            govern(x, u, art, sys, GovernorConfig(S=np.eye(2)))
+        with pytest.raises(GovernorError):
+            govern(x, u + [0.0], art, sys, GovernorConfig(S=np.array([[1.0]])))
+
+
+@pytest.mark.parametrize("hi, n_warnings", [(1 + 5e-7, 0), (2.0, 1)])
+def test_govern_fallback_chain(caplog, hi, n_warnings):
+    # z = x + u + w with U = [-1, 1]; from x = 0 the member {-10 <= z <= hi}
+    # can only be left through z >= hi, which U reaches within 10 * FEAS_TOL
+    # when hi = 1 + 5e-7 (relaxed retry) and never when hi = 2 (least
+    # violation, one warning).  Either way the answer is u = 1.
+    sys = LinearSystem(np.eye(1), np.eye(1), np.eye(1))
+    spec = ConstraintSpec(X0=PolyUnion([interval(-10, -9)]), U=interval(-1, 1),
+                          W=HPolytope.from_point([0.0]), box=interval(-10, 10))
+    member = PolyUnion([interval(-10, hi)])
+    art = SafeSetArtifact(system=sys, spec=spec, k_used=0, safe=PolyUnion.empty(1),
+                          inflated_unsafe=member, unrecoverable=member, fixpoint_reached=False)
+    with caplog.at_level(logging.WARNING, logger="safegov.governor"):
+        res = govern([0.0], [0.0], art, sys, GovernorConfig(S=np.array([[1.0]])))
+    assert res.status == "fallback"
+    assert res.u_safe[0] == pytest.approx(1.0, abs=1e-9)
+    assert res.modified
+    engaged = [r for r in caplog.records if "fallback engaged" in r.getMessage()]
+    assert len(engaged) == len(caplog.records) == n_warnings
 
 
 def test_govern_build_structure():

@@ -1,8 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
 from safegov.envs import AccEnv
-from safegov.learner import QFunction, ReplayBuffer, TrainConfig, action_grid, train
+from safegov.learner import QFunction, ReplayBuffer, TrainConfig, action_grid, fit, q_target, train
 
 
 def test_loss_gradients_match_finite_differences():
@@ -61,3 +63,22 @@ def test_train_is_deterministic_per_seed():
         for name in ("trajectory", "step", "states", "u_nom", "u_safe", "modified", "rewards", "violations"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert not np.array_equal(q1.get_flat(), q3.get_flat())
+
+
+def test_fit_reverts_when_held_out_loss_grows(caplog):
+    rng = np.random.default_rng(1)
+    q = QFunction.create([0.0] * 4, [1.0] * 4, hidden=(8,), rng=rng)
+    buf = ReplayBuffer()
+    for x, t in zip(rng.uniform(size=(40, 4)), rng.normal(size=40)):
+        buf.push(x[:3], x[3], t)
+    theta = q.get_flat().copy()
+    with caplog.at_level(logging.INFO, logger="safegov.learner"):
+        out = fit(q, buf, epochs=20, batch=8, rng=rng, lr=3e-3)
+    assert any("held-out loss grew" in r.getMessage() for r in caplog.records)
+    assert np.array_equal(q.get_flat(), theta)
+    assert np.all(np.isfinite(out.get_flat()))
+
+
+def test_q_target_blend():
+    # 0.5 * 2 + 0.5 * (-1 + 0.9 * 4)
+    assert q_target(2.0, -1.0, 4.0, 0.5, 0.9) == pytest.approx(2.3, abs=1e-12)
