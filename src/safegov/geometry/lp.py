@@ -37,11 +37,12 @@ class LpResult:
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    # One rank-1 update.  Rows with a zero factor subtract exact zeros, so
+    # the values equal those of a row-by-row elimination.
     T[row] /= T[row, col]
-    piv = T[row]
-    for i in range(T.shape[0]):
-        if i != row and abs(T[i, col]) > 0.0:
-            T[i] -= T[i, col] * piv
+    f = T[:, col].copy()
+    f[row] = 0.0
+    T -= np.outer(f, T[row])
 
 
 def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int) -> str:
@@ -97,15 +98,24 @@ def lp_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult:
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise ValueError("lp_solve: non-finite input")
 
+    # A zero row is decided by its offset alone.  Left in, row scaling
+    # would blow its offset up to ~1e12 and swamp the phase-1 test.
+    norms = np.linalg.norm(A, axis=1)
+    zero = norms < 1e-12
+    if np.any(zero):
+        if np.any(b[zero] < -FEAS_TOL):
+            return LpResult(INFEASIBLE)
+        A, b, norms = A[~zero], b[~zero], norms[~zero]
+        m = A.shape[0]
+
     if m == 0:
         if np.all(np.abs(c) <= _RC_TOL):
             return LpResult(OPTIMAL, np.zeros(n), 0.0)
         return LpResult(UNBOUNDED)
 
     # Row scaling for conditioning; keeps the feasible set unchanged.
-    scale = np.maximum(np.linalg.norm(A, axis=1), 1e-12)
-    As = A / scale[:, None]
-    bs = b / scale
+    As = A / norms[:, None]
+    bs = b / norms
 
     # Flip rows so the right-hand side is nonnegative, then add slacks and
     # one artificial per row.  Columns: [x+ (n) | x- (n) | s (m) | a (m)].

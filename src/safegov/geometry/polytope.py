@@ -5,6 +5,20 @@ All sets are closed ({x : A x <= b}); membership and subset predicates are
 evaluated up to FEAS_TOL.  Types are immutable after construction and all
 operations are pure functions, so values can be shared freely.
 
+An HPolytope caches what it learns about itself: emptiness, boundedness,
+its Chebyshev ball and its vertices.  Operations whose result provably
+shares a fact carry it over instead of paying LPs for it again:
+
+- ``intersect`` is bounded when either operand is known to be bounded;
+- ``convex_hull`` is bounded, being the hull of finitely many points;
+- ``inverse_affine_map`` (invertible map) keeps its input's boundedness;
+- ``remove_redundancy`` describes the same set, so it keeps boundedness
+  and the Chebyshev ball, and it is known to be nonempty;
+- each piece ``region_diff`` splits off a set R is bounded when R is.
+
+Vertices are not carried over.  ``region_diff`` and ``merge_convex_members``
+read a member's cached vertices to rule out a meeting without an LP.
+
 Vertex enumeration works by solving every dim-subset of half-space rows,
 which is exact and affordable in the dimensions this package targets
 (<= 4; the bundled case study uses 3).
@@ -160,7 +174,10 @@ class HPolytope:
     def intersect(self, other: "HPolytope") -> "HPolytope":
         if other.dim != self.dim:
             raise GeometryError("dimension mismatch")
-        return HPolytope(np.vstack([self.A, other.A]), np.concatenate([self.b, other.b]), self.dim)
+        out = HPolytope(np.vstack([self.A, other.A]), np.concatenate([self.b, other.b]), self.dim)
+        if self._bounded or other._bounded:
+            out._bounded = True
+        return out
 
     def normalized(self) -> "HPolytope":
         """Unit row normals; vacuous rows dropped, infeasible zero rows kept."""
@@ -212,6 +229,8 @@ class HPolytope:
             keep[i] = not redundant
         out = HPolytope(A[keep], b[keep], self.dim)
         out._empty = False
+        out._bounded = self._bounded
+        out._cheb = self._cheb
         return out
 
     # -- vertex enumeration -------------------------------------------
@@ -355,7 +374,14 @@ def convex_hull(points) -> HPolytope:
 
     Lower-dimensional clouds are supported: the flat directions are pinned
     with equality row pairs and the hull is taken inside the affine span.
+    The result is marked bounded.
     """
+    out = _hull(points)
+    out._bounded = True
+    return out
+
+
+def _hull(points) -> HPolytope:
     pts = _dedup_points(np.atleast_2d(np.asarray(points, dtype=float)))
     if pts.size == 0:
         raise GeometryError("convex hull of no points")
@@ -375,7 +401,7 @@ def convex_hull(points) -> HPolytope:
         # Hull inside the affine span, then lift with equality pairs.
         V = Vt[:rank].T                       # (d, rank)
         N = Vt[rank:].T                       # (d, d-rank), orthonormal complement
-        sub = convex_hull(Y @ V)
+        sub = _hull(Y @ V)
         A_sub = sub.A @ V.T
         b_sub = sub.b + A_sub @ center
         A_eq = np.vstack([N.T, -N.T])
@@ -458,7 +484,9 @@ def inverse_affine_map(M, P: HPolytope) -> HPolytope:
         raise GeometryError("inverse affine map needs a square matrix of the set's dimension")
     if np.linalg.cond(M) > 1e12:
         raise GeometryError("matrix is singular or near-singular")
-    return HPolytope(P.A @ M, P.b, P.dim)
+    out = HPolytope(P.A @ M, P.b, P.dim)
+    out._bounded = P._bounded
+    return out
 
 
 def convhull_union(U: PolyUnion) -> HPolytope:
@@ -478,6 +506,23 @@ def _min_radius_for(dim: int, volume_tol: float) -> float:
     return 0.5 * volume_tol ** (1.0 / dim)
 
 
+def _separated(P: HPolytope, Q: HPolytope) -> bool:
+    """True when some row of P has every vertex of Q strictly outside it,
+    by more than FEAS_TOL times the row norm, so P and Q do not meet.
+
+    Decided from Q's cached vertices without an LP.  An unbounded Q, or
+    one whose vertex enumeration fails, is never reported separated.
+    """
+    if not Q.is_bounded():
+        return False
+    try:
+        V = Q.vertices()
+    except GeometryError:
+        return False
+    margin = FEAS_TOL * np.linalg.norm(P.A, axis=1)
+    return bool(np.any(np.all(V @ P.A.T - P.b > margin, axis=0)))
+
+
 def region_diff(
     P: HPolytope,
     U: PolyUnion,
@@ -489,8 +534,19 @@ def region_diff(
     Recursive half-space splitting: pick a member that meets the current
     piece, partition the piece along that member's cutting rows, recurse
     on the parts outside.  Fragments whose Chebyshev-ball volume proxy
-    (2r)^dim falls below volume_tol are dropped.  Exceeding max_pieces
-    raises RegionBudgetError rather than returning a wrong answer.
+    (2r)^dim falls below volume_tol are dropped.  max_pieces bounds the
+    number of recursion nodes visited, not the number of output pieces;
+    exceeding it raises RegionBudgetError rather than returning a wrong
+    answer.
+
+    Two exact shortcuts spare LPs without changing any decision:
+
+    - a bounded member Q with every vertex strictly outside one row of the
+      current piece R (by more than FEAS_TOL times the row norm) cannot
+      meet R, so it is skipped before the intersection's Chebyshev LP;
+    - a row (a, beta) of Q cuts R when a'c > beta + FEAS_TOL at R's
+      Chebyshev center c, which lies inside R by more than the fragment
+      radius; R.support(a) is solved only when that test fails.
     """
     if P.dim != U.dim:
         raise GeometryError("dimension mismatch")
@@ -508,15 +564,18 @@ def region_diff(
             raise RegionBudgetError(f"region_diff exceeded {max_pieces} fragments")
         if not significant(R):
             return
+        c, _ = R.chebyshev()
         # Pick the member that actually cuts R with the fewest rows.
         best = None
         for idx, Q in enumerate(members):
+            if _separated(R, Q):
+                continue
             inter = R.intersect(Q)
             if not significant(inter):
                 continue
             Qn = Q.normalized()
             cutting = [i for i, (a, beta) in enumerate(zip(Qn.A, Qn.b))
-                       if R.support(a) > beta + FEAS_TOL]
+                       if a @ c > beta + FEAS_TOL or R.support(a) > beta + FEAS_TOL]
             if not cutting:
                 return  # R is inside Q entirely
             if best is None or len(cutting) < len(best[2]):
@@ -535,6 +594,7 @@ def region_diff(
                 np.concatenate([R.b, np.asarray(prefix_b), [-beta]]),
                 R.dim,
             )
+            piece._bounded = R._bounded
             if significant(piece):
                 rec(piece.remove_redundancy(), rest)
             prefix_A.append(a.reshape(1, -1))
@@ -561,10 +621,17 @@ def merge_convex_members(U: PolyUnion, vol_tol: float = 1e-9) -> PolyUnion:
     """Pairwise-merge members whose union is convex (hull volume matches).
 
     Lower-dimensional members are left untouched; the volume test is only
-    meaningful for full-dimensional pieces.
+    meaningful for full-dimensional pieces.  After each merge the pair
+    scan restarts, and the merged member goes to the end of the list.  A
+    pair found not mergeable stays so while both members are unchanged,
+    so the rescans skip it; pairs are keyed on a serial number each member
+    gets when it enters the list.
     """
     members = list(U.members)
     vols = [m.volume() for m in members]
+    serials = list(range(len(members)))
+    fresh = itertools.count(len(members))
+    apart: set[tuple[int, int]] = set()
     changed = True
     while changed:
         changed = False
@@ -575,20 +642,26 @@ def merge_convex_members(U: PolyUnion, vol_tol: float = 1e-9) -> PolyUnion:
             for j in range(i + 1, n):
                 if vols[i] <= vol_tol or vols[j] <= vol_tol:
                     continue
+                pair = (serials[i], serials[j])
+                if pair in apart:
+                    continue
                 vi, vj = members[i].vertices(), members[j].vertices()
-                hull = convex_hull(np.vstack([vi, vj]))
                 vol_hull = _point_cloud_volume(np.vstack([vi, vj]))
-                inter = members[i].intersect(members[j])
                 vol_int = 0.0
-                if not inter.is_empty():
-                    try:
-                        vol_int = _point_cloud_volume(inter.vertices())
-                    except GeometryError:
-                        vol_int = 0.0
+                if not (_separated(members[i], members[j]) or _separated(members[j], members[i])):
+                    inter = members[i].intersect(members[j])
+                    if not inter.is_empty():
+                        try:
+                            vol_int = _point_cloud_volume(inter.vertices())
+                        except GeometryError:
+                            vol_int = 0.0
                 if vol_hull <= vols[i] + vols[j] - vol_int + max(vol_tol, 1e-9 * vol_hull):
-                    merged = hull.remove_redundancy()
-                    members = [m for k, m in enumerate(members) if k not in (i, j)] + [merged]
-                    vols = [v for k, v in enumerate(vols) if k not in (i, j)] + [vol_hull]
+                    merged = convex_hull(np.vstack([vi, vj])).remove_redundancy()
+                    keep = [k for k in range(n) if k not in (i, j)]
+                    members = [members[k] for k in keep] + [merged]
+                    vols = [vols[k] for k in keep] + [vol_hull]
+                    serials = [serials[k] for k in keep] + [next(fresh)]
                     changed = True
                     break
+                apart.add(pair)
     return PolyUnion(members, U.dim)

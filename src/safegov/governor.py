@@ -44,6 +44,9 @@ class GovernorError(RuntimeError):
 # Candidates tested per admissibility block; bounds memory to block x rows.
 CANDIDATE_BLOCK = 64
 
+# Face assignments the least-violation fallback searches exhaustively.
+MAX_ASSIGNMENTS = 4096
+
 
 @dataclass(frozen=True)
 class GovernorConfig:
@@ -327,7 +330,15 @@ def _candidates(prob: MIQPProblem) -> np.ndarray:
 
 
 def _min_violation_action(prob: MIQPProblem, eps_feas: float) -> np.ndarray | None:
-    """Assignment minimizing the worst face-row violation (LP per assignment)."""
+    """Action in U with the least worst face-row violation for a chosen
+    face per group (one LP per assignment).
+
+    Up to MAX_ASSIGNMENTS assignments, every one is tried and the least
+    worst violation wins.  Above that the choice is greedy: each group
+    takes its best-slack row at the nominal action clipped to U, and only
+    that assignment is solved, so the result need not be the least
+    violating one.
+    """
     m = prob.m
     heads = prob.starts[:-1]
     sizes = np.diff(prob.starts)
@@ -351,7 +362,7 @@ def _min_violation_action(prob: MIQPProblem, eps_feas: float) -> np.ndarray | No
         return res.value, res.x[:m]
 
     best = None
-    if total <= 4096:
+    if total <= MAX_ASSIGNMENTS:
         choices = itertools.product(*[range(s) for s in sizes])
     else:
         # greedy: best-slack row per group at the clipped nominal
@@ -373,8 +384,12 @@ def govern(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Governor
 
     On a numerically infeasible program (possible despite the safe-set
     margin) the row tolerances are relaxed tenfold and the solve retried;
-    if that also fails the least-violating face assignment is returned,
-    always flagged with status "fallback".
+    if that also fails, _min_violation_action picks the action, always
+    flagged with status "fallback".  That action has the least worst face
+    violation over all face assignments when there are at most
+    MAX_ASSIGNMENTS of them; above that it is the best for one greedy
+    assignment (each group's best-slack row at the nominal action clipped
+    to U), which need not be the least violating.
     """
     t0 = time.perf_counter()
     prob = build_miqp(x, u_nom, artifact, sys, cfg)

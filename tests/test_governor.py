@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from safegov.geometry import HPolytope, PolyUnion
+from safegov.geometry import FEAS_TOL, HPolytope, PolyUnion
 from safegov.governor import (
     GovernorConfig,
     GovernorError,
     MIQPProblem,
     QP_INFEASIBLE,
     QP_OPTIMAL,
+    _min_violation_action,
     build_miqp,
     govern,
     qp_solve,
@@ -277,6 +278,23 @@ def test_govern_fallback_chain(caplog, hi, n_warnings):
     assert res.modified
     engaged = [r for r in caplog.records if "fallback engaged" in r.getMessage()]
     assert len(engaged) == len(caplog.records) == n_warnings
+
+
+def test_min_violation_greedy_above_assignment_cap():
+    # 13 two-row groups give 2**13 = 8,192 assignments, above the cap, so
+    # the greedy assignment is solved: at the clipped nominal u = 0 each of
+    # the twelve equal groups takes u >= 0.3 (slack -0.3 beats -0.35) and
+    # the last takes u <= -0.5.  The least worst violation of that pair is
+    # 0.4, at u = -0.1.  Taking u <= -0.35 in the twelve groups instead
+    # violates nothing, which an exhaustive search would have found.
+    groups = [(np.array([[1.0], [-1.0]]), np.array([0.3, 0.35]))] * 12
+    groups.append((np.array([[-1.0], [1.0]]), np.array([0.5, 2.0])))
+    prob = stacked_miqp(np.eye(1), np.array([0.0]), np.array([[1.0], [-1.0]]),
+                        np.array([1.0, 1.0]), groups)
+    u = _min_violation_action(prob, FEAS_TOL)
+    assert u == pytest.approx([-0.1], abs=1e-9)
+    res = solve_miqp(prob)
+    assert res.status == "optimal" and res.u_safe[0] <= -0.5 + 1e-9
 
 
 def test_govern_build_structure():

@@ -44,15 +44,56 @@ def test_no_constraints():
     assert lp_solve(np.array([1.0, 0.0]), np.zeros((0, 2)), np.zeros(0)).status == UNBOUNDED
 
 
-def test_matches_scipy_on_random_instances():
-    rng = np.random.default_rng(7)
-    n_checked = 0
-    for _ in range(200):
+def _random_lps(rng, count, max_rows):
+    for _ in range(count):
         n = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 12))
+        m = int(rng.integers(1, max_rows + 1))
         A = rng.normal(size=(m, n))
         b = rng.normal(size=m) + 1.0
-        c = rng.normal(size=n)
+        yield rng.normal(size=n), A, b
+
+
+def _awkward_rows(rng, A, b):
+    """The same LP with rows duplicated, all-zero rows added (vacuous, or
+    infeasible when the offset is negative) or rows scaled by 1e+-3."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        idx = rng.integers(0, b.size, size=int(rng.integers(1, b.size + 1)))
+        return np.vstack([A, A[idx]]), np.concatenate([b, b[idx]])
+    if kind == 1:
+        k = int(rng.integers(1, 4))
+        off = rng.uniform(0.0, 2.0, size=k)
+        if rng.uniform() < 0.1:
+            off[0] = -1.0
+        return np.vstack([A, np.zeros((k, A.shape[1]))]), np.concatenate([b, off])
+    s = 10.0 ** rng.choice([-3.0, 3.0], size=b.size)
+    return A * s[:, None], b * s
+
+
+def test_zero_rows_decided_by_offset():
+    # Vacuous zero rows leave the LP as it was; a zero row with a negative
+    # offset makes it infeasible.
+    A = np.array([[1.0, 0.3], [-0.7, 1.1], [-0.2, -1.3]])
+    b = np.array([1.3, 0.9, 1.7])
+    c = np.array([-1.0, 0.5])
+    plain = lp_solve(c, A, b)
+    Az = np.vstack([A, np.zeros((2, 2))])
+    padded = lp_solve(c, Az, np.concatenate([b, [0.334, 1.008]]))
+    assert padded.status == OPTIMAL
+    assert padded.value == pytest.approx(plain.value, abs=1e-9)
+    assert lp_solve(c, Az, np.concatenate([b, [0.334, -1.0]])).status == INFEASIBLE
+    assert lp_solve(np.zeros(2), np.zeros((2, 2)), np.array([1.0, 0.0])).status == OPTIMAL
+
+
+def test_matches_scipy_on_random_instances():
+    rng = np.random.default_rng(7)
+    cases = list(_random_lps(rng, 200, 11))
+    for c, A, b in _random_lps(rng, 300, 30):
+        cases.append((c, A, b))
+        cases.append((c, *_awkward_rows(rng, A, b)))
+    n_checked = 0
+    for c, A, b in cases:
+        n = c.size
         ours = lp_solve(c, A, b)
         ref = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * n, method="highs")
         if ref.status == 0:

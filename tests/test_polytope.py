@@ -400,6 +400,49 @@ def test_region_diff_budget_error():
         region_diff(P, holes, max_pieces=3)
 
 
+def test_region_diff_unbounded_half_plane_member():
+    # A half-plane has no vertices, so no pre-filter can rule it out: the
+    # LP path decides it, whether it cuts P or misses it.
+    P = box([0, 0], [2, 2])
+    cut = HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))      # x <= 1
+    miss = HPolytope(np.array([[1.0, 0.0]]), np.array([-1.0]))    # x <= -1
+    out = region_diff(P, PolyUnion([cut]))
+    assert len(out) == 1
+    assert set_equal(out.members[0], box([1, 0], [2, 2]))
+    out = region_diff(P, PolyUnion([miss, cut]))
+    assert len(out) == 1
+    assert set_equal(out.members[0], box([1, 0], [2, 2]))
+
+
+def test_region_diff_flat_segment_member():
+    # A segment removes no volume, whether it crosses P or lies outside it.
+    P = box([0, 0], [2, 2])
+    inside = convex_hull([[1.0, 0.0], [1.0, 2.0]])
+    outside = convex_hull([[3.0, 0.0], [3.0, 2.0]])
+    for seg in (inside, outside):
+        out = region_diff(P, PolyUnion([seg]))
+        assert len(out) == 1
+        assert set_equal(out.members[0], P)
+    out = region_diff(P, PolyUnion([inside, outside, box([1.5, -1], [3, 3])]))
+    assert union_subset(out, PolyUnion([box([0, 0], [1.5, 2])]))
+    assert union_subset(PolyUnion([box([0, 0], [1.5, 2])]), out)
+
+
+def test_region_diff_member_touching_a_face():
+    # The first member meets P only along the face x = 2: its vertices lie
+    # on that row of P, not strictly outside it.  The second shares faces
+    # with P from the inside and must still cut it.
+    P = box([0, 0], [2, 2])
+    touching = box([2, 0], [3, 2])
+    inner = box([0, 0], [1, 2])
+    out = region_diff(P, PolyUnion([touching]))
+    assert len(out) == 1
+    assert set_equal(out.members[0], P)
+    out = region_diff(P, PolyUnion([touching, inner]))
+    assert len(out) == 1
+    assert set_equal(out.members[0], box([1, 0], [2, 2]))
+
+
 def test_subset_of_union():
     assert subset_of_union(box([0], [2]), PolyUnion([box([0], [1]), box([1], [2])]))
     assert not subset_of_union(box([0], [2]), PolyUnion([box([0], [1]), box([1.5], [2])]))
@@ -416,6 +459,45 @@ def test_merge_convex_members():
     # non-convex union stays split
     L = PolyUnion([box([0, 0], [2, 1]), box([0, 0], [1, 2])])
     assert len(merge_convex_members(L)) == 2
+
+
+def test_merge_convex_members_retests_merged_members():
+    # [0, 1] and [2, 3] do not merge; once [1, 2] has joined [0, 1], the
+    # merged [0, 2] must be tested against [2, 3] again.
+    merged = merge_convex_members(PolyUnion([box([0], [1]), box([2], [3]), box([1], [2])]))
+    assert len(merged) == 1
+    assert set_equal(merged.members[0], box([0], [3]))
+    # Every pair of distant cells is apart, yet the grid merges to one box.
+    cells = [box([i, j], [i + 1, j + 1]) for i in range(4) for j in range(3)]
+    merged = merge_convex_members(PolyUnion(cells))
+    assert len(merged) == 1
+    assert set_equal(merged.members[0], box([0, 0], [4, 3]))
+
+
+def test_boundedness_flag_matches_lp_answer():
+    def lp_bounded(P):
+        return HPolytope(P.A, P.b, P.dim).is_bounded()
+
+    sq = box([0, 0], [1, 1])
+    half_x = HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
+    half_y = HPolytope(np.array([[0.0, 1.0]]), np.array([1.0]))
+    for P in (sq, half_x, half_y):
+        P.is_bounded()  # operands whose flags are known
+    slab = half_x.intersect(HPolytope(np.array([[-1.0, 0.0]]), np.array([1.0])))
+    M = np.array([[2.0, 1.0], [0.5, 1.0]])
+    rng = np.random.default_rng(5)
+    outs = [
+        sq.intersect(half_x), half_x.intersect(sq),
+        half_x.intersect(half_y), slab,
+        convex_hull(rng.normal(size=(6, 2))), convex_hull(rng.normal(size=(9, 3))),
+        convex_hull([[0.0, 0.0], [1.0, 1.0]]), convex_hull([[2.0, 1.0]]),
+        inverse_affine_map(M, sq), inverse_affine_map(M, half_x), inverse_affine_map(M, slab),
+        sq.remove_redundancy(), half_x.remove_redundancy(), slab.remove_redundancy(),
+        half_x.intersect(half_y).remove_redundancy(),
+    ]
+    for P in outs:
+        assert P.is_bounded() == lp_bounded(P), P
+    assert not half_x.intersect(half_y).is_bounded()
 
 
 def test_serialization_roundtrip_bit_exact():

@@ -193,6 +193,28 @@ def sys_2d(v_fixed=20.0, Ts=0.5):
     return sys, spec
 
 
+def test_2d_build_lp_count(monkeypatch):
+    """LPs solved by a K=2 build of the 2-D system.  The build is
+    deterministic, so the count repeats exactly; it was 3,299 before the
+    geometry layer carried boundedness and Chebyshev balls between sets
+    and ruled members out by vertex separation, and 2,062 after."""
+    from safegov.geometry import lp as lp_module, polytope as polytope_module
+
+    sys, spec = sys_2d()
+    calls = [0]
+    real = lp_module.lp_solve
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(lp_module, "lp_solve", counted)
+    monkeypatch.setattr(polytope_module, "lp_solve", counted)
+    sets = compute_unrecoverable(sys, spec, K=2)
+    build_safe_artifact(sets, sys, spec)
+    assert calls[0] <= 2062
+
+
 def test_2d_reduced_against_dp_oracle_small():
     sys, spec = sys_2d()
     K = 4
