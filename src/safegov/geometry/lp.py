@@ -19,6 +19,7 @@ OPT_TOL = 1e-8
 # Internal pivot tolerances.
 _PIVOT_TOL = 1e-9
 _RC_TOL = 1e-9
+_CHEBYSHEV_RADIUS_CAP = 1e9
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -182,7 +183,7 @@ def lp_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult:
     return LpResult(OPTIMAL, x, float(c @ x))
 
 
-def chebyshev_center(A: np.ndarray, b: np.ndarray, radius_cap: float = 1e9) -> tuple[np.ndarray | None, float]:
+def chebyshev_center(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, float]:
     """Largest inscribed ball of {x : A x <= b}.
 
     Returns (center, radius); (None, -1.0) when the set is empty.  The
@@ -199,7 +200,7 @@ def chebyshev_center(A: np.ndarray, b: np.ndarray, radius_cap: float = 1e9) -> t
     bc[:m] = b
     Ac[m, n] = -1.0  # r >= 0
     Ac[m + 1, n] = 1.0  # r <= cap
-    bc[m + 1] = radius_cap
+    bc[m + 1] = _CHEBYSHEV_RADIUS_CAP
     cvec = np.zeros(n + 1)
     cvec[n] = -1.0
     res = lp_solve(cvec, Ac, bc)

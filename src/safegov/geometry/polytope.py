@@ -38,6 +38,13 @@ from .lp import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, chebyshev_center, lp_s
 # Chebyshev-ball volume proxy falls below this are treated as empty.
 VOLUME_TOL = 1e-10
 
+# Fragment-volume floor of the subset tests.
+_SUBSET_SLACK_VOLUME = 1e-8
+
+# Members at or below this volume are never merged; also the least slack
+# of the hull-volume merge test.
+_MERGE_VOLUME_TOL = 1e-9
+
 # Cap on half-space rows fed to d-subset vertex enumeration.
 _VERTEX_ROW_CAP = 160
 
@@ -465,7 +472,10 @@ def pontryagin_diff(P: HPolytope, Q: HPolytope) -> HPolytope:
     if Pn.A.shape[0] == 0:
         return Pn
     b_new = np.array([beta - Q.support(a) for a, beta in zip(Pn.A, Pn.b)])
-    return HPolytope(Pn.A, b_new, P.dim)
+    out = HPolytope(Pn.A, b_new, P.dim)
+    if P._bounded:
+        out._bounded = True  # P - Q lies in P - q for any q in Q
+    return out
 
 
 def affine_map(M, P: HPolytope) -> HPolytope:
@@ -608,16 +618,16 @@ def region_diff(
     return PolyUnion(out, P.dim)
 
 
-def subset_of_union(P: HPolytope, U: PolyUnion, slack_volume: float = 1e-8) -> bool:
+def subset_of_union(P: HPolytope, U: PolyUnion) -> bool:
     """P <= union(U) up to fragments below the slack volume proxy."""
-    return region_diff(P, U, volume_tol=slack_volume).is_empty()
+    return region_diff(P, U, volume_tol=_SUBSET_SLACK_VOLUME).is_empty()
 
 
-def union_subset(U1: PolyUnion, U2: PolyUnion, slack_volume: float = 1e-8) -> bool:
-    return all(subset_of_union(m, U2, slack_volume) for m in U1.members)
+def union_subset(U1: PolyUnion, U2: PolyUnion) -> bool:
+    return all(subset_of_union(m, U2) for m in U1.members)
 
 
-def merge_convex_members(U: PolyUnion, vol_tol: float = 1e-9) -> PolyUnion:
+def merge_convex_members(U: PolyUnion) -> PolyUnion:
     """Pairwise-merge members whose union is convex (hull volume matches).
 
     Lower-dimensional members are left untouched; the volume test is only
@@ -640,7 +650,7 @@ def merge_convex_members(U: PolyUnion, vol_tol: float = 1e-9) -> PolyUnion:
             if changed:
                 break
             for j in range(i + 1, n):
-                if vols[i] <= vol_tol or vols[j] <= vol_tol:
+                if vols[i] <= _MERGE_VOLUME_TOL or vols[j] <= _MERGE_VOLUME_TOL:
                     continue
                 pair = (serials[i], serials[j])
                 if pair in apart:
@@ -655,7 +665,7 @@ def merge_convex_members(U: PolyUnion, vol_tol: float = 1e-9) -> PolyUnion:
                             vol_int = _point_cloud_volume(inter.vertices())
                         except GeometryError:
                             vol_int = 0.0
-                if vol_hull <= vols[i] + vols[j] - vol_int + max(vol_tol, 1e-9 * vol_hull):
+                if vol_hull <= vols[i] + vols[j] - vol_int + max(_MERGE_VOLUME_TOL, 1e-9 * vol_hull):
                     merged = convex_hull(np.vstack([vi, vj])).remove_redundancy()
                     keep = [k for k in range(n) if k not in (i, j)]
                     members = [members[k] for k in keep] + [merged]

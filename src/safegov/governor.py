@@ -11,6 +11,12 @@ m linearly independent rows taken from U's rows and the face rows.  Every
 such point is a candidate; the admissible one with the least objective is
 the optimum.  For a scalar action the candidates are the rows' break
 points b_i / a_i, which makes this the closed-form interval projection.
+
+When no candidate is admissible, govern() retries at a tenfold tolerance
+and then falls back to the action in U with the least worst face
+violation, ties to the least objective.  That fallback is a closed form
+over the break points of a piecewise linear function, so it needs a
+scalar action.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FEAS_TOL
-from .geometry.lp import INFEASIBLE, OPTIMAL, lp_solve
+from .geometry.lp import INFEASIBLE, lp_solve
 from .safeset import LinearSystem, SafeSetArtifact
 
 logger = logging.getLogger(__name__)
@@ -44,8 +50,9 @@ class GovernorError(RuntimeError):
 # Candidates tested per admissibility block; bounds memory to block x rows.
 CANDIDATE_BLOCK = 64
 
-# Face assignments the least-violation fallback searches exhaustively.
-MAX_ASSIGNMENTS = 4096
+# Worst violations within this of the least tie in the fallback; it absorbs
+# the rounding of beta_i - alpha_i u at a break point.
+VIOLATION_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -80,17 +87,13 @@ def qp_solve(S, u_nom, G, h, eps_feas: float = FEAS_TOL) -> QPResult:
 
     Exact active-set search: every KKT candidate (working sets up to size
     m) is solved directly; the first primal-feasible candidate with
-    nonnegative multipliers is the unique global minimizer.  Scalar
-    problems reduce to an interval clip.
+    nonnegative multipliers is the unique global minimizer.
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
     t = np.atleast_1d(np.asarray(u_nom, dtype=float))
     m = t.size
     G = np.asarray(G, dtype=float).reshape(-1, m)
     h = np.asarray(h, dtype=float).ravel()
-
-    if m == 1:
-        return _qp_solve_scalar(float(S[0, 0]), float(t[0]), G.ravel(), h, eps_feas)
 
     scale = np.maximum(1.0, np.linalg.norm(G, axis=1)) if G.size else np.zeros(0)
 
@@ -137,21 +140,6 @@ def qp_solve(S, u_nom, G, h, eps_feas: float = FEAS_TOL) -> QPResult:
     if lp_solve(np.zeros(m), G, h).status == INFEASIBLE:
         return QPResult(QP_INFEASIBLE)
     return QPResult(QP_FAILED)
-
-
-def _qp_solve_scalar(s: float, t: float, g: np.ndarray, h: np.ndarray, eps: float) -> QPResult:
-    lo, hi = -np.inf, np.inf
-    for gi, hi_i in zip(g, h):
-        if gi > 1e-12:
-            hi = min(hi, hi_i / gi)
-        elif gi < -1e-12:
-            lo = max(lo, hi_i / gi)
-        elif hi_i < -eps:
-            return QPResult(QP_INFEASIBLE)
-    if lo > hi + eps:
-        return QPResult(QP_INFEASIBLE)
-    u = min(max(t, lo), hi)
-    return QPResult(QP_OPTIMAL, np.array([u]), s * (u - t) ** 2)
 
 
 @dataclass
@@ -329,54 +317,49 @@ def _candidates(prob: MIQPProblem) -> np.ndarray:
     return np.vstack(out) if out else np.zeros((0, m))
 
 
-def _min_violation_action(prob: MIQPProblem, eps_feas: float) -> np.ndarray | None:
-    """Action in U with the least worst face-row violation for a chosen
-    face per group (one LP per assignment).
+def _min_violation_action(prob: MIQPProblem) -> np.ndarray | None:
+    """Action in U with the least worst violation, ties (within
+    VIOLATION_TIE) to the least objective, which for a scalar action is the
+    nearest to u_nom; None when some group has no rows.  Scalar actions only.
 
-    Up to MAX_ASSIGNMENTS assignments, every one is tried and the least
-    worst violation wins.  Above that the choice is greedy: each group
-    takes its best-slack row at the nominal action clipped to U, and only
-    that assignment is solved, so the result need not be the least
-    violating one.
+    The worst violation f(u) = max_j min_{i in j} (beta_i - alpha_i u)+ is
+    piecewise linear in u, so its least-objective minimiser over U is one of
+    these candidates: the U bounds, the nominal action clipped to U, each
+    row's zero beta_i / alpha_i, and each crossing of a falling row line
+    beta_i - alpha_i u (alpha_i > 0) with a rising or flat one, or of a
+    rising one with a flat one.  At a local minimum of f the active line turns from falling or flat
+    to rising or flat, so crossings of lines with the same slope sign are not
+    needed.  A crossing whose level beta_i - alpha_i u exceeds the least f
+    over the bound and clip candidates cannot beat them and is dropped.
     """
-    m = prob.m
-    heads = prob.starts[:-1]
-    sizes = np.diff(prob.starts)
-    total = int(np.prod(sizes)) if sizes.size else 0
-    if total == 0:
+    if prob.m != 1:
+        raise GovernorError(f"the least-violation fallback needs a scalar action, not {prob.m} inputs")
+    if np.any(np.diff(prob.starts) == 0):
         return None
+    a_u, b_u = prob.U_A[:, 0], prob.U_b
+    lo = np.max(b_u[a_u < 0] / a_u[a_u < 0], initial=-np.inf)
+    hi = np.min(b_u[a_u > 0] / a_u[a_u > 0], initial=np.inf)
+    alpha, beta = prob.alpha[:, 0], prob.beta
 
-    def assignment_lp(choice):
-        rows = heads + np.asarray(choice)
-        A = np.vstack([
-            np.hstack([prob.U_A, np.zeros((prob.U_A.shape[0], 1))]),
-            np.hstack([-prob.alpha[rows], np.full((rows.size, 1), -1.0)]),
-            np.hstack([np.zeros((1, m)), [[-1.0]]]),
-        ])
-        b = np.concatenate([prob.U_b, -prob.beta[rows], np.zeros(1)])
-        c = np.zeros(m + 1)
-        c[m] = 1.0
-        res = lp_solve(c, A, b)
-        if res.status != OPTIMAL:
-            return None
-        return res.value, res.x[:m]
+    def worst(u):
+        g = prob.group_max(u[:, None] * alpha - beta)
+        return np.maximum(0.0, -g.min(axis=1, initial=np.inf))
 
-    best = None
-    if total <= MAX_ASSIGNMENTS:
-        choices = itertools.product(*[range(s) for s in sizes])
-    else:
-        # greedy: best-slack row per group at the clipped nominal
-        clip = qp_solve(prob.S, prob.u_nom, prob.U_A, prob.U_b, eps_feas)
-        u0 = clip.u if clip.status == QP_OPTIMAL else prob.u_nom
-        slack = prob.slacks(u0)
-        choices = [tuple(int(np.argmax(slack[lo:hi])) for lo, hi in zip(heads, prob.starts[1:]))]
-    for choice in choices:
-        out = assignment_lp(choice)
-        if out is None:
-            continue
-        if best is None or out[0] < best[0] - 1e-12:
-            best = out
-    return None if best is None else best[1]
+    base = np.array([lo, hi, min(max(prob.u_nom[0], lo), hi)])
+    cap = worst(base).min() + VIOLATION_TIE
+    fall, rise = alpha > 1e-12, alpha < -1e-12
+    flat = ~(fall | rise)
+    cands = [base, beta[fall | rise] / alpha[fall | rise]]
+    for i, k in ((fall, rise | flat), (rise, flat)):
+        ai, bi = alpha[i][:, None], beta[i][:, None]
+        u = (bi - beta[k]) / (ai - alpha[k])
+        cands.append(u[bi - ai * u <= cap])
+    C = np.concatenate(cands)
+    C = C[(C >= lo) & (C <= hi)]
+    f = worst(C)
+    C = C[f <= f.min() + VIOLATION_TIE]
+    best = np.argmin(np.abs(C - prob.u_nom[0]))
+    return C[best:best + 1]
 
 
 def govern(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: GovernorConfig) -> GovernorResult:
@@ -384,12 +367,10 @@ def govern(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Governor
 
     On a numerically infeasible program (possible despite the safe-set
     margin) the row tolerances are relaxed tenfold and the solve retried;
-    if that also fails, _min_violation_action picks the action, always
-    flagged with status "fallback".  That action has the least worst face
-    violation over all face assignments when there are at most
-    MAX_ASSIGNMENTS of them; above that it is the best for one greedy
-    assignment (each group's best-slack row at the nominal action clipped
-    to U), which need not be the least violating.
+    if that also fails, _min_violation_action picks the action in U with
+    the least worst face violation, ties to the least objective, and flags
+    it with status "fallback".  That last step needs a scalar action; with
+    more inputs it raises GovernorError.
     """
     t0 = time.perf_counter()
     prob = build_miqp(x, u_nom, artifact, sys, cfg)
@@ -399,7 +380,7 @@ def govern(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Governor
         if res.status == STATUS_OPTIMAL:
             res.status = STATUS_FALLBACK
         else:
-            u = _min_violation_action(prob, FEAS_TOL)
+            u = _min_violation_action(prob)
             t = prob.u_nom
             obj = float("inf") if u is None else float((u - t) @ prob.S @ (u - t))
             res = GovernorResult(

@@ -235,7 +235,6 @@ def compute_unrecoverable(
     spec: ConstraintSpec,
     K: int,
     member_budget: int = 400,
-    merge: bool = True,
 ) -> UnrecoverableSets:
     """Grow X_0 .. X_K, stopping early at a fixpoint (X_k subset X_{k-1})."""
     if K < 0:
@@ -269,9 +268,7 @@ def compute_unrecoverable(
                 F = union_minkowski(holes, nBU)
                 G = region_diff(D, F)
             pre = [inverse_affine_map(sys.A, g).remove_redundancy() for g in G.members]
-            Xk = PolyUnion(list(X0.members) + pre, sys.n)
-            if merge:
-                Xk = merge_convex_members(Xk)
+            Xk = merge_convex_members(PolyUnion(list(X0.members) + pre, sys.n))
         except GeometryError as exc:
             raise FragmentBudgetError(
                 f"set recursion failed at iteration {k}: {exc}", k_reached=k - 1

@@ -1,11 +1,13 @@
+import dataclasses
 import itertools
 import logging
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.linalg import block_diag
+from scipy.optimize import linprog, minimize
 
-from safegov.geometry import FEAS_TOL, HPolytope, PolyUnion
+from safegov.geometry import HPolytope, PolyUnion
 from safegov.governor import (
     GovernorConfig,
     GovernorError,
@@ -216,6 +218,7 @@ def test_miqp_empty_group_is_never_met():
     assert np.array_equal(prob.group_max(prob.slacks(u)), per_group)
     assert enumerate_miqp(prob) is None
     assert solve_miqp(prob).status == "infeasible"
+    assert _min_violation_action(prob) is None
 
 
 # --------------------------------------------------------------- governor
@@ -280,21 +283,81 @@ def test_govern_fallback_chain(caplog, hi, n_warnings):
     assert len(engaged) == len(caplog.records) == n_warnings
 
 
-def test_min_violation_greedy_above_assignment_cap():
-    # 13 two-row groups give 2**13 = 8,192 assignments, above the cap, so
-    # the greedy assignment is solved: at the clipped nominal u = 0 each of
-    # the twelve equal groups takes u >= 0.3 (slack -0.3 beats -0.35) and
-    # the last takes u <= -0.5.  The least worst violation of that pair is
-    # 0.4, at u = -0.1.  Taking u <= -0.35 in the twelve groups instead
-    # violates nothing, which an exhaustive search would have found.
+def test_min_violation_exact_over_many_assignments():
+    # 13 two-row groups give 2**13 = 8,192 face assignments.  Taking
+    # u <= -0.35 in the twelve equal groups and u <= -0.5 in the last
+    # violates nothing, and u = -0.5 is the nearest such action to u_nom = 0.
+    # The greedy choice at the clipped nominal (u >= 0.3 in the twelve
+    # groups) would have settled for a worst violation of 0.4 at u = -0.1.
     groups = [(np.array([[1.0], [-1.0]]), np.array([0.3, 0.35]))] * 12
     groups.append((np.array([[-1.0], [1.0]]), np.array([0.5, 2.0])))
     prob = stacked_miqp(np.eye(1), np.array([0.0]), np.array([[1.0], [-1.0]]),
                         np.array([1.0, 1.0]), groups)
-    u = _min_violation_action(prob, FEAS_TOL)
-    assert u == pytest.approx([-0.1], abs=1e-9)
+    u = _min_violation_action(prob)
+    assert u == pytest.approx([-0.5], abs=1e-12)
     res = solve_miqp(prob)
-    assert res.status == "optimal" and res.u_safe[0] <= -0.5 + 1e-9
+    assert res.status == "optimal" and res.u_safe[0] == pytest.approx(-0.5, abs=1e-9)
+
+
+def worst_violation(prob, u):
+    """max_j min_{i in j} (beta_i - alpha_i' u)+, one group at a time."""
+    viol = np.maximum(0.0, prob.beta - prob.alpha @ u)
+    return max(viol[lo:hi].min() for lo, hi in zip(prob.starts[:-1], prob.starts[1:]))
+
+
+def test_min_violation_matches_per_assignment_lp():
+    # Oracle: per face assignment, min s s.t. alpha_i u + s >= beta_i,
+    # s >= 0, u in U; the least s over assignments is the least worst
+    # violation.  The assignments' LPs share no variable, so HiGHS solves
+    # them as one block-diagonal LP whose optimum is optimal in every block.
+    # Ties: no action in U with that worst violation is nearer u_nom, by
+    # the assignment enumeration on rows alpha_i u >= beta_i - f.
+    rng = np.random.default_rng(23)
+    U_A, U_b = np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    n_positive = 0
+    for _ in range(1000):
+        groups = []
+        for _ in range(int(rng.integers(1, 4))):
+            s = int(rng.integers(1, 4))
+            alpha = rng.normal(size=(s, 1))
+            alpha[rng.random(s) < 0.2] = 0.0
+            groups.append((alpha, rng.normal(size=s) * 1.5))
+        prob = stacked_miqp(np.array([[rng.uniform(0.5, 2.0)]]), rng.normal(size=1) * 1.5,
+                            U_A, U_b, groups)
+        blocks, b_ub = [], []
+        for choice in itertools.product(*[range(b.size) for _, b in groups]):
+            rows = prob.starts[:-1] + np.array(choice)
+            blocks.append(np.vstack([np.hstack([U_A, np.zeros((2, 1))]),
+                                     np.hstack([-prob.alpha[rows], -np.ones((rows.size, 1))])]))
+            b_ub.append(np.concatenate([U_b, -prob.beta[rows]]))
+        lp = linprog(np.tile([0.0, 1.0], len(blocks)), A_ub=block_diag(*blocks),
+                     b_ub=np.concatenate(b_ub), bounds=[(None, None), (0.0, None)] * len(blocks),
+                     method="highs")
+        assert lp.status == 0
+        ref = lp.x[1::2].min()
+        u = _min_violation_action(prob)
+        f = worst_violation(prob, u)
+        assert -1.0 <= u[0] <= 1.0
+        assert abs(f - ref) <= 1e-9, (groups, prob.u_nom)
+        nearest = enumerate_miqp(dataclasses.replace(prob, beta=prob.beta - f))[0]
+        assert prob.S[0, 0] * (u[0] - prob.u_nom[0]) ** 2 <= nearest + 1e-6, (groups, prob.u_nom)
+        n_positive += ref > 1e-9
+    assert n_positive > 100
+
+
+def test_min_violation_needs_scalar_action():
+    # z = x + u with U = [-1, 1]^2; from x = 0 the member [-10, 2]^2 cannot
+    # be left, so govern() reaches the fallback, which is scalar-only.
+    sys = LinearSystem(np.eye(2), np.eye(2), np.eye(2))
+    box = HPolytope.from_bounds([-10, -10], [10, 10])
+    spec = ConstraintSpec(X0=PolyUnion([HPolytope.from_bounds([-10, -10], [-9, -9])]),
+                          U=HPolytope.from_bounds([-1, -1], [1, 1]),
+                          W=HPolytope.from_point([0.0, 0.0]), box=box)
+    member = PolyUnion([HPolytope.from_bounds([-10, -10], [2, 2])])
+    art = SafeSetArtifact(system=sys, spec=spec, k_used=0, safe=PolyUnion.empty(2),
+                          inflated_unsafe=member, unrecoverable=member, fixpoint_reached=False)
+    with pytest.raises(GovernorError, match="scalar"):
+        govern([0.0, 0.0], [0.0, 0.0], art, sys, GovernorConfig(S=np.eye(2)))
 
 
 def test_govern_build_structure():

@@ -494,6 +494,8 @@ def test_boundedness_flag_matches_lp_answer():
         inverse_affine_map(M, sq), inverse_affine_map(M, half_x), inverse_affine_map(M, slab),
         sq.remove_redundancy(), half_x.remove_redundancy(), slab.remove_redundancy(),
         half_x.intersect(half_y).remove_redundancy(),
+        pontryagin_diff(sq, box([-0.1, -0.2], [0.3, 0.1])), pontryagin_diff(sq, box([-1, -1], [1, 1])),
+        pontryagin_diff(half_x, sq),
     ]
     for P in outs:
         assert P.is_bounded() == lp_bounded(P), P
