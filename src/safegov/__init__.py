@@ -6,7 +6,7 @@ polytopic-union unsafe region.  Online, a mixed-integer QP filter
 minimally modifies a nominal action so the next state stays robustly
 clear of the unsafe region.  A neural fitted Q-learning trainer and an
 adaptive-cruise-control environment tie the pieces into end-to-end
-experiments driven by the `safegov` command line tool.
+experiments.
 """
 
 __version__ = "0.1.0"

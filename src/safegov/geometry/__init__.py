@@ -1,6 +1,6 @@
 """Polytope algebra and the LP core it stands on."""
 
-from .lp import FEAS_TOL, OPT_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpError, LpResult, chebyshev_center, lp_solve
+from .lp import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpError, LpResult, chebyshev_center, lp_solve
 from .polytope import (
     GeometryError,
     HPolytope,
@@ -23,7 +23,7 @@ from .polytope import (
 )
 
 __all__ = [
-    "FEAS_TOL", "OPT_TOL", "INFEASIBLE", "OPTIMAL", "UNBOUNDED",
+    "FEAS_TOL", "INFEASIBLE", "OPTIMAL", "UNBOUNDED",
     "LpError", "LpResult", "chebyshev_center", "lp_solve",
     "GeometryError", "HPolytope", "PolyUnion", "RegionBudgetError",
     "UnboundedSetError", "affine_map", "convex_hull",

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Feasibility and optimality tolerances shared across the geometry layer.
+# Feasibility tolerance shared across the geometry layer.
 FEAS_TOL = 1e-7
-OPT_TOL = 1e-8
 
 # Internal pivot tolerances.
 _PIVOT_TOL = 1e-9
@@ -85,7 +84,8 @@ def lp_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult:
 
     Returns an LpResult whose status is "optimal", "infeasible" or
     "unbounded".  On "optimal" the returned point satisfies the
-    constraints within FEAS_TOL and is optimal within OPT_TOL.
+    constraints within FEAS_TOL, and no reduced cost of the row-scaled
+    tableau is below -_RC_TOL (1e-9).
     """
     c = np.asarray(c, dtype=float).ravel()
     A = np.atleast_2d(np.asarray(A, dtype=float))

@@ -1,9 +1,15 @@
 """Neural fitted Q-learning with an optional safety governor in the loop.
 
 The Q-function is a small fully-connected network over the concatenated
-(state, action) vector.  Actions are drawn from a uniform grid for the
-epsilon-greedy argmax; the governor (safe mode) then modifies the chosen
-action in the continuous input set before it reaches the environment.
+(state, action) vector.  Its parameters live in one flat vector `theta`:
+every weight matrix (layer order, C order), then every bias vector.
+Actions are drawn from a uniform grid for the epsilon-greedy argmax; the
+governor (safe mode) then modifies the chosen action in the continuous
+input set before it reaches the environment.
+
+A trajectory evaluates Q over the action grid once per visited state:
+the values at x_next give both the bootstrap value max_u Q(x_next, u)
+and the next step's greedy choice.
 
 Replay tuples are retargeted online: the buffer stores the *nominal*
 action together with a Q-target built from the reward the *governed*
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import AccEnv, reward as acc_reward, nominal_policy, violates
+from .envs import BOX_HI, BOX_LO, AccEnv, reward as acc_reward, nominal_policy, violates
 from .governor import GovernorConfig, govern
 from .safeset import SafeSetArtifact
 
@@ -32,12 +38,30 @@ class LearnerError(RuntimeError):
 # ----------------------------------------------------------------- network
 
 
-class QFunction:
-    """MLP approximation of Q(x, u); inputs min-max normalized to [-1, 1]."""
+def _unflatten(flat: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Weight and bias views into `flat`, in the theta layout."""
+    weights, biases, i = [], [], 0
+    for a, b in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[i:i + a * b].reshape(a, b))
+        i += a * b
+    for b in sizes[1:]:
+        biases.append(flat[i:i + b])
+        i += b
+    return weights, biases
 
-    def __init__(self, weights, biases, in_lo, in_hi):
-        self.weights = [np.asarray(W, dtype=float) for W in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
+
+class QFunction:
+    """MLP approximation of Q(x, u); inputs min-max normalized to [-1, 1].
+
+    `theta` holds every parameter: the weight matrices of `sizes` (layer
+    order, C order), then the bias vectors.  `weights` and `biases` are
+    views into it, so an in-place update of `theta` updates the network.
+    """
+
+    def __init__(self, theta, sizes, in_lo, in_hi):
+        self.theta = np.asarray(theta, dtype=float)
+        self.sizes = tuple(sizes)
+        self.weights, self.biases = _unflatten(self.theta, self.sizes)
         self.in_lo = np.asarray(in_lo, dtype=float)
         self.in_hi = np.asarray(in_hi, dtype=float)
         self._span = np.maximum(self.in_hi - self.in_lo, 1e-12)
@@ -47,20 +71,15 @@ class QFunction:
         rng = rng or np.random.default_rng(0)
         in_lo = np.asarray(in_lo, dtype=float)
         sizes = [in_lo.size, *hidden, 1]
-        weights, biases = [], []
+        weights = []
         for a, b in zip(sizes[:-1], sizes[1:]):
             scale = np.sqrt(6.0 / (a + b))
-            weights.append(rng.uniform(-scale, scale, size=(a, b)))
-            biases.append(np.zeros(b))
-        return cls(weights, biases, in_lo, in_hi)
-
-    @property
-    def hidden(self) -> tuple[int, ...]:
-        return tuple(W.shape[1] for W in self.weights[:-1])
+            weights.append(rng.uniform(-scale, scale, size=(a, b)).ravel())
+        theta = np.concatenate([*weights, np.zeros(sum(sizes[1:]))])
+        return cls(theta, sizes, in_lo, in_hi)
 
     def copy(self) -> "QFunction":
-        return QFunction([W.copy() for W in self.weights], [b.copy() for b in self.biases],
-                         self.in_lo.copy(), self.in_hi.copy())
+        return QFunction(self.theta.copy(), self.sizes, self.in_lo, self.in_hi)
 
     def _normalize(self, X: np.ndarray) -> np.ndarray:
         return (X - self.in_lo) / self._span * 2.0 - 1.0
@@ -80,8 +99,8 @@ class QFunction:
         X = np.hstack([np.tile(x, (actions.shape[0], 1)), actions])
         return self.forward(X)
 
-    def loss_and_grads(self, X, y):
-        """Mean squared error and its gradients by backprop."""
+    def loss_and_grads(self, X, y) -> tuple[float, np.ndarray]:
+        """Mean squared error and its gradient by backprop, laid out as theta."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
         acts = [self._normalize(X)]
@@ -92,43 +111,19 @@ class QFunction:
         n = y.size
         loss = float(err @ err / n)
         delta = (2.0 * err / n)[:, None]
-        gW = [None] * len(self.weights)
-        gb = [None] * len(self.biases)
+        grad = np.empty_like(self.theta)
+        gW, gb = _unflatten(grad, self.sizes)
         for li in range(len(self.weights) - 1, -1, -1):
-            gW[li] = acts[li].T @ delta
-            gb[li] = delta.sum(axis=0)
+            gW[li][...] = acts[li].T @ delta
+            gb[li][...] = delta.sum(axis=0)
             if li > 0:
                 delta = (delta @ self.weights[li].T) * (1.0 - acts[li] ** 2)
-        return loss, gW, gb
+        return loss, grad
 
     def loss(self, X, y) -> float:
         pred = self.forward(X)
         err = pred - np.asarray(y, dtype=float).ravel()
         return float(err @ err / err.size)
-
-    # flat parameter access (used by the finite-difference gradient check)
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in (*self.weights, *self.biases)])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        i = 0
-        for plist in (self.weights, self.biases):
-            for j, p in enumerate(plist):
-                plist[j] = flat[i:i + p.size].reshape(p.shape).copy()
-                i += p.size
-
-    def to_dict(self) -> dict:
-        return {
-            "in_lo": self.in_lo.tolist(),
-            "in_hi": self.in_hi.tolist(),
-            "weights": [W.tolist() for W in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QFunction":
-        return cls(d["weights"], d["biases"], d["in_lo"], d["in_hi"])
 
 
 # ------------------------------------------------------------------ buffer
@@ -163,16 +158,12 @@ def q_target(q_old: float, reward_value: float, v_next: float, lam: float, gamma
     return lam * q_old + (1.0 - lam) * (reward_value + gamma * v_next)
 
 
-def value_of(q: QFunction, x, actions: np.ndarray) -> float:
-    """max_u Q(x, u) over the action grid (first index wins ties)."""
-    return float(q.q_values(x, actions).max())
-
-
-def select_action(q: QFunction, x, eps: float, actions: np.ndarray, rng: np.random.Generator) -> float:
-    """Epsilon-greedy over the grid; greedy ties break to the lowest index."""
+def select_action(q_x: np.ndarray, eps: float, actions: np.ndarray, rng: np.random.Generator) -> float:
+    """Epsilon-greedy over the grid, given q_x = Q(x, actions); greedy ties
+    break to the lowest index."""
     if rng.random() < eps:
         return float(actions[rng.integers(len(actions))])
-    return float(actions[int(np.argmax(q.q_values(x, actions)))])
+    return float(actions[int(np.argmax(q_x))])
 
 
 def action_grid(u_min: float, u_max: float, step: float) -> np.ndarray:
@@ -240,8 +231,6 @@ class EpisodeLog:
     rewards: np.ndarray
     violations: np.ndarray       # bool
     solve_times: np.ndarray
-    field_names = ("episode", "trajectory", "step", "ds", "dv", "v_ego",
-                   "u_nom", "u_safe", "modified", "reward", "violation")
 
     @property
     def violation_rate(self) -> float:
@@ -251,56 +240,13 @@ class EpisodeLog:
     def mean_reward(self) -> float:
         return float(self.rewards.mean()) if self.rewards.size else 0.0
 
-    @property
-    def reward_std(self) -> float:
-        return float(self.rewards.std()) if self.rewards.size else 0.0
-
-    def rows(self):
-        for i in range(self.step.size):
-            yield (
-                self.episode, int(self.trajectory[i]), int(self.step[i]),
-                self.states[i, 0], self.states[i, 1], self.states[i, 2],
-                self.u_nom[i], self.u_safe[i], int(self.modified[i]),
-                self.rewards[i], int(self.violations[i]),
-            )
-
-
-def write_episode_csv(logs: list[EpisodeLog], path: str) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EpisodeLog.field_names)
-        for log in logs:
-            for row in log.rows():
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
-def summarize_logs(logs: list[EpisodeLog]) -> dict:
-    return {
-        "episodes": [
-            {
-                "episode": log.episode,
-                "violation_rate": log.violation_rate,
-                "mean_reward": log.mean_reward,
-                "reward_std": log.reward_std,
-                "steps": int(log.step.size),
-                "modified_rate": float(log.modified.mean()) if log.modified.size else 0.0,
-            }
-            for log in logs
-        ],
-        "total_violations": int(sum(log.violations.sum() for log in logs)),
-    }
-
 
 # ----------------------------------------------------------------- fitting
 
 
 def _adam_run(q: QFunction, X, y, train_idx, epochs, batch, lr, rng):
-    mW = [np.zeros_like(W) for W in q.weights]
-    vW = [np.zeros_like(W) for W in q.weights]
-    mb = [np.zeros_like(b) for b in q.biases]
-    vb = [np.zeros_like(b) for b in q.biases]
+    m = np.zeros_like(q.theta)
+    v = np.zeros_like(q.theta)
     b1, b2, eps = 0.9, 0.999, 1e-8
     t = 0
     idx = np.array(train_idx)
@@ -308,18 +254,14 @@ def _adam_run(q: QFunction, X, y, train_idx, epochs, batch, lr, rng):
         rng.shuffle(idx)
         for s in range(0, idx.size, batch):
             sel = idx[s:s + batch]
-            loss, gW, gb = q.loss_and_grads(X[sel], y[sel])
+            loss, g = q.loss_and_grads(X[sel], y[sel])
             if not np.isfinite(loss):
                 raise LearnerError(f"non-finite training loss {loss!r} (batch of {sel.size})")
             t += 1
             corr = np.sqrt(1 - b2 ** t) / (1 - b1 ** t)
-            for li in range(len(q.weights)):
-                mW[li] = b1 * mW[li] + (1 - b1) * gW[li]
-                vW[li] = b2 * vW[li] + (1 - b2) * gW[li] ** 2
-                q.weights[li] -= lr * corr * mW[li] / (np.sqrt(vW[li]) + eps)
-                mb[li] = b1 * mb[li] + (1 - b1) * gb[li]
-                vb[li] = b2 * vb[li] + (1 - b2) * gb[li] ** 2
-                q.biases[li] -= lr * corr * mb[li] / (np.sqrt(vb[li]) + eps)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g ** 2
+            q.theta -= lr * corr * m / (np.sqrt(v) + eps)
 
 
 def fit(q: QFunction, buffer: ReplayBuffer, epochs: int, batch: int,
@@ -343,13 +285,13 @@ def fit(q: QFunction, buffer: ReplayBuffer, epochs: int, batch: int,
         hold, train_idx = np.zeros(0, dtype=int), np.arange(n)
 
     before = out.loss(X[hold], y[hold]) if hold.size else None
-    saved = out.get_flat()
+    saved = out.theta.copy()
     _adam_run(out, X, y, train_idx, epochs, batch, lr, rng)
     if hold.size:
         after = out.loss(X[hold], y[hold])
         if after > 1.1 * before + 1e-12:
             logger.info("fit(): held-out loss grew (%.4g -> %.4g); retrying at lr/2", before, after)
-            out.set_flat(saved)
+            out.theta[:] = saved
             _adam_run(out, X, y, train_idx, epochs, batch, lr * 0.5, rng)
     return out
 
@@ -362,8 +304,6 @@ def pretrain_to_policy(q: QFunction, env: AccEnv, actions: np.ndarray, cfg: Trai
     action grid, which makes the initial greedy policy the nearest grid
     action to the tracker output.
     """
-    from .envs import BOX_LO, BOX_HI
-
     states = rng.uniform(BOX_LO, BOX_HI, size=(cfg.pretrain_states, 3))
     targets_u = np.array([nominal_policy(x, env.params) for x in states])
     k = len(actions)
@@ -406,9 +346,10 @@ def run_trajectory(
     w_seq = disturbance if disturbance is not None else env.segment_disturbance(rng, cfg.horizon)
 
     x = np.asarray(x0, dtype=float).copy()
+    q_x = q.q_values(x, actions)
     rows = []
     for t in range(cfg.horizon):
-        u_nom = select_action(q, x, eps, actions, rng)
+        u_nom = select_action(q_x, eps, actions, rng)
         solve_time = 0.0
         if safe_mode:
             res = govern(x, [u_nom], artifact, env.system, gov_cfg)
@@ -420,21 +361,21 @@ def run_trajectory(
         x_next = env.step(x, u_safe, float(w_seq[t]))
         r = acc_reward(x_next, env.params)
         viol = violates(x_next, env.params)
+        # A one-row forward, not q_x: row k of the grid evaluation differs
+        # from it in the last bits, because BLAS takes another path.
         q_old = float(q.q_values(x, np.array([u_nom]))[0])
-        v_next = value_of(q, x_next, actions)
-        buffer.push(x, u_nom, q_target(q_old, r, v_next, cfg.lam, cfg.gamma))
+        q_x_next = q.q_values(x_next, actions)
+        buffer.push(x, u_nom, q_target(q_old, r, float(q_x_next.max()), cfg.lam, cfg.gamma))
         rows.append((t, x.copy(), u_nom, u_safe, modified, r, viol, solve_time))
         if not env.in_box(x_next):
             logger.debug("trajectory left the operating box at step %d", t)
             break
-        x = x_next
+        x, q_x = x_next, q_x_next
     return rows
 
 
 def _sample_band_state(env: AccEnv, rng: np.random.Generator, max_tries: int = 2000) -> np.ndarray:
     """Conventional mode: uniform in-box state inside the headway band."""
-    from .envs import BOX_LO, BOX_HI
-
     for _ in range(max_tries):
         x = rng.uniform(BOX_LO, BOX_HI)
         if not violates(x, env.params):
@@ -444,17 +385,18 @@ def _sample_band_state(env: AccEnv, rng: np.random.Generator, max_tries: int = 2
 
 def _make_episode_log(episode: int, traj_rows: list[list]) -> EpisodeLog:
     flat = [(ti, *row) for ti, rows in enumerate(traj_rows) for row in rows]
+    traj, step, states, u_nom, u_safe, modified, rewards, violations, solve_times = zip(*flat)
     return EpisodeLog(
         episode=episode,
-        trajectory=np.array([f[0] for f in flat], dtype=int),
-        step=np.array([f[1] for f in flat], dtype=int),
-        states=np.array([f[2] for f in flat]) if flat else np.zeros((0, 3)),
-        u_nom=np.array([f[3] for f in flat]),
-        u_safe=np.array([f[4] for f in flat]),
-        modified=np.array([f[5] for f in flat], dtype=bool),
-        rewards=np.array([f[6] for f in flat]),
-        violations=np.array([f[7] for f in flat], dtype=bool),
-        solve_times=np.array([f[8] for f in flat]),
+        trajectory=np.array(traj, dtype=int),
+        step=np.array(step, dtype=int),
+        states=np.array(states),
+        u_nom=np.array(u_nom),
+        u_safe=np.array(u_safe),
+        modified=np.array(modified, dtype=bool),
+        rewards=np.array(rewards),
+        violations=np.array(violations, dtype=bool),
+        solve_times=np.array(solve_times),
     )
 
 
@@ -466,8 +408,6 @@ def train(env: AccEnv, cfg: TrainConfig, artifact: SafeSetArtifact | None = None
     """
     rng = np.random.default_rng(cfg.seed)
     actions = action_grid(env.params.u_min, env.params.u_max, cfg.action_step)
-    from .envs import BOX_LO, BOX_HI
-
     in_lo = np.concatenate([BOX_LO, [env.params.u_min]])
     in_hi = np.concatenate([BOX_HI, [env.params.u_max]])
     q = QFunction.create(in_lo, in_hi, hidden=tuple(cfg.hidden), rng=rng)

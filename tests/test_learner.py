@@ -3,8 +3,24 @@ import logging
 import numpy as np
 import pytest
 
-from safegov.envs import AccEnv
-from safegov.learner import QFunction, ReplayBuffer, TrainConfig, action_grid, fit, q_target, train
+from safegov.envs import BOX_HI, BOX_LO, AccEnv, constraint_spec, reward
+from safegov.geometry import FEAS_TOL
+from safegov.governor import GovernorConfig, govern
+from safegov.learner import (
+    QFunction,
+    ReplayBuffer,
+    TrainConfig,
+    action_grid,
+    fit,
+    q_target,
+    run_trajectory,
+    train,
+)
+from safegov.safeset import build_safe_artifact, compute_unrecoverable
+
+LOG_ARRAYS = ("trajectory", "step", "states", "u_nom", "u_safe", "modified", "rewards", "violations")
+TINY = dict(episodes=2, n_trajectories=2, horizon=12, hidden=(8,), fit_epochs=2, batch_size=8,
+            pretrain_states=20, pretrain_epochs=1)
 
 
 def test_loss_gradients_match_finite_differences():
@@ -12,22 +28,22 @@ def test_loss_gradients_match_finite_differences():
     q = QFunction.create([-1.0, 0.0, 2.0], [1.0, 3.0, 5.0], hidden=(5, 4), rng=rng)
     X = rng.uniform([-1.0, 0.0, 2.0], [1.0, 3.0, 5.0], size=(9, 3))
     y = rng.normal(size=9)
-    loss, gW, gb = q.loss_and_grads(X, y)
+    loss, grad = q.loss_and_grads(X, y)
     assert loss == pytest.approx(q.loss(X, y), rel=1e-12)
-    grad = np.concatenate([g.ravel() for g in (*gW, *gb)])
+    assert grad.shape == q.theta.shape
 
-    theta = q.get_flat()
+    theta = q.theta.copy()
     h = 1e-6
     fd = np.empty_like(theta)
     for i in range(theta.size):
         step = np.zeros_like(theta)
         step[i] = h
-        q.set_flat(theta + step)
+        q.theta[:] = theta + step
         up = q.loss(X, y)
-        q.set_flat(theta - step)
+        q.theta[:] = theta - step
         down = q.loss(X, y)
         fd[i] = (up - down) / (2 * h)
-    q.set_flat(theta)
+    q.theta[:] = theta
     assert np.allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
 
@@ -53,16 +69,63 @@ def test_action_grid_default_and_non_dividing_steps():
 
 def test_train_is_deterministic_per_seed():
     env = AccEnv()
-    cfg = dict(episodes=2, n_trajectories=2, horizon=12, hidden=(8,), fit_epochs=2, batch_size=8,
-               pretrain_states=20, pretrain_epochs=1, mode="conventional")
-    runs = [train(env, TrainConfig(seed=seed, **cfg)) for seed in (4, 4, 5)]
+    runs = [train(env, TrainConfig(seed=seed, mode="conventional", **TINY)) for seed in (4, 4, 5)]
     (q1, logs1), (q2, logs2), (q3, _) = runs
-    assert np.array_equal(q1.get_flat(), q2.get_flat())
+    assert np.array_equal(q1.theta, q2.theta)
     assert len(logs1) == len(logs2) == 2
     for a, b in zip(logs1, logs2):
-        for name in ("trajectory", "step", "states", "u_nom", "u_safe", "modified", "rewards", "violations"):
+        for name in LOG_ARRAYS:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert not np.array_equal(q1.get_flat(), q3.get_flat())
+    assert not np.array_equal(q1.theta, q3.theta)
+
+
+def test_safe_training_is_deterministic_and_governed():
+    env = AccEnv()
+    spec = constraint_spec(env.params)
+    art = build_safe_artifact(compute_unrecoverable(env.system, spec, K=0), env.system, spec)
+    cfg = TrainConfig(seed=4, mode="safe", **TINY)
+    (q1, logs1), (q2, logs2) = train(env, cfg, art), train(env, cfg, art)
+    assert np.array_equal(q1.theta, q2.theta)
+    for a, b in zip(logs1, logs2):
+        for name in LOG_ARRAYS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    states = np.vstack([log.states for log in logs1])
+    u_nom = np.concatenate([log.u_nom for log in logs1])
+    u_safe = np.concatenate([log.u_safe for log in logs1])
+    assert np.all((u_safe >= env.params.u_min - FEAS_TOL) & (u_safe <= env.params.u_max + FEAS_TOL))
+    assert any(log.modified.any() for log in logs1)
+    gov_cfg = GovernorConfig(S=np.eye(1))
+    for x, u, us in zip(states, u_nom, u_safe):
+        assert govern(x, [u], art, env.system, gov_cfg).u_safe[0] == us
+
+
+def test_trajectory_targets_bootstrap_from_the_next_state():
+    env = AccEnv()
+    cfg = TrainConfig(mode="conventional", horizon=15)
+    rng = np.random.default_rng(3)
+    actions = action_grid(env.params.u_min, env.params.u_max, cfg.action_step)
+    q = QFunction.create([*BOX_LO, env.params.u_min], [*BOX_HI, env.params.u_max], hidden=(2,), rng=rng)
+    # A bump in u that moves with the gap, so the greedy action changes
+    # along the trajectory and a stale Q(x, grid) would show.
+    k = 10.0
+    q.weights[0][:] = [[-4 * k, -4 * k], [0.0, 0.0], [0.0, 0.0], [k, k]]
+    q.biases[0][:] = [0.0, -0.3 * k]
+    q.weights[1][:] = [[1.0], [-1.0]]
+    w = rng.uniform(-1.0, 1.0, size=cfg.horizon)
+    buf = ReplayBuffer()
+    rows = run_trajectory(env, q, cfg, rng, buf, actions, eps=0.0,
+                          x0=np.array([50.0, 0.5, 20.0]), disturbance=w)
+    X, y = buf.arrays()
+    assert len(rows) == len(buf) == cfg.horizon
+    assert np.unique(X[:, 3]).size > 3
+    for t, (row, target) in enumerate(zip(X, y)):
+        x, u = row[:3], row[3]
+        assert u == actions[np.argmax(q.q_values(x, actions))]
+        x_next = env.step(x, u, w[t])
+        q_old = q.q_values(x, np.array([u]))[0]
+        v_next = q.q_values(x_next, actions).max()
+        assert target == q_target(q_old, reward(x_next, env.params), v_next, cfg.lam, cfg.gamma), t
 
 
 def test_fit_reverts_when_held_out_loss_grows(caplog):
@@ -71,12 +134,12 @@ def test_fit_reverts_when_held_out_loss_grows(caplog):
     buf = ReplayBuffer()
     for x, t in zip(rng.uniform(size=(40, 4)), rng.normal(size=40)):
         buf.push(x[:3], x[3], t)
-    theta = q.get_flat().copy()
+    theta = q.theta.copy()
     with caplog.at_level(logging.INFO, logger="safegov.learner"):
         out = fit(q, buf, epochs=20, batch=8, rng=rng, lr=3e-3)
     assert any("held-out loss grew" in r.getMessage() for r in caplog.records)
-    assert np.array_equal(q.get_flat(), theta)
-    assert np.all(np.isfinite(out.get_flat()))
+    assert np.array_equal(q.theta, theta)
+    assert np.all(np.isfinite(out.theta))
 
 
 def test_q_target_blend():
