@@ -6,15 +6,20 @@ evaluated up to FEAS_TOL.  Types are immutable after construction and all
 operations are pure functions, so values can be shared freely.
 
 An HPolytope caches what it learns about itself: emptiness, boundedness,
-its Chebyshev ball and its vertices.  Operations whose result provably
-shares a fact carry it over instead of paying LPs for it again:
+irredundancy, its Chebyshev ball, its vertices and the support values it
+has been asked for (a memo per set, keyed on the direction's bytes, so it
+never outlives the set).  Operations whose result provably shares a fact
+carry it over instead of paying LPs for it again:
 
 - ``intersect`` is bounded when either operand is known to be bounded;
 - ``convex_hull`` is bounded, being the hull of finitely many points;
-- ``inverse_affine_map`` (invertible map) keeps its input's boundedness;
+- ``inverse_affine_map`` (invertible map) keeps its input's boundedness
+  and irredundancy;
 - ``remove_redundancy`` describes the same set, so it keeps boundedness
-  and the Chebyshev ball, and it is known to be nonempty;
-- each piece ``region_diff`` splits off a set R is bounded when R is.
+  and the Chebyshev ball; it is known to be nonempty and irredundant;
+- each piece ``region_diff`` splits off a set R is bounded when R is;
+- ``chebyshev`` settles emptiness as well when the ball's radius is
+  above 10 FEAS_TOL.
 
 Vertices are not carried over.  ``region_diff`` and ``merge_convex_members``
 read a member's cached vertices to rule out a meeting without an LP.
@@ -76,7 +81,7 @@ def _rows(A, b, dim):
 class HPolytope:
     """Closed convex polyhedron {x : A x <= b} in R^dim."""
 
-    __slots__ = ("A", "b", "dim", "_empty", "_bounded", "_cheb", "_verts")
+    __slots__ = ("A", "b", "dim", "_empty", "_bounded", "_irredundant", "_cheb", "_verts", "_support")
 
     def __init__(self, A, b, dim: int | None = None):
         if dim is None:
@@ -92,8 +97,10 @@ class HPolytope:
         self.b.setflags(write=False)
         self._empty: bool | None = None
         self._bounded: bool | None = None
+        self._irredundant = False
         self._cheb: tuple[np.ndarray | None, float] | None = None
         self._verts: np.ndarray | None = None
+        self._support: dict[bytes, float] = {}
 
     # -- constructors -------------------------------------------------
 
@@ -159,22 +166,34 @@ class HPolytope:
         return self._bounded
 
     def chebyshev(self) -> tuple[np.ndarray | None, float]:
-        """(center, radius) of the largest inscribed ball; radius < 0 if empty."""
+        """(center, radius) of the largest inscribed ball; radius < 0 if empty.
+
+        A ball of radius above 10 FEAS_TOL also settles emptiness: the
+        emptiness LP could not call a set with such a ball infeasible."""
         if self._cheb is None:
             self._cheb = chebyshev_center(self.A, self.b)
+            if self._cheb[1] > 10 * FEAS_TOL:
+                self._empty = False
         return self._cheb
 
     def support(self, a) -> float:
-        """h_P(a) = max a'x over the set (raises on empty/unbounded)."""
+        """h_P(a) = max a'x over the set (raises on empty/unbounded).
+
+        Values are memoised per set: a direction asked for again returns
+        the value its LP gave the first time."""
         a = np.asarray(a, dtype=float).ravel()
         if a.size != self.dim:
             raise GeometryError("direction dimension mismatch")
-        res = lp_solve(-a, self.A, self.b)
-        if res.status == INFEASIBLE:
-            raise GeometryError("support of an empty set")
-        if res.status == UNBOUNDED:
-            raise UnboundedSetError("support unbounded along requested direction")
-        return -res.value
+        key = a.tobytes()
+        h = self._support.get(key)
+        if h is None:
+            res = lp_solve(-a, self.A, self.b)
+            if res.status == INFEASIBLE:
+                raise GeometryError("support of an empty set")
+            if res.status == UNBOUNDED:
+                raise UnboundedSetError("support unbounded along requested direction")
+            h = self._support[key] = -res.value
+        return h
 
     # -- transformations ----------------------------------------------
 
@@ -205,38 +224,61 @@ class HPolytope:
         if P.A.shape[0] <= 1:
             return P
         key = np.round(P.A / 1e-9) * 1e-9
+        # Sorted on the normal's key, then on the offset: each run of equal
+        # keys starts with its tightest row.
         order = np.lexsort(np.column_stack([key, P.b]).T[::-1])
         A, b = P.A[order], P.b[order]
         key = key[order]
-        keep = []
-        i = 0
-        while i < len(b):
-            j = i
-            while j + 1 < len(b) and np.all(key[j + 1] == key[i]):
-                j += 1
-            keep.append(i + int(np.argmin(b[i:j + 1])))
-            i = j + 1
-        return HPolytope(A[keep], b[keep], self.dim)
+        first = np.ones(len(b), dtype=bool)
+        first[1:] = np.any(key[1:] != key[:-1], axis=1)
+        return HPolytope(A[first], b[first], self.dim)
 
     def remove_redundancy(self) -> "HPolytope":
-        """Minimal-row representation: every remaining row is irredundant."""
-        if self.is_empty():
-            return HPolytope.empty(self.dim)
-        P = self._dedup()
-        A, b = P.A.copy(), P.b.copy()
-        keep = np.ones(len(b), dtype=bool)
-        for i in range(len(b)):
-            keep[i] = False
-            rows = keep.copy()
-            # Relax the tested row instead of removing it so the LP stays bounded.
-            Atest = np.vstack([A[rows], A[i:i + 1]])
-            btest = np.concatenate([b[rows], [b[i] + 1.0]])
-            res = lp_solve(-A[i], Atest, btest)
-            redundant = res.status == OPTIMAL and -res.value <= b[i] + FEAS_TOL
-            keep[i] = not redundant
-        out = HPolytope(A[keep], b[keep], self.dim)
+        """Minimal-row representation: every remaining row is irredundant.
+
+        Row i of the deduplicated rows is dropped when the LP max a_i'x,
+        over the rows still kept and row i relaxed to b_i + 1, stays within
+        b_i + FEAS_TOL.  Two exact shortcuts spare LPs:
+
+        - a set already known irredundant returns its deduplicated rows;
+        - with the Chebyshev center c cached, row i is kept without its LP
+          when the ray from c along a_i passes row i by more than
+          10 FEAS_TOL before it meets any other row (Clarkson's
+          ray-shooting test).  c is inside every row, so the ray's point
+          at a_i'x = b_i + 10 FEAS_TOL meets every other row and the
+          relaxed row a_i'x <= b_i + 1: it is feasible for row i's LP,
+          whose rows are a subset of these.  The LP's maximum is then
+          above b_i + FEAS_TOL by far more than its rounding, so the LP
+          would keep row i too.  Redundant rows always get their LP, so
+          no decision can change.
+
+        The result is marked irredundant and nonempty; it keeps self's
+        boundedness flag and Chebyshev ball.
+        """
+        if self._irredundant:
+            out = self._dedup()
+        else:
+            if self.is_empty():
+                return HPolytope.empty(self.dim)
+            P = self._dedup()
+            A, b = P.A, P.b
+            keep = np.ones(len(b), dtype=bool)
+            certified = np.zeros(len(b), dtype=bool)
+            if self._cheb is not None and self._cheb[0] is not None:
+                certified = _ray_support(A, b, self._cheb[0], A, skip_own=True) > b + 10 * FEAS_TOL
+            for i in np.flatnonzero(~certified):
+                keep[i] = False
+                rows = keep.copy()
+                # Relax the tested row instead of removing it so the LP stays bounded.
+                Atest = np.vstack([A[rows], A[i:i + 1]])
+                btest = np.concatenate([b[rows], [b[i] + 1.0]])
+                res = lp_solve(-A[i], Atest, btest)
+                redundant = res.status == OPTIMAL and -res.value <= b[i] + FEAS_TOL
+                keep[i] = not redundant
+            out = HPolytope(A[keep], b[keep], self.dim)
         out._empty = False
         out._bounded = self._bounded
+        out._irredundant = True
         out._cheb = self._cheb
         return out
 
@@ -345,6 +387,27 @@ class PolyUnion:
 
     def __repr__(self) -> str:
         return f"PolyUnion(dim={self.dim}, members={len(self.members)})"
+
+
+def _ray_support(A: np.ndarray, b: np.ndarray, c: np.ndarray, D: np.ndarray,
+                 skip_own: bool = False) -> np.ndarray:
+    """Lower bounds on max d'x over {x : A x <= b}, one per row d of D.
+
+    Each bound is d'x at the point where the ray c + t d, t >= 0, first
+    meets a row (+inf if it never does).  That point lies in the set, so
+    the maximum is at least the bound.  With skip_own the ray along D[k]
+    ignores row k, which bounds the sets without each row (D = A).  All
+    bounds are -inf unless c satisfies every row.
+    """
+    slack = b - A @ c
+    if not np.all(slack >= 0.0):
+        return np.full(len(D), -np.inf)
+    rate = A @ D.T                       # rate[j, k] = a_j'd_k
+    if skip_own:
+        np.fill_diagonal(rate, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.where(rate > 0.0, slack[:, None] / rate, np.inf).min(axis=0, initial=np.inf)
+    return D @ c + reach * np.einsum("ij,ij->i", D, D)
 
 
 # ----------------------------------------------------------------------
@@ -496,6 +559,7 @@ def inverse_affine_map(M, P: HPolytope) -> HPolytope:
         raise GeometryError("matrix is singular or near-singular")
     out = HPolytope(P.A @ M, P.b, P.dim)
     out._bounded = P._bounded
+    out._irredundant = P._irredundant
     return out
 
 
@@ -549,14 +613,17 @@ def region_diff(
     exceeding it raises RegionBudgetError rather than returning a wrong
     answer.
 
-    Two exact shortcuts spare LPs without changing any decision:
+    Exact shortcuts spare LPs without changing any decision:
 
     - a bounded member Q with every vertex strictly outside one row of the
       current piece R (by more than FEAS_TOL times the row norm) cannot
       meet R, so it is skipped before the intersection's Chebyshev LP;
     - a row (a, beta) of Q cuts R when a'c > beta + FEAS_TOL at R's
       Chebyshev center c, which lies inside R by more than the fragment
-      radius; R.support(a) is solved only when that test fails.
+      radius, or when the ray from c along a reaches a'x > beta +
+      10 FEAS_TOL before it leaves R (a point of R that far out puts
+      R.support(a) above beta + FEAS_TOL by far more than the LP's
+      rounding); R.support(a) is solved only when both tests fail.
     """
     if P.dim != U.dim:
         raise GeometryError("dimension mismatch")
@@ -584,8 +651,9 @@ def region_diff(
             if not significant(inter):
                 continue
             Qn = Q.normalized()
+            far = _ray_support(R.A, R.b, c, Qn.A) > Qn.b + 10 * FEAS_TOL
             cutting = [i for i, (a, beta) in enumerate(zip(Qn.A, Qn.b))
-                       if a @ c > beta + FEAS_TOL or R.support(a) > beta + FEAS_TOL]
+                       if a @ c > beta + FEAS_TOL or far[i] or R.support(a) > beta + FEAS_TOL]
             if not cutting:
                 return  # R is inside Q entirely
             if best is None or len(cutting) < len(best[2]):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import BOX_HI, BOX_LO, AccEnv, reward as acc_reward, nominal_policy, violates
-from .governor import GovernorConfig, govern
+from .governor import STATUS_FALLBACK, GovernorConfig, govern
 from .safeset import SafeSetArtifact
 
 logger = logging.getLogger(__name__)
@@ -228,6 +228,7 @@ class EpisodeLog:
     u_nom: np.ndarray
     u_safe: np.ndarray
     modified: np.ndarray         # bool
+    fallback: np.ndarray         # bool: govern() returned status "fallback"
     rewards: np.ndarray
     violations: np.ndarray       # bool
     solve_times: np.ndarray
@@ -355,9 +356,10 @@ def run_trajectory(
             res = govern(x, [u_nom], artifact, env.system, gov_cfg)
             u_safe = float(res.u_safe[0])
             modified = res.modified
+            fallback = res.status == STATUS_FALLBACK
             solve_time = res.solve_time
         else:
-            u_safe, modified = u_nom, False
+            u_safe, modified, fallback = u_nom, False, False
         x_next = env.step(x, u_safe, float(w_seq[t]))
         r = acc_reward(x_next, env.params)
         viol = violates(x_next, env.params)
@@ -366,7 +368,7 @@ def run_trajectory(
         q_old = float(q.q_values(x, np.array([u_nom]))[0])
         q_x_next = q.q_values(x_next, actions)
         buffer.push(x, u_nom, q_target(q_old, r, float(q_x_next.max()), cfg.lam, cfg.gamma))
-        rows.append((t, x.copy(), u_nom, u_safe, modified, r, viol, solve_time))
+        rows.append((t, x.copy(), u_nom, u_safe, modified, fallback, r, viol, solve_time))
         if not env.in_box(x_next):
             logger.debug("trajectory left the operating box at step %d", t)
             break
@@ -385,7 +387,7 @@ def _sample_band_state(env: AccEnv, rng: np.random.Generator, max_tries: int = 2
 
 def _make_episode_log(episode: int, traj_rows: list[list]) -> EpisodeLog:
     flat = [(ti, *row) for ti, rows in enumerate(traj_rows) for row in rows]
-    traj, step, states, u_nom, u_safe, modified, rewards, violations, solve_times = zip(*flat)
+    traj, step, states, u_nom, u_safe, modified, fallback, rewards, violations, solve_times = zip(*flat)
     return EpisodeLog(
         episode=episode,
         trajectory=np.array(traj, dtype=int),
@@ -394,6 +396,7 @@ def _make_episode_log(episode: int, traj_rows: list[list]) -> EpisodeLog:
         u_nom=np.array(u_nom),
         u_safe=np.array(u_safe),
         modified=np.array(modified, dtype=bool),
+        fallback=np.array(fallback, dtype=bool),
         rewards=np.array(rewards),
         violations=np.array(violations, dtype=bool),
         solve_times=np.array(solve_times),

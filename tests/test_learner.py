@@ -18,7 +18,8 @@ from safegov.learner import (
 )
 from safegov.safeset import build_safe_artifact, compute_unrecoverable
 
-LOG_ARRAYS = ("trajectory", "step", "states", "u_nom", "u_safe", "modified", "rewards", "violations")
+LOG_ARRAYS = ("trajectory", "step", "states", "u_nom", "u_safe", "modified", "fallback", "rewards",
+              "violations")
 TINY = dict(episodes=2, n_trajectories=2, horizon=12, hidden=(8,), fit_epochs=2, batch_size=8,
             pretrain_states=20, pretrain_epochs=1)
 
@@ -76,6 +77,7 @@ def test_train_is_deterministic_per_seed():
     for a, b in zip(logs1, logs2):
         for name in LOG_ARRAYS:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert not any(log.fallback.any() for log in logs1)
     assert not np.array_equal(q1.theta, q3.theta)
 
 
@@ -93,11 +95,15 @@ def test_safe_training_is_deterministic_and_governed():
     states = np.vstack([log.states for log in logs1])
     u_nom = np.concatenate([log.u_nom for log in logs1])
     u_safe = np.concatenate([log.u_safe for log in logs1])
+    fallback = np.concatenate([log.fallback for log in logs1])
     assert np.all((u_safe >= env.params.u_min - FEAS_TOL) & (u_safe <= env.params.u_max + FEAS_TOL))
     assert any(log.modified.any() for log in logs1)
+    assert fallback.any()
     gov_cfg = GovernorConfig(S=np.eye(1))
-    for x, u, us in zip(states, u_nom, u_safe):
-        assert govern(x, [u], art, env.system, gov_cfg).u_safe[0] == us
+    for x, u, us, fb in zip(states, u_nom, u_safe, fallback):
+        res = govern(x, [u], art, env.system, gov_cfg)
+        assert res.u_safe[0] == us
+        assert fb == (res.status == "fallback")
 
 
 def test_trajectory_targets_bootstrap_from_the_next_state():

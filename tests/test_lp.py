@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from safegov.geometry import INFEASIBLE, OPTIMAL, UNBOUNDED, chebyshev_center, lp_solve
+import lp_reference
+from safegov.geometry import INFEASIBLE, OPTIMAL, UNBOUNDED, LpError, chebyshev_center, lp_solve
 
 
 def test_min_x_over_unit_interval():
@@ -85,14 +86,20 @@ def test_zero_rows_decided_by_offset():
     assert lp_solve(np.zeros(2), np.zeros((2, 2)), np.array([1.0, 0.0])).status == OPTIMAL
 
 
-def test_matches_scipy_on_random_instances():
+def _random_cases():
+    """800 random LPs: 200 small, 300 larger, and each larger one again
+    with awkward rows."""
     rng = np.random.default_rng(7)
     cases = list(_random_lps(rng, 200, 11))
     for c, A, b in _random_lps(rng, 300, 30):
         cases.append((c, A, b))
         cases.append((c, *_awkward_rows(rng, A, b)))
+    return cases
+
+
+def test_matches_scipy_on_random_instances():
     n_checked = 0
-    for c, A, b in cases:
+    for c, A, b in _random_cases():
         n = c.size
         ours = lp_solve(c, A, b)
         ref = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * n, method="highs")
@@ -118,3 +125,44 @@ def test_chebyshev_center_of_box():
 def test_chebyshev_center_empty():
     c, r = chebyshev_center(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
     assert c is None and r < 0
+
+
+def _outcome(solve, c, A, b):
+    """Status, point bytes and value bytes of one solve; LpError counts."""
+    try:
+        res = solve(c, A, b)
+    except LpError:
+        return ("LpError", None, None)
+    x = None if res.x is None else res.x.tobytes()
+    value = None if res.value is None else np.float64(res.value).tobytes()
+    return res.status, x, value
+
+
+def _recorded_build_lps(monkeypatch):
+    """Every LP a K=2 build of the 2-D gap/relative-speed system solves."""
+    from test_safeset import sys_2d
+    from safegov.geometry import lp as lp_module, polytope as polytope_module
+    from safegov.safeset import build_safe_artifact, compute_unrecoverable
+
+    seen = []
+    real = lp_module.lp_solve
+
+    def recording(c, A, b):
+        seen.append((np.array(c, dtype=float), np.array(A, dtype=float), np.array(b, dtype=float)))
+        return real(c, A, b)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp_module, "lp_solve", recording)
+        mp.setattr(polytope_module, "lp_solve", recording)
+        sys, spec = sys_2d()
+        build_safe_artifact(compute_unrecoverable(sys, spec, K=2), sys, spec)
+    return seen
+
+
+def test_bitwise_equal_to_reference_solver(monkeypatch):
+    """The solver reproduces the loop-built reference tableau exactly:
+    same status, and the same bytes of point and value."""
+    recorded = _recorded_build_lps(monkeypatch)
+    assert len(recorded) > 1000
+    for c, A, b in _random_cases() + recorded:
+        assert _outcome(lp_solve, c, A, b) == _outcome(lp_reference.lp_solve, c, A, b), (c, A, b)

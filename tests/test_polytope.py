@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -24,7 +25,7 @@ from safegov.geometry import (
     union_minkowski,
     union_subset,
 )
-from safegov.geometry.lp import OPTIMAL
+from safegov.geometry.lp import FEAS_TOL, OPTIMAL
 
 
 def box(lo, hi):
@@ -513,3 +514,210 @@ def test_serialization_roundtrip_bit_exact():
         assert np.array_equal(m1.b, m2.b)
     d = U.to_dict()
     assert set(d) == {"dim", "members"}
+
+
+# ------------------------------------------------------ LP-sparing shortcuts
+
+
+def test_dedup_keeps_the_tightest_row_per_normal():
+    def loop_dedup(P):
+        # Row-by-row reference: the tightest offset of each run of equal
+        # normal keys, in sorted order.
+        P = P.normalized()
+        key = np.round(P.A / 1e-9) * 1e-9
+        order = np.lexsort(np.column_stack([key, P.b]).T[::-1])
+        A, b, key = P.A[order], P.b[order], key[order]
+        keep, i = [], 0
+        while i < len(b):
+            j = i
+            while j + 1 < len(b) and np.all(key[j + 1] == key[i]):
+                j += 1
+            keep.append(i + int(np.argmin(b[i:j + 1])))
+            i = j + 1
+        return A[keep], b[keep]
+
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        dim = int(rng.integers(1, 4))
+        A = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(int(rng.integers(2, 14)), dim))
+        A[np.all(A == 0.0, axis=1), 0] = 1.0
+        A = np.vstack([A, A[:3] * rng.uniform(0.5, 3.0, size=(min(3, len(A)), 1))])
+        b = rng.normal(size=len(A))
+        A_ref, b_ref = loop_dedup(HPolytope(A, b, dim))
+        got = HPolytope(A, b, dim)._dedup()
+        assert got.A.tobytes() == A_ref.tobytes() and got.b.tobytes() == b_ref.tobytes()
+
+
+def _count_lps(monkeypatch):
+    from safegov.geometry import lp as lp_module, polytope as polytope_module
+
+    calls = [0]
+    real = lp_module.lp_solve
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(lp_module, "lp_solve", counted)
+    monkeypatch.setattr(polytope_module, "lp_solve", counted)
+    return calls
+
+
+def _same_bytes(P, Q):
+    return P.A.tobytes() == Q.A.tobytes() and P.b.tobytes() == Q.b.tobytes()
+
+
+def test_irredundant_fact_skips_the_second_pass(monkeypatch):
+    rng = np.random.default_rng(11)
+    M = np.array([[2.0, 1.0], [0.5, 1.0]])
+    sq = box([0, 0], [1, 1])
+    loose = sq.intersect(HPolytope(np.array([[1.0, 1.0]]), np.array([5.0])))
+    hull = random_bounded_polytope(rng, 2)
+    unflagged = [
+        sq, loose, hull, HPolytope.from_point([1.0, 2.0]), HPolytope.empty(2),
+        sq.intersect(hull), sq.normalized(), loose._dedup(), pontryagin_diff(sq, box([0, 0], [0.1, 0.1])),
+        minkowski_sum(sq, hull), affine_map(M, sq), inverse_affine_map(M, sq),
+    ]
+    for P in unflagged:
+        assert not P._irredundant, P
+    once = [P.remove_redundancy() for P in (sq, loose, hull, random_bounded_polytope(rng, 3))]
+    once.append(inverse_affine_map(M, once[1]))
+    for P in once:
+        assert P._irredundant
+    calls = _count_lps(monkeypatch)
+    for P in once:
+        calls[0] = 0
+        again = P.remove_redundancy()
+        assert calls[0] == 0
+        assert again._irredundant and again._empty is False
+        assert _same_bytes(again, HPolytope(P.A, P.b, P.dim).remove_redundancy())
+
+
+def _awkward_polytope(rng, dim):
+    """A random hull with redundant rows added, rows redundant (or cutting
+    a vertex off) by less than 10 FEAS_TOL, and duplicated rows, some of
+    them scaled; the rows are shuffled."""
+    P = random_bounded_polytope(rng, dim, n_points=10)
+    A, b = [P.A], [P.b]
+    k = P.A.shape[0]
+    idx = rng.integers(0, k, size=3)
+    A.append(P.A[idx])
+    b.append(P.b[idx] + rng.uniform(0.05, 1.0, size=3))            # plainly redundant
+    for v in P.vertices()[rng.permutation(len(P.vertices()))[:4]]:
+        active = np.abs(P.A @ v - P.b) < 1e-9
+        n = rng.uniform(0.1, 1.0, size=int(active.sum())) @ P.A[active]
+        n /= np.linalg.norm(n)
+        delta = rng.uniform(-10.0, 10.0) * FEAS_TOL                  # near a vertex
+        A.append(n[None, :])
+        b.append([n @ v + delta])
+    idx = rng.integers(0, k, size=3)
+    s = rng.uniform(0.5, 2.0, size=3)
+    A.append(P.A[idx] * s[:, None])
+    b.append(P.b[idx] * s)                                            # duplicates
+    A, b = np.vstack(A), np.concatenate(b)
+    order = rng.permutation(len(b))
+    return HPolytope(A[order], b[order], dim)
+
+
+def _cut_corners(dim, deltas):
+    """Unit cube with each corner v cut by a row along v - c, c the cube's
+    center, offset by one of deltas from v: the ray from c runs through v,
+    so it passes the row by exactly the cut depth, below or near 10 FEAS_TOL."""
+    corners = np.array(list(itertools.product([0.0, 1.0], repeat=dim)))
+    n = (corners - 0.5) / np.linalg.norm(corners - 0.5, axis=1)[:, None]
+    cube = box(np.zeros(dim), np.ones(dim))
+    b = np.einsum("ij,ij->i", n, corners) - np.resize(deltas, len(corners))
+    return HPolytope(np.vstack([cube.A, n]), np.concatenate([cube.b, b]), dim)
+
+
+def test_ray_certificate_keeps_the_lp_decisions(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    rng = np.random.default_rng(23)
+    with_ball = without_ball = 0
+    deltas = np.array([0.5, -0.5, 5.0, -5.0, 9.5, 10.5, 20.0, -20.0]) * FEAS_TOL
+    cut = [_cut_corners(dim, np.roll(deltas, k)) for dim in (2, 3) for k in range(0, 8, 3)]
+    for trial, Q in enumerate(cut + [_awkward_polytope(rng, 2 + t % 2) for t in range(40)]):
+        Q.chebyshev()
+        calls[0] = 0
+        fast = Q.remove_redundancy()
+        with_ball += calls[0]
+        calls[0] = 0
+        slow = HPolytope(Q.A, Q.b, Q.dim).remove_redundancy()
+        without_ball += calls[0] - 1  # the ball-free copy also pays is_empty
+        assert _same_bytes(fast, slow), trial
+    assert with_ball < 0.8 * without_ball
+
+
+def test_ray_support_bounds():
+    from safegov.geometry.polytope import _ray_support
+
+    sq = box([0, 0], [1, 1])
+    D = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, -2.0]])
+    assert np.array_equal(_ray_support(sq.A, sq.b, np.array([0.5, 0.25]), D), [1.0, 1.75, 0.0])
+    # From the bottom edge the ray down along the bottom row's normal leaves
+    # at once when that row is skipped; the 0/0 of the bottom row against
+    # the side rows stays quiet.
+    own = _ray_support(sq.A, sq.b, np.array([0.5, 0.0]), sq.A, skip_own=True)
+    assert np.all(own == np.inf)
+    assert np.all(_ray_support(sq.A, sq.b, np.array([1.5, 0.5]), D) == -np.inf)
+
+
+def test_ray_shortcuts_keep_region_diff_bytes(monkeypatch):
+    """region_diff and its remove_redundancy calls give the same bytes
+    with both ray certificates switched off, at a higher LP count."""
+    from safegov.geometry import polytope as polytope_module
+
+    rng = np.random.default_rng(31)
+    # A face of the member just inside the square's right side, by less
+    # than FEAS_TOL: it does not cut, although the ray from the center
+    # passes it.
+    sliver = box([-1.0, 0.3], [1.0 - 0.5 * FEAS_TOL, 0.7])
+    cases = [(box([0, 0], [1, 1]), PolyUnion([sliver]))]
+    for trial in range(12):
+        dim = 2 + trial % 2
+        P = random_bounded_polytope(rng, dim, n_points=12)
+        U = PolyUnion([random_bounded_polytope(rng, dim, n_points=6) for _ in range(3)])
+        cases.append((P, U))
+
+    def run():
+        return [[(m.A.tobytes(), m.b.tobytes()) for m in region_diff(HPolytope(P.A, P.b, P.dim), U).members]
+                for P, U in cases]
+
+    calls = _count_lps(monkeypatch)
+    fast = run()
+    fast_lps = calls[0]
+    monkeypatch.setattr(polytope_module, "_ray_support",
+                        lambda A, b, c, D, skip_own=False: np.full(len(D), -np.inf))
+    calls[0] = 0
+    assert run() == fast
+    assert fast_lps < 0.9 * calls[0]
+
+
+def test_chebyshev_ball_settles_emptiness(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    sq = box([0, 0], [1, 1])
+    sq.chebyshev()
+    assert calls[0] == 1
+    assert not sq.is_empty()
+    assert calls[0] == 1
+    flat = convex_hull([[0.0, 0.0], [1.0, 1.0]])  # radius 0: emptiness needs its LP
+    flat.chebyshev()
+    assert not flat.is_empty()
+    assert calls[0] == 3
+    gap = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]))
+    assert gap.chebyshev()[1] < 0 and gap.is_empty()
+
+
+def test_repeated_support_direction_solves_one_lp(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    rng = np.random.default_rng(4)
+    P = random_bounded_polytope(rng, 3)
+    a = np.array([0.3, -1.0, 0.2])
+    h = P.support(a)
+    assert calls[0] == 1
+    assert P.support(list(a)) == h and P.support(a.copy()) == h
+    assert calls[0] == 1
+    P.support(-a)
+    assert calls[0] == 2
+    assert HPolytope(P.A, P.b, P.dim).support(a) == h  # the memo belongs to one set
+    assert calls[0] == 3
