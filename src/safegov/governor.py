@@ -12,8 +12,12 @@ such point is a candidate; the admissible one with the least objective is
 the optimum.  For a scalar action the candidates are the rows' break
 points b_i / a_i, which makes this the closed-form interval projection.
 
-When no candidate is admissible, govern() retries at a tenfold tolerance
-and then falls back to the action in U with the least worst face
+A problem evaluates each candidate once: the candidates in ascending
+objective order and, block by block, their U-row excesses and their least
+group slack are kept on the MIQPProblem, and a solve only compares them
+with its tolerance.  When no candidate is admissible, govern() retries at
+a tenfold tolerance, which re-tests those margins and computes nothing
+anew, and then falls back to the action in U with the least worst face
 violation, ties to the least objective.  That fallback is a closed form
 over the break points of a piecewise linear function, so it needs a
 scalar action.
@@ -24,7 +28,7 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +51,8 @@ class GovernorError(RuntimeError):
     pass
 
 
-# Candidates tested per admissibility block; bounds memory to block x rows.
+# Candidates tested per admissibility block.  A solve that finds its action
+# in the first block computes no margins for the rest.
 CANDIDATE_BLOCK = 64
 
 # Worst violations within this of the least tie in the fallback; it absorbs
@@ -151,6 +156,10 @@ class MIQPProblem:
     starts[j]:starts[j + 1] of alpha (rows, m) and beta (rows,); starts is
     an int array with one entry more than there are groups, starting at 0
     and ending at the row count.  A group with no rows can never be met.
+
+    The arrays are not changed after the first solve: it keeps the row
+    scale of U and the candidate evaluation (_sorted_candidates,
+    _block_margins) on the problem.
     """
 
     S: np.ndarray
@@ -160,6 +169,15 @@ class MIQPProblem:
     alpha: np.ndarray
     beta: np.ndarray
     starts: np.ndarray
+    _u_scale: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _evaluation: tuple[np.ndarray, dict] | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def u_scale(self) -> np.ndarray:
+        """Per-row scale max(1, |row|) of U's tolerance."""
+        if self._u_scale is None:
+            self._u_scale = _row_scale(self.U_A)
+        return self._u_scale
 
     @property
     def m(self) -> int:
@@ -189,7 +207,9 @@ class GovernorResult:
     nodes_explored is 0 when the nominal action is admissible as it is;
     otherwise it counts the candidates tried in ascending objective order,
     up to and including the one returned (all of them when none is
-    admissible).
+    admissible).  reason says why a "fallback" fell back: "relaxed_tol"
+    when the retry at a tenfold tolerance found the action, "min_violation"
+    when the least-violation action is used; it is "" otherwise.
     """
 
     u_safe: np.ndarray | None
@@ -198,6 +218,7 @@ class GovernorResult:
     nodes_explored: int
     solve_time: float
     status: str
+    reason: str = ""
 
     def to_dict(self) -> dict:
         return {
@@ -207,7 +228,12 @@ class GovernorResult:
             "nodes_explored": int(self.nodes_explored),
             "solve_time": float(self.solve_time),
             "status": self.status,
+            "reason": self.reason,
         }
+
+
+def _row_scale(A: np.ndarray) -> np.ndarray:
+    return np.maximum(1.0, np.linalg.norm(A, axis=1)) if A.size else np.zeros(0)
 
 
 def _prepared(artifact: SafeSetArtifact, sys: LinearSystem):
@@ -226,6 +252,7 @@ def _prepared(artifact: SafeSetArtifact, sys: LinearSystem):
         "GB": G_all @ sys.B,
         "U_A": artifact.spec.U.A,
         "U_b": artifact.spec.U.b,
+        "u_scale": _row_scale(artifact.spec.U.A),
     }
     artifact._governor_cache = cache
     return cache
@@ -246,8 +273,10 @@ def build_miqp(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Gove
     if cfg.S.shape != (sys.m, sys.m):
         raise GovernorError(f"S has shape {cfg.S.shape}; the system has {sys.m} inputs")
     pre = _prepared(artifact, sys)
-    return MIQPProblem(S=cfg.S, u_nom=u_nom, U_A=pre["U_A"], U_b=pre["U_b"],
+    prob = MIQPProblem(S=cfg.S, u_nom=u_nom, U_A=pre["U_A"], U_b=pre["U_b"],
                        alpha=pre["GB"], beta=pre["g"] - pre["GA"] @ x, starts=pre["starts"])
+    prob._u_scale = pre["u_scale"]
+    return prob
 
 
 def solve_miqp(prob: MIQPProblem, eps_feas: float = FEAS_TOL) -> GovernorResult:
@@ -262,30 +291,60 @@ def solve_miqp(prob: MIQPProblem, eps_feas: float = FEAS_TOL) -> GovernorResult:
     feasible for the disjunctive program, so the admissible candidate with
     the least objective is the optimum.  Ties go to the first candidate in
     a stable sort by objective.  Deterministic for fixed inputs.
+
+    The candidates and their margins depend on the problem alone, so the
+    first solve that needs them computes them and keeps them on prob; a
+    later solve of the same problem at another eps_feas, such as govern()'s
+    relaxed retry, re-tests the kept margins against its tolerance and
+    computes only the blocks no earlier solve reached.  It gives the
+    result a solve from scratch would.
     """
     t0 = time.perf_counter()
     t = prob.u_nom
+    u_tol = eps_feas * prob.u_scale
 
     # Fast path: nominal action already admissible and group-feasible.
-    u_scale = np.maximum(1.0, np.linalg.norm(prob.U_A, axis=1)) if prob.U_A.size else np.zeros(0)
-    nom_ok = prob.U_A.size == 0 or np.all(prob.U_A @ t - prob.U_b <= eps_feas * u_scale)
+    nom_ok = prob.U_A.size == 0 or np.all(prob.U_A @ t - prob.U_b <= u_tol)
     if nom_ok and np.all(prob.group_max(prob.slacks(t)) >= -eps_feas):
         return GovernorResult(t.copy(), False, 0.0, 0, time.perf_counter() - t0, STATUS_OPTIMAL)
 
-    cands = _candidates(prob)
-    d = cands - t
-    order = np.argsort(((d @ prob.S) * d).sum(axis=1), kind="stable")
-    for lo in range(0, order.size, CANDIDATE_BLOCK):
-        C = cands[order[lo:lo + CANDIDATE_BLOCK]]
-        ok = np.all(C @ prob.U_A.T - prob.U_b <= eps_feas * u_scale, axis=1)
-        ok &= np.all(prob.group_max(C @ prob.alpha.T - prob.beta) >= -eps_feas, axis=1)
+    C = _sorted_candidates(prob)
+    for lo in range(0, len(C), CANDIDATE_BLOCK):
+        u_excess, least_slack = _block_margins(prob, lo)
+        ok = np.all(u_excess <= u_tol, axis=1) & (least_slack >= -eps_feas)
         if ok.any():
-            k = int(np.argmax(ok))
+            k = lo + int(np.argmax(ok))
             u = C[k]
             obj = float((u - t) @ prob.S @ (u - t))
             modified = bool(np.linalg.norm(u - t) > eps_feas)
-            return GovernorResult(u, modified, obj, lo + k + 1, time.perf_counter() - t0, STATUS_OPTIMAL)
-    return GovernorResult(None, False, float("inf"), order.size, time.perf_counter() - t0, STATUS_INFEASIBLE)
+            return GovernorResult(u, modified, obj, k + 1, time.perf_counter() - t0, STATUS_OPTIMAL)
+    return GovernorResult(None, False, float("inf"), len(C), time.perf_counter() - t0, STATUS_INFEASIBLE)
+
+
+def _sorted_candidates(prob: MIQPProblem) -> np.ndarray:
+    """The candidates in a stable ascending objective order, one per row;
+    computed on the first call and kept on prob."""
+    if prob._evaluation is None:
+        cands = _candidates(prob)
+        d = cands - prob.u_nom
+        prob._evaluation = (cands[np.argsort(((d @ prob.S) * d).sum(axis=1), kind="stable")], {})
+    return prob._evaluation[0]
+
+
+def _block_margins(prob: MIQPProblem, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """U-row excesses C U_A' - U_b and least group max slack of the sorted
+    candidates lo .. lo + CANDIDATE_BLOCK; computed on the first call for
+    the block and kept on prob.
+
+    A candidate meets every group within eps exactly when its least group
+    max slack is >= -eps, so the per-group maxima need not be kept.
+    """
+    C, margins = _sorted_candidates(prob), prob._evaluation[1]
+    if lo not in margins:
+        B = C[lo:lo + CANDIDATE_BLOCK]
+        least_slack = prob.group_max(B @ prob.alpha.T - prob.beta).min(axis=1, initial=np.inf)
+        margins[lo] = (B @ prob.U_A.T - prob.U_b, least_slack)
+    return margins[lo]
 
 
 def _candidates(prob: MIQPProblem) -> np.ndarray:
@@ -366,11 +425,13 @@ def govern(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Governor
     """Filter a nominal action; never silently fails.
 
     On a numerically infeasible program (possible despite the safe-set
-    margin) the row tolerances are relaxed tenfold and the solve retried;
-    if that also fails, _min_violation_action picks the action in U with
+    margin) the row tolerances are relaxed tenfold and the solve retried
+    on the same problem, which re-tests the first solve's candidate
+    margins; a success there is a "fallback" with reason "relaxed_tol".
+    If that also fails, _min_violation_action picks the action in U with
     the least worst face violation, ties to the least objective, and flags
-    it with status "fallback".  That last step needs a scalar action; with
-    more inputs it raises GovernorError.
+    it with status "fallback" and reason "min_violation".  That last step
+    needs a scalar action; with more inputs it raises GovernorError.
     """
     t0 = time.perf_counter()
     prob = build_miqp(x, u_nom, artifact, sys, cfg)
@@ -378,14 +439,14 @@ def govern(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Governor
     if res.status == STATUS_INFEASIBLE:
         res = solve_miqp(prob, eps_feas=10 * FEAS_TOL)
         if res.status == STATUS_OPTIMAL:
-            res.status = STATUS_FALLBACK
+            res.status, res.reason = STATUS_FALLBACK, "relaxed_tol"
         else:
             u = _min_violation_action(prob)
             t = prob.u_nom
             obj = float("inf") if u is None else float((u - t) @ prob.S @ (u - t))
             res = GovernorResult(
                 u, u is not None and bool(np.linalg.norm(u - t) > FEAS_TOL),
-                obj, res.nodes_explored, 0.0, STATUS_FALLBACK,
+                obj, res.nodes_explored, 0.0, STATUS_FALLBACK, "min_violation",
             )
             logger.warning("governor fallback engaged at state %s", np.asarray(x).tolist())
     res.solve_time = time.perf_counter() - t0

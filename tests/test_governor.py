@@ -7,7 +7,10 @@ import pytest
 from scipy.linalg import block_diag
 from scipy.optimize import linprog, minimize
 
-from safegov.geometry import HPolytope, PolyUnion
+import governor_reference
+from safegov import governor
+from safegov.envs import BOX_HI, BOX_LO, AccEnv, constraint_spec
+from safegov.geometry import FEAS_TOL, HPolytope, PolyUnion
 from safegov.governor import (
     GovernorConfig,
     GovernorError,
@@ -262,25 +265,114 @@ def test_build_miqp_rejects_mis_sized_weight_or_action():
             govern(x, u + [0.0], art, sys, GovernorConfig(S=np.array([[1.0]])))
 
 
-@pytest.mark.parametrize("hi, n_warnings", [(1 + 5e-7, 0), (2.0, 1)])
-def test_govern_fallback_chain(caplog, hi, n_warnings):
-    # z = x + u + w with U = [-1, 1]; from x = 0 the member {-10 <= z <= hi}
-    # can only be left through z >= hi, which U reaches within 10 * FEAS_TOL
-    # when hi = 1 + 5e-7 (relaxed retry) and never when hi = 2 (least
-    # violation, one warning).  Either way the answer is u = 1.
+def fallback_chain_artifact(hi):
+    """z = x + u + w with U = [-1, 1], W = {0} and the one member
+    {-10 <= z <= hi}: from x the member is left through z >= hi, which U
+    reaches when hi - x <= 1."""
     sys = LinearSystem(np.eye(1), np.eye(1), np.eye(1))
     spec = ConstraintSpec(X0=PolyUnion([interval(-10, -9)]), U=interval(-1, 1),
                           W=HPolytope.from_point([0.0]), box=interval(-10, 10))
     member = PolyUnion([interval(-10, hi)])
     art = SafeSetArtifact(system=sys, spec=spec, k_used=0, safe=PolyUnion.empty(1),
                           inflated_unsafe=member, unrecoverable=member, fixpoint_reached=False)
+    return art, sys
+
+
+@pytest.mark.parametrize("hi, n_warnings", [(1 + 5e-7, 0), (2.0, 1)])
+def test_govern_fallback_chain(caplog, hi, n_warnings):
+    # From x = 0, U reaches z >= hi within 10 * FEAS_TOL when hi = 1 + 5e-7
+    # (relaxed retry) and never when hi = 2 (least violation, one warning).
+    # Either way the answer is u = 1.
+    art, sys = fallback_chain_artifact(hi)
     with caplog.at_level(logging.WARNING, logger="safegov.governor"):
         res = govern([0.0], [0.0], art, sys, GovernorConfig(S=np.array([[1.0]])))
     assert res.status == "fallback"
+    assert res.reason == ("min_violation" if n_warnings else "relaxed_tol")
     assert res.u_safe[0] == pytest.approx(1.0, abs=1e-9)
     assert res.modified
     engaged = [r for r in caplog.records if "fallback engaged" in r.getMessage()]
     assert len(engaged) == len(caplog.records) == n_warnings
+
+
+@pytest.mark.parametrize("hi, reason", [(1 + 5e-7, "relaxed_tol"), (2.0, "min_violation")])
+def test_govern_evaluates_candidates_once(monkeypatch, hi, reason):
+    # Both fallbacks solve the problem twice; the retry re-tests the first
+    # solve's candidates and builds none.
+    art, sys = fallback_chain_artifact(hi)
+    built = []
+    candidates = governor._candidates
+    monkeypatch.setattr(governor, "_candidates", lambda prob: built.append(prob) or candidates(prob))
+    res = govern([0.0], [0.0], art, sys, GovernorConfig(S=np.array([[1.0]])))
+    assert (res.status, res.reason) == ("fallback", reason)
+    assert len(built) == 1
+
+
+def same_result(a, b) -> bool:
+    """Equal status, modified flag and node count; byte-equal action and
+    objective."""
+    if (a.u_safe is None) != (b.u_safe is None):
+        return False
+    return (a.status == b.status and a.modified == b.modified and a.nodes_explored == b.nodes_explored
+            and (a.u_safe is None or a.u_safe.tobytes() == b.u_safe.tobytes())
+            and np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes())
+
+
+def test_govern_matches_reference_bitwise_on_every_path():
+    # Seeded uniform safe states and actions on the ACC K = 0 artifact
+    # take the fast path, the branch and the least-violation fallback;
+    # states just short of the fallback chain's member, at 10^-9 to 10^-5
+    # below x = 0, take the branch, the relaxed retry and the least violation.
+    env = AccEnv()
+    spec = constraint_spec(env.params)
+    acc = build_safe_artifact(compute_unrecoverable(env.system, spec, K=0), env.system, spec)
+    rng = np.random.default_rng(31)
+    X = rng.uniform(BOX_LO, BOX_HI, size=(600, 3))
+    X = X[acc.safe.contains_many(X)]
+    U = rng.uniform(env.params.u_min, env.params.u_max, size=len(X))
+    cases = [(acc, env.system, np.eye(1), x, [u]) for x, u in zip(X, U)]
+    chain, sys = fallback_chain_artifact(1.0)
+    cases += [(chain, sys, np.array([[2.0]]), [-10.0 ** rng.uniform(-9, -5)], [rng.uniform(-1, 1)])
+              for _ in range(60)]
+
+    paths = set()
+    for art, sys, S, x, u in cases:
+        cfg = GovernorConfig(S=S)
+        res = govern(x, u, art, sys, cfg)
+        ref = governor_reference.govern(x, u, art, sys, cfg)
+        assert same_result(res, ref), (x, u, res, ref)
+        paths.add(res.reason or ("fast" if res.nodes_explored == 0 else "branch"))
+    assert paths == {"fast", "branch", "relaxed_tol", "min_violation"}
+
+
+def nested_boxes_miqp(rng, m, n_groups, spread):
+    """u in U = [-1, 1]^m must leave n_groups boxes that contain u_nom, one
+    group of 2m rows each, so the action, if there is one, lies past the
+    first CANDIDATE_BLOCK candidates in objective order."""
+    L = rng.normal(size=(m, m))
+    u_nom = rng.uniform(-0.5, 0.5, size=m)
+    rows = np.vstack([np.eye(m), -np.eye(m)])
+    groups = [(rows, np.concatenate([u_nom + rng.uniform(0.05, spread, size=m),
+                                     rng.uniform(0.05, spread, size=m) - u_nom]))
+              for _ in range(n_groups)]
+    return stacked_miqp(L @ L.T + 0.3 * np.eye(m), u_nom, rows, np.ones(2 * m), groups)
+
+
+@pytest.mark.parametrize("m, n_groups, spread", [(1, 34, 1.2), (2, 10, 1.6)])
+def test_solve_miqp_matches_reference_bitwise_on_random_instances(m, n_groups, spread):
+    # The second solve of each problem, at the relaxed tolerance, re-tests
+    # the margins the first one kept.
+    rng = np.random.default_rng(47 + m)
+    probs = [random_miqp(rng, m=m) for _ in range(200)]
+    probs += [nested_boxes_miqp(rng, m, n_groups, spread) for _ in range(30)]
+    paths = set()
+    for prob in probs:
+        for eps in (FEAS_TOL, 10 * FEAS_TOL):
+            res = solve_miqp(prob, eps_feas=eps)
+            ref = governor_reference.solve_miqp(prob, eps_feas=eps)
+            assert same_result(res, ref), (prob, eps, res, ref)
+            paths.add((res.status, min(res.nodes_explored, 1) + (res.nodes_explored > governor.CANDIDATE_BLOCK)))
+    # 0: fast path; 1: answer in the first block; 2: past it.
+    assert paths == {("optimal", 0), ("optimal", 1), ("optimal", 2), ("infeasible", 1), ("infeasible", 2)}
 
 
 def test_min_violation_exact_over_many_assignments():
@@ -438,4 +530,5 @@ def test_result_serialization():
     art, sys, spec, _ = artifact_1d()
     cfg = GovernorConfig(S=np.array([[1.0]]))
     d = govern([8.0], [0.5], art, sys, cfg).to_dict()
-    assert set(d) == {"u_safe", "modified", "objective", "nodes_explored", "solve_time", "status"}
+    assert set(d) == {"u_safe", "modified", "objective", "nodes_explored", "solve_time", "status", "reason"}
+    assert d["reason"] == ""
