@@ -12,11 +12,14 @@ never outlives the set).  Operations whose result provably shares a fact
 carry it over instead of paying LPs for it again:
 
 - ``intersect`` is bounded when either operand is known to be bounded;
-- ``convex_hull`` is bounded, being the hull of finitely many points;
+- ``convex_hull`` is bounded, being the hull of finitely many points, and
+  contains the centroid of its points, which it records as an interior
+  point;
 - ``inverse_affine_map`` (invertible map) keeps its input's boundedness
   and irredundancy;
-- ``remove_redundancy`` describes the same set, so it keeps boundedness
-  and the Chebyshev ball; it is known to be nonempty and irredundant;
+- ``remove_redundancy`` describes the same set, so it keeps boundedness,
+  the Chebyshev ball and the interior point; it is known to be nonempty
+  and irredundant;
 - each piece ``region_diff`` splits off a set R is bounded when R is;
 - ``chebyshev`` settles emptiness as well when the ball's radius is
   above 10 FEAS_TOL.
@@ -81,7 +84,8 @@ def _rows(A, b, dim):
 class HPolytope:
     """Closed convex polyhedron {x : A x <= b} in R^dim."""
 
-    __slots__ = ("A", "b", "dim", "_empty", "_bounded", "_irredundant", "_cheb", "_verts", "_support")
+    __slots__ = ("A", "b", "dim", "_empty", "_bounded", "_irredundant", "_cheb", "_inner", "_verts",
+                 "_support")
 
     def __init__(self, A, b, dim: int | None = None):
         if dim is None:
@@ -99,6 +103,7 @@ class HPolytope:
         self._bounded: bool | None = None
         self._irredundant = False
         self._cheb: tuple[np.ndarray | None, float] | None = None
+        self._inner: np.ndarray | None = None
         self._verts: np.ndarray | None = None
         self._support: dict[bytes, float] = {}
 
@@ -241,19 +246,22 @@ class HPolytope:
         b_i + FEAS_TOL.  Two exact shortcuts spare LPs:
 
         - a set already known irredundant returns its deduplicated rows;
-        - with the Chebyshev center c cached, row i is kept without its LP
-          when the ray from c along a_i passes row i by more than
+        - with a point c known inside every row, row i is kept without its
+          LP when the ray from c along a_i passes row i by more than
           10 FEAS_TOL before it meets any other row (Clarkson's
-          ray-shooting test).  c is inside every row, so the ray's point
-          at a_i'x = b_i + 10 FEAS_TOL meets every other row and the
-          relaxed row a_i'x <= b_i + 1: it is feasible for row i's LP,
+          ray-shooting test).  Any interior point serves as c: the cached
+          Chebyshev center when there is one, otherwise the centroid that
+          ``convex_hull`` records for its output.  A c that fails a row
+          after rounding certifies nothing.  c is inside every row, so the
+          ray's point at a_i'x = b_i + 10 FEAS_TOL meets every other row
+          and the relaxed row a_i'x <= b_i + 1: it is feasible for row i's LP,
           whose rows are a subset of these.  The LP's maximum is then
           above b_i + FEAS_TOL by far more than its rounding, so the LP
           would keep row i too.  Redundant rows always get their LP, so
           no decision can change.
 
         The result is marked irredundant and nonempty; it keeps self's
-        boundedness flag and Chebyshev ball.
+        boundedness flag, Chebyshev ball and interior point.
         """
         if self._irredundant:
             out = self._dedup()
@@ -264,8 +272,11 @@ class HPolytope:
             A, b = P.A, P.b
             keep = np.ones(len(b), dtype=bool)
             certified = np.zeros(len(b), dtype=bool)
+            origin = self._inner
             if self._cheb is not None and self._cheb[0] is not None:
-                certified = _ray_support(A, b, self._cheb[0], A, skip_own=True) > b + 10 * FEAS_TOL
+                origin = self._cheb[0]
+            if origin is not None:
+                certified = _ray_support(A, b, origin, A, skip_own=True) > b + 10 * FEAS_TOL
             for i in np.flatnonzero(~certified):
                 keep[i] = False
                 rows = keep.copy()
@@ -280,6 +291,7 @@ class HPolytope:
         out._bounded = self._bounded
         out._irredundant = True
         out._cheb = self._cheb
+        out._inner = self._inner
         return out
 
     # -- vertex enumeration -------------------------------------------
@@ -444,10 +456,12 @@ def convex_hull(points) -> HPolytope:
 
     Lower-dimensional clouds are supported: the flat directions are pinned
     with equality row pairs and the hull is taken inside the affine span.
-    The result is marked bounded.
+    The result is marked bounded, and the centroid of the points is
+    recorded as a point inside it (the ray origin of remove_redundancy).
     """
     out = _hull(points)
     out._bounded = True
+    out._inner = np.atleast_2d(np.asarray(points, dtype=float)).mean(axis=0)
     return out
 
 
@@ -704,6 +718,14 @@ def merge_convex_members(U: PolyUnion) -> PolyUnion:
     pair found not mergeable stays so while both members are unchanged,
     so the rescans skip it; pairs are keyed on a serial number each member
     gets when it enters the list.
+
+    A pair that ``_separated`` shows disjoint (either way round, from
+    cached vertices) is marked apart before its hull volume is computed.
+    Such a pair could pass the volume test only if its gap were within the
+    volume tolerance.  With this shortcut the artifacts and every X_k stay
+    byte-identical for the ACC build at K=1 and K=2 and for the 2-D system
+    at K=2, K=3 and K=4; ACC K=1 and 2-D K=2 and K=3 are pinned in
+    tests/test_safeset.py.
     """
     members = list(U.members)
     vols = [m.volume() for m in members]
@@ -723,16 +745,18 @@ def merge_convex_members(U: PolyUnion) -> PolyUnion:
                 pair = (serials[i], serials[j])
                 if pair in apart:
                     continue
+                if _separated(members[i], members[j]) or _separated(members[j], members[i]):
+                    apart.add(pair)
+                    continue
                 vi, vj = members[i].vertices(), members[j].vertices()
                 vol_hull = _point_cloud_volume(np.vstack([vi, vj]))
                 vol_int = 0.0
-                if not (_separated(members[i], members[j]) or _separated(members[j], members[i])):
-                    inter = members[i].intersect(members[j])
-                    if not inter.is_empty():
-                        try:
-                            vol_int = _point_cloud_volume(inter.vertices())
-                        except GeometryError:
-                            vol_int = 0.0
+                inter = members[i].intersect(members[j])
+                if not inter.is_empty():
+                    try:
+                        vol_int = _point_cloud_volume(inter.vertices())
+                    except GeometryError:
+                        vol_int = 0.0
                 if vol_hull <= vols[i] + vols[j] - vol_int + max(_MERGE_VOLUME_TOL, 1e-9 * vol_hull):
                     merged = convex_hull(np.vstack([vi, vj])).remove_redundancy()
                     keep = [k for k in range(n) if k not in (i, j)]

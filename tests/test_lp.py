@@ -4,6 +4,7 @@ from scipy.optimize import linprog
 
 import lp_reference
 from safegov.geometry import INFEASIBLE, OPTIMAL, UNBOUNDED, LpError, chebyshev_center, lp_solve
+from safegov.geometry import lp as lp_module
 
 
 def test_min_x_over_unit_interval():
@@ -159,10 +160,68 @@ def _recorded_build_lps(monkeypatch):
     return seen
 
 
+def _memo_order(cases, block=6):
+    """(objective index, case) queries that ask each case with three
+    objectives across blocks of more sets than the phase-1 memo holds.
+
+    Per block: every set with objective 0 (the last sets evict the first),
+    then objective 1 in reverse order (hits on the sets still held, misses
+    that evict them on the rest), then objective 2 in forward order."""
+    for start in range(0, len(cases), block):
+        chunk = cases[start:start + block]
+        for k, order in enumerate((chunk, chunk[::-1], chunk)):
+            for case in order:
+                yield k, case
+
+
 def test_bitwise_equal_to_reference_solver(monkeypatch):
     """The solver reproduces the loop-built reference tableau exactly:
-    same status, and the same bytes of point and value."""
+    same status, and the same bytes of point and value.  Each constraint
+    set is asked with its own objective and two more, interleaved so that
+    phase-1 memo hits, misses and evictions all meet the reference."""
     recorded = _recorded_build_lps(monkeypatch)
     assert len(recorded) > 1000
-    for c, A, b in _random_cases() + recorded:
+    rng = np.random.default_rng(11)
+    cases = [(c, rng.normal(size=c.size), rng.normal(size=c.size), A, b)
+             for c, A, b in _random_cases() + recorded]
+    phase1_keys = []
+    real_phase1 = lp_module._phase1
+
+    def recording(A, b):
+        phase1_keys.append((A.shape, A.tobytes(), b.tobytes()))
+        return real_phase1(A, b)
+
+    monkeypatch.setattr(lp_module, "_phase1", recording)
+    queries = 0
+    for k, (*objectives, A, b) in _memo_order(cases):
+        c = objectives[k]
         assert _outcome(lp_solve, c, A, b) == _outcome(lp_reference.lp_solve, c, A, b), (c, A, b)
+        queries += 1
+    runs, distinct = len(phase1_keys), len(set(phase1_keys))
+    assert queries - runs > len(cases)    # memo hits
+    assert runs - distinct > len(cases) // 4    # phase 1 re-run after an eviction
+
+
+def test_memo_hit_leaves_the_stored_state():
+    """Asking one set with c1, c2, c1 gives the same first and third
+    outcome, so a hit does not change the stored phase-1 state.  An
+    infeasible set and a set of zero rows keep their answers when asked
+    again, and every answer matches the reference."""
+    A = np.array([[1.0, 0.3], [-0.7, 1.1], [-0.2, -1.3], [0.5, -0.5]])
+    b = np.array([1.3, 0.9, 1.7, 0.2])
+    c1, c2 = np.array([-1.0, 0.5]), np.array([0.4, 1.0])
+    runs = [_outcome(lp_solve, c, A, b) for c in (c1, c2, c1)]
+    assert runs[0] == runs[2] != runs[1]
+    assert runs == [_outcome(lp_reference.lp_solve, c, A, b) for c in (c1, c2, c1)]
+
+    A_inf, b_inf = np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])
+    zero = np.zeros((3, 2))
+    for c, A, b in [(np.ones(1), A_inf, b_inf), (np.zeros(1), A_inf, b_inf),
+                    (np.zeros(2), zero, np.array([1.0, 0.0, 2.0])),
+                    (np.array([1.0, 0.0]), zero, np.array([1.0, 0.0, 2.0])),
+                    (np.zeros(2), zero, np.array([1.0, -1.0, 2.0]))]:
+        first, again = _outcome(lp_solve, c, A, b), _outcome(lp_solve, c, A, b)
+        assert first == again == _outcome(lp_reference.lp_solve, c, A, b)
+    assert _outcome(lp_solve, np.ones(1), A_inf, b_inf)[0] == INFEASIBLE
+    assert _outcome(lp_solve, np.array([1.0, 0.0]), zero, np.array([1.0, 0.0, 2.0]))[0] == UNBOUNDED
+    assert _outcome(lp_solve, np.zeros(2), zero, np.array([1.0, -1.0, 2.0]))[0] == INFEASIBLE

@@ -25,7 +25,7 @@ from safegov.geometry import (
     union_minkowski,
     union_subset,
 )
-from safegov.geometry.lp import FEAS_TOL, OPTIMAL
+from safegov.geometry.lp import FEAS_TOL, OPTIMAL, LpError
 
 
 def box(lo, hi):
@@ -646,6 +646,45 @@ def test_ray_certificate_keeps_the_lp_decisions(monkeypatch):
         without_ball += calls[0] - 1  # the ball-free copy also pays is_empty
         assert _same_bytes(fast, slow), trial
     assert with_ball < 0.8 * without_ball
+
+
+def test_hull_centroid_keeps_the_lp_decisions(monkeypatch):
+    """remove_redundancy on a convex_hull output shoots its rays from the
+    recorded centroid.  It returns the same row bytes as the same hull with
+    the centroid cleared, and on full-dimensional clouds with fewer LPs.
+    The clouds are seeded: full-dimensional ones in 2-D, 3-D and 4-D, a
+    planar one in 3-D, and a near-degenerate one (a 3-D grid jittered by
+    1e-10, hulled with qhull's joggle option QJ).  On the last, one row LP
+    raises LpError (its optimum misses a row by 1.6e-6, past the absolute
+    acceptance bound of lp_solve, at this writing); both variants must
+    meet the same outcome."""
+    from safegov.geometry import polytope as polytope_module
+
+    rng = np.random.default_rng(41)
+    clouds = [(True, rng.normal(size=(12, dim)) * rng.uniform(0.5, 2.0) + rng.normal(size=dim))
+              for dim in (2, 3, 4) for _ in range(3)]
+    clouds.append((False, rng.normal(size=(10, 2)) @ rng.normal(size=(2, 3)) + 1.0))
+    grid = np.array(list(itertools.product(np.linspace(0.0, 1.0, 4), repeat=3)))
+    clouds.append((False, grid + rng.normal(size=grid.shape) * 1e-10))
+    calls = _count_lps(monkeypatch)
+    real_hull = polytope_module.ConvexHull
+    for trial, (full, pts) in enumerate(clouds):
+        if trial == len(clouds) - 1:
+            monkeypatch.setattr(polytope_module, "ConvexHull",
+                                lambda p, qhull_options=None: real_hull(p, qhull_options="QJ"))
+        hulls = [convex_hull(pts), convex_hull(pts)]
+        hulls[1]._inner = None
+        outcomes, lps = [], []
+        for hull in hulls:
+            calls[0] = 0
+            try:
+                out = hull.remove_redundancy()
+                outcomes.append((out.A.tobytes(), out.b.tobytes()))
+            except LpError as exc:
+                outcomes.append(str(exc))
+            lps.append(calls[0])
+        assert outcomes[0] == outcomes[1], trial
+        assert lps[0] < lps[1] if full else lps[0] <= lps[1], trial
 
 
 def test_ray_support_bounds():

@@ -204,7 +204,9 @@ def test_2d_build_lp_count(monkeypatch):
     2,017 before remove_redundancy skipped sets known irredundant and rows
     certified by a ray from the Chebyshev center, region_diff certified
     cutting rows by the same ray, a Chebyshev ball settled emptiness and
-    support() memoised its values per set; 1,076 after."""
+    support() memoised its values per set; 1,076 after (a bound: the
+    count was 1,053).  It was 1,053 before convex_hull recorded its
+    centroid as the ray origin for remove_redundancy; 998 after."""
     from safegov.geometry import lp as lp_module, polytope as polytope_module
 
     sys, spec = sys_2d()
@@ -219,7 +221,7 @@ def test_2d_build_lp_count(monkeypatch):
     monkeypatch.setattr(polytope_module, "lp_solve", counted)
     sets = compute_unrecoverable(sys, spec, K=2)
     build_safe_artifact(sets, sys, spec)
-    assert calls[0] <= 1076
+    assert calls[0] <= 998
 
 
 # SHA-256 of jsonutil.dumps of the 2-D K=2 artifact, then of X_0, X_1, X_2.
@@ -231,18 +233,54 @@ ARTIFACT_2D_K2_SHA256 = (
 )
 
 
+# The same digests for the 2-D K=3 build (the benchmark's reduced2d_build
+# problem): the artifact, then X_0 ... X_3.
+ARTIFACT_2D_K3_SHA256 = (
+    "5a60487c899ea2e8d44e117647f04ac36639ea6c484890308801b10793374b07",
+    "4cd829b0fc96d47b2d16691a033b9df25cd842a75a9a7abf6f394ad10ff5052b",
+    "c69ffaafad2a8c3e357947ba32807c19eb0d2c9a0bb6fcda279cd7aacbbe40cd",
+    "910637f1e107ae23d787859a0c748044de0cc3be0a56f700e957466560a22e3f",
+    "8b394dbbea18ba9fed458e4081c1ff9fa21476cdc3891607cd82817e11419f6f",
+)
+
+# The same digests for the ACC K=1 build on the default AccParams (the
+# benchmark's acc_build problem): the artifact, then X_0 and X_1.
+ARTIFACT_ACC_K1_SHA256 = (
+    "c89a723cb0f2060b2ffe118f73b169616ae9cd4d902597ec5ecc8e31de72b318",
+    "7ee3590888fad3c4d76cb25b8585e6364984f3f3e0f14933a8bf412073050a3e",
+    "e21c3cda6d631cfdcf7d802796764b9742af852c2f749acc46d8b22c5b4c7e6e",
+)
+
+
+def _build_digests(sys, spec, K):
+    sets = compute_unrecoverable(sys, spec, K=K)
+    art = build_safe_artifact(sets, sys, spec)
+    return tuple(hashlib.sha256(jsonutil.dumps(obj.to_dict()).encode()).hexdigest()
+                 for obj in [art, *sets.sets])
+
+
 def test_2d_artifact_bytes_pinned():
     """The bytes of the 2-D K=2 artifact and of every X_k are pinned, so a
     speed-up that changes a single output bit fails here.  A change of
     these hashes is an intended artifact change and is logged as such in
     CHANGES.md.  Recorded with numpy 2.4.6 and scipy 1.17.1; another
     numpy or BLAS may round differently and change them too."""
-    sys, spec = sys_2d()
-    sets = compute_unrecoverable(sys, spec, K=2)
-    art = build_safe_artifact(sets, sys, spec)
-    got = tuple(hashlib.sha256(jsonutil.dumps(obj.to_dict()).encode()).hexdigest()
-                for obj in [art, *sets.sets])
-    assert got == ARTIFACT_2D_K2_SHA256
+    assert _build_digests(*sys_2d(), K=2) == ARTIFACT_2D_K2_SHA256
+
+
+def test_2d_k3_artifact_bytes_pinned():
+    """As above for the 2-D build at K=3, whose step k=3 the K=2 pins do
+    not reach."""
+    assert _build_digests(*sys_2d(), K=3) == ARTIFACT_2D_K3_SHA256
+
+
+def test_acc_k1_artifact_bytes_pinned():
+    """As above for the 3-D ACC case study at K=1, where merging and
+    inflation see polytopes with more rows than in 2-D."""
+    from safegov import envs
+
+    p = envs.AccParams()
+    assert _build_digests(envs.linear_system(p), envs.constraint_spec(p), K=1) == ARTIFACT_ACC_K1_SHA256
 
 
 def test_2d_reduced_against_dp_oracle_small():
