@@ -12,9 +12,9 @@ never outlives the set).  Operations whose result provably shares a fact
 carry it over instead of paying LPs for it again:
 
 - ``intersect`` is bounded when either operand is known to be bounded;
-- ``convex_hull`` is bounded, being the hull of finitely many points, and
-  contains the centroid of its points, which it records as an interior
-  point;
+- ``convex_hull`` is bounded and nonempty, being the hull of finitely
+  many points, and contains the centroid of its points, which it records
+  as an interior point;
 - ``inverse_affine_map`` (invertible map) keeps its input's boundedness
   and irredundancy;
 - ``remove_redundancy`` describes the same set, so it keeps boundedness,
@@ -24,12 +24,22 @@ carry it over instead of paying LPs for it again:
 - ``chebyshev`` settles emptiness as well when the ball's radius is
   above 10 FEAS_TOL.
 
-Vertices are not carried over.  ``region_diff`` and ``merge_convex_members``
-read a member's cached vertices to rule out a meeting without an LP.
+Vertices are not carried over: vertices enumerated from one set's rows
+can differ in the last bits from those of the same set written with
+other rows, and the merge and the Minkowski sum hull vertices into the
+artifact's bytes.
 
-Vertex enumeration works by solving every dim-subset of half-space rows,
-which is exact and affordable in the dimensions this package targets
-(<= 4; the bundled case study uses 3).
+Vertex enumeration solves every dim-subset of half-space rows, which is
+exact and affordable in the dimensions this package targets (<= 4; the
+bundled case study uses 3).  In these dimensions the vertices answer
+most yes/no questions of the set recursion at less cost than an LP.
+``region_diff`` takes the vertices of every piece it keeps and
+decides from them whether a member meets the piece, whether a member's
+row cuts it, and which of its rows are redundant; only the questions that
+fall inside a margin band around the LP's own threshold go to the LP, so
+every decision stays the LP's.  ``region_diff`` and
+``merge_convex_members`` also rule out a meeting when a member's vertices
+all lie outside one row of the other set.
 """
 
 from __future__ import annotations
@@ -243,7 +253,9 @@ class HPolytope:
 
         Row i of the deduplicated rows is dropped when the LP max a_i'x,
         over the rows still kept and row i relaxed to b_i + 1, stays within
-        b_i + FEAS_TOL.  Two exact shortcuts spare LPs:
+        b_i + FEAS_TOL.  The rows are decided in order, so the rows an LP
+        sees are the ones it would see if every row had its LP.  Exact
+        shortcuts spare LPs:
 
         - a set already known irredundant returns its deduplicated rows;
         - with a point c known inside every row, row i is kept without its
@@ -257,11 +269,22 @@ class HPolytope:
           and the relaxed row a_i'x <= b_i + 1: it is feasible for row i's LP,
           whose rows are a subset of these.  The LP's maximum is then
           above b_i + FEAS_TOL by far more than its rounding, so the LP
-          would keep row i too.  Redundant rows always get their LP, so
-          no decision can change.
+          would keep row i too;
+        - when the set's vertices are already cached (``region_diff``
+          takes them for its pieces), two vertex certificates come first;
+          see ``_vertex_redundancy``.  A row inactive at every vertex by
+          more than a margin is dropped: the set is the hull of its
+          vertices, so the row is slack on all of it, and a row slack on
+          the whole set can go without changing the set.  An active row is
+          kept when a ray along a_i from the centroid of its active
+          vertices, nudged toward c, passes it by more than 10 FEAS_TOL;
+          this is the ray test above, started on row i's own facet, where
+          a ray from c may be blocked early.  Rows neither test decides get
+          their LP.
 
         The result is marked irredundant and nonempty; it keeps self's
-        boundedness flag, Chebyshev ball and interior point.
+        boundedness flag, Chebyshev ball and interior point, but not its
+        vertices.
         """
         if self._irredundant:
             out = self._dedup()
@@ -272,13 +295,19 @@ class HPolytope:
             A, b = P.A, P.b
             keep = np.ones(len(b), dtype=bool)
             certified = np.zeros(len(b), dtype=bool)
+            drop = np.zeros(len(b), dtype=bool)
             origin = self._inner
             if self._cheb is not None and self._cheb[0] is not None:
                 origin = self._cheb[0]
             if origin is not None:
                 certified = _ray_support(A, b, origin, A, skip_own=True) > b + 10 * FEAS_TOL
+            if self._verts is not None:
+                facet, drop = _vertex_redundancy(A, b, self._verts, origin)
+                certified |= facet
             for i in np.flatnonzero(~certified):
                 keep[i] = False
+                if drop[i]:
+                    continue
                 rows = keep.copy()
                 # Relax the tested row instead of removing it so the LP stays bounded.
                 Atest = np.vstack([A[rows], A[i:i + 1]])
@@ -309,7 +338,8 @@ class HPolytope:
         r, d = A.shape
         if r > _VERTEX_ROW_CAP:
             raise GeometryError(f"vertex enumeration row cap exceeded ({r} rows)")
-        combos = np.array(list(itertools.combinations(range(r), d)), dtype=int)
+        combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(r), d)),
+                             dtype=np.intp, count=math.comb(r, d) * d).reshape(-1, d)
         mats = A[combos]                      # (k, d, d)
         dets = np.abs(np.linalg.det(mats))
         ok = dets > 1e-8
@@ -407,19 +437,55 @@ def _ray_support(A: np.ndarray, b: np.ndarray, c: np.ndarray, D: np.ndarray,
 
     Each bound is d'x at the point where the ray c + t d, t >= 0, first
     meets a row (+inf if it never does).  That point lies in the set, so
-    the maximum is at least the bound.  With skip_own the ray along D[k]
-    ignores row k, which bounds the sets without each row (D = A).  All
-    bounds are -inf unless c satisfies every row.
+    the maximum is at least the bound.  c is one origin for every ray, or
+    one origin per row of D.  With skip_own the ray along D[k] ignores
+    row k, which bounds the sets without each row (D = A).  A ray's bound
+    is -inf unless its origin satisfies every row.
     """
-    slack = b - A @ c
-    if not np.all(slack >= 0.0):
-        return np.full(len(D), -np.inf)
+    C = np.broadcast_to(c, D.shape)
+    slack = b[:, None] - A @ C.T         # slack[j, k] = b_j - a_j'c_k
     rate = A @ D.T                       # rate[j, k] = a_j'd_k
     if skip_own:
         np.fill_diagonal(rate, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        reach = np.where(rate > 0.0, slack[:, None] / rate, np.inf).min(axis=0, initial=np.inf)
-    return D @ c + reach * np.einsum("ij,ij->i", D, D)
+        reach = np.where(rate > 0.0, slack / rate, np.inf).min(axis=0, initial=np.inf)
+    bound = np.einsum("ij,ij->i", D, C) + reach * np.einsum("ij,ij->i", D, D)
+    bound[~np.all(slack >= 0.0, axis=0)] = -np.inf
+    return bound
+
+
+def _vertex_residual(V: np.ndarray, A: np.ndarray, b: np.ndarray) -> float:
+    """Largest violation of the rows (A, b) by the points V, at least 0.
+
+    Vertex enumeration accepts a solution that misses a row by up to
+    1e-6 (1 + max|b|), so a vertex can lie this far outside its set."""
+    return float(np.max(V @ A.T - b, initial=0.0))
+
+
+def _vertex_redundancy(A: np.ndarray, b: np.ndarray, V: np.ndarray,
+                       origin: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, drop) row masks of remove_redundancy's vertex certificates.
+
+    V are the vertices of {x : A x <= b} (unit rows) and origin a point
+    inside it, or None.  With delta = 10 FEAS_TOL plus the residual of V
+    against the rows, row i is active at vertex v when a_i'v >= b_i -
+    delta (1 + |b_i|).  A row active at no vertex is in drop.  An active
+    row is in keep when the ray along a_i from the centroid of its active
+    vertices, nudged 1e-3 of the way toward origin, passes b_i +
+    10 FEAS_TOL before it meets another row.  The nudge puts the origin
+    strictly inside every row: the centroid itself lies on row i, and a
+    rounding error there fails _ray_support's origin test.
+    """
+    delta = 10 * FEAS_TOL + _vertex_residual(V, A, b)
+    active = V @ A.T >= b - delta * (1.0 + np.abs(b))      # (vertices, rows)
+    count = active.sum(axis=0)
+    drop = count == 0
+    keep = np.zeros(len(b), dtype=bool)
+    if origin is not None and not drop.all():
+        centroid = (active.T @ V) / np.maximum(count, 1)[:, None]
+        start = centroid + 1e-3 * (origin - centroid)
+        keep = (_ray_support(A, b, start, A, skip_own=True) > b + 10 * FEAS_TOL) & ~drop
+    return keep, drop
 
 
 # ----------------------------------------------------------------------
@@ -427,11 +493,18 @@ def _ray_support(A: np.ndarray, b: np.ndarray, c: np.ndarray, D: np.ndarray,
 
 
 def _dedup_points(pts: np.ndarray, tol: float = 1e-7) -> np.ndarray:
+    """The points whose key round(p / tol) is new, in their input order."""
     if pts.shape[0] <= 1:
         return pts
     key = np.round(pts / tol).astype(np.int64)
-    _, idx = np.unique(key, axis=0, return_index=True)
-    return pts[np.sort(idx)]
+    # lexsort is stable, so each run of equal keys starts with the first
+    # occurrence of that key.
+    order = np.lexsort(key.T)
+    key = key[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(key[1:] != key[:-1], axis=1)
+    return pts[np.sort(order[first])]
+
 
 def _point_cloud_volume(pts: np.ndarray) -> float:
     pts = _dedup_points(np.atleast_2d(pts))
@@ -456,11 +529,13 @@ def convex_hull(points) -> HPolytope:
 
     Lower-dimensional clouds are supported: the flat directions are pinned
     with equality row pairs and the hull is taken inside the affine span.
-    The result is marked bounded, and the centroid of the points is
-    recorded as a point inside it (the ray origin of remove_redundancy).
+    The result is marked bounded and nonempty, and the centroid of the
+    points is recorded as a point inside it (the ray origin of
+    remove_redundancy).
     """
     out = _hull(points)
     out._bounded = True
+    out._empty = False
     out._inner = np.atleast_2d(np.asarray(points, dtype=float)).mean(axis=0)
     return out
 
@@ -594,6 +669,16 @@ def _min_radius_for(dim: int, volume_tol: float) -> float:
     return 0.5 * volume_tol ** (1.0 / dim)
 
 
+def _vertices_or_none(P: HPolytope) -> np.ndarray | None:
+    """P's vertices, or None when P is unbounded or enumeration fails."""
+    if not P.is_bounded():
+        return None
+    try:
+        return P.vertices()
+    except GeometryError:
+        return None
+
+
 def _separated(P: HPolytope, Q: HPolytope) -> bool:
     """True when some row of P has every vertex of Q strictly outside it,
     by more than FEAS_TOL times the row norm, so P and Q do not meet.
@@ -601,14 +686,87 @@ def _separated(P: HPolytope, Q: HPolytope) -> bool:
     Decided from Q's cached vertices without an LP.  An unbounded Q, or
     one whose vertex enumeration fails, is never reported separated.
     """
-    if not Q.is_bounded():
-        return False
-    try:
-        V = Q.vertices()
-    except GeometryError:
+    V = _vertices_or_none(Q)
+    if V is None:
         return False
     margin = FEAS_TOL * np.linalg.norm(P.A, axis=1)
     return bool(np.any(np.all(V @ P.A.T - P.b > margin, axis=0)))
+
+
+def _meet_verdict(R: HPolytope, VR: np.ndarray, Qn: HPolytope, VQ: np.ndarray | None,
+                  min_r: float) -> bool | None:
+    """Whether R & Q holds a ball of radius above min_r, from vertices.
+
+    R has unit rows, a cached Chebyshev center c and vertices VR; Qn is Q
+    with unit rows and VQ its vertices (None if unknown).
+
+    Returns False when a row (a, beta) of one set and the least a'v over
+    the other set's vertices leave a slab narrower than 2 (min_r -
+    10 FEAS_TOL): R & Q lies in that slab, so its Chebyshev radius is
+    below min_r by more than the LP's rounding.  This covers sets apart
+    and sets touching along a face.
+
+    Returns True when a candidate point lies deeper than min_r +
+    10 FEAS_TOL in both sets (depth: the least slack over the unit rows):
+    the ball of that radius around it lies in R & Q.  The candidates are
+    c, the centroid of VQ, the centroid of VR inside Q, the centroid of VQ
+    inside R, the centroid of both of these vertex sets, and the points at
+    1/4, 1/2 and 3/4 of the way between any two of them.
+
+    Returns None otherwise; the Chebyshev LP on R & Q must decide.
+    """
+    thin = 2.0 * (min_r - 10 * FEAS_TOL)
+    if VQ is not None and np.any(R.b - (VQ @ R.A.T).min(axis=0) < thin):
+        return False
+    if np.any(Qn.b - (VR @ Qn.A.T).min(axis=0) < thin):
+        return False
+    points = [R.chebyshev()[0]]
+    shared = [VR[np.all(VR @ Qn.A.T <= Qn.b, axis=1)]]
+    if VQ is not None:
+        points.append(VQ.mean(axis=0))
+        shared.append(VQ[np.all(VQ @ R.A.T <= R.b, axis=1)])
+    points += [S.mean(axis=0) for S in shared if len(S)]
+    shared = np.vstack(shared)
+    if len(shared):
+        points.append(shared.mean(axis=0))
+    pts = np.array(points)
+    i, j = np.triu_indices(len(pts), 1)
+    C = np.vstack([pts] + [pts[i] + t * (pts[j] - pts[i]) for t in (0.25, 0.5, 0.75)])
+    depth = np.minimum((R.b - C @ R.A.T).min(axis=1, initial=np.inf),
+                       (Qn.b - C @ Qn.A.T).min(axis=1, initial=np.inf))
+    if np.any(depth > min_r + 10 * FEAS_TOL):
+        return True
+    return None
+
+
+def _cut_verdicts(R: HPolytope, V: np.ndarray | None, Qn: HPolytope) -> tuple[np.ndarray, np.ndarray]:
+    """(cuts, clear) masks over the unit rows (a, beta) of Qn: the rows
+    certified to cut R, R.support(a) > beta + FEAS_TOL, and those
+    certified not to.  R has unit rows, a cached Chebyshev center c and
+    vertices V (None if unknown); see region_diff for the tests.
+
+    A row of Qn within 1e-9 of a row (a_j, b_j) of R is also clear when
+    b_j + max over V of (a - a_j)'v < beta + FEAS_TOL / 2.  R lies inside
+    its own row, so R.support(a) <= b_j + R.support(a - a_j), and the
+    vertices' error enters the second term only scaled by |a - a_j|.
+    Pieces and members share rows often: a piece is cut along rows that
+    other members repeat, and there the vertex bound h sits at beta, too
+    close to the threshold for the margin delta.
+    """
+    c = R.chebyshev()[0]
+    cuts = (Qn.A @ c > Qn.b + FEAS_TOL) | (_ray_support(R.A, R.b, c, Qn.A) > Qn.b + 10 * FEAS_TOL)
+    if V is None:
+        return cuts, np.zeros_like(cuts)
+    delta = 10 * FEAS_TOL + _vertex_residual(V, R.A, R.b)
+    h = (V @ Qn.A.T).max(axis=0)
+    cuts |= h > Qn.b + FEAS_TOL + delta
+    clear = h < Qn.b + FEAS_TOL - delta
+    gap = np.abs(Qn.A[:, None, :] - R.A[None, :, :]).max(axis=2)
+    j = gap.argmin(axis=1)
+    near = gap[np.arange(len(j)), j] <= 1e-9
+    bound = R.b[j] + ((Qn.A - R.A[j]) @ V.T).max(axis=1)
+    clear |= near & (bound < Qn.b + FEAS_TOL / 2)
+    return cuts, clear
 
 
 def region_diff(
@@ -627,17 +785,43 @@ def region_diff(
     exceeding it raises RegionBudgetError rather than returning a wrong
     answer.
 
-    Exact shortcuts spare LPs without changing any decision:
+    A member Q meets a piece R when the Chebyshev radius of R & Q exceeds
+    the fragment radius min_r; a row (a, beta) of Q cuts R when
+    R.support(a) > beta + FEAS_TOL.  Certificates decide most of these
+    questions without an LP.  Each says what the LP would say: it decides
+    only outside a margin band of at least 10 FEAS_TOL around the LP's
+    threshold, and leaves the band to the LP.
 
-    - a bounded member Q with every vertex strictly outside one row of the
-      current piece R (by more than FEAS_TOL times the row norm) cannot
-      meet R, so it is skipped before the intersection's Chebyshev LP;
-    - a row (a, beta) of Q cuts R when a'c > beta + FEAS_TOL at R's
-      Chebyshev center c, which lies inside R by more than the fragment
-      radius, or when the ray from c along a reaches a'x > beta +
-      10 FEAS_TOL before it leaves R (a point of R that far out puts
-      R.support(a) above beta + FEAS_TOL by far more than the LP's
-      rounding); R.support(a) is solved only when both tests fail.
+    Every significant piece takes its vertices V.  This costs no LP: a
+    piece is known bounded when P is, and a Chebyshev ball wider than
+    10 FEAS_TOL has settled its emptiness.  P itself pays for its
+    boundedness once if it is not known.  A piece whose enumeration
+    fails goes without V.  Let delta = 10 FEAS_TOL plus the residual of V
+    against the piece's rows.
+
+    - Meet: ``_meet_verdict`` rules Q out when a row of R or of Q leaves
+      the other set's vertices outside a slab too thin for a ball of
+      radius min_r, and rules it in when a candidate point is deeper
+      than min_r + 10 FEAS_TOL in both.  Otherwise the Chebyshev LP on
+      R & Q decides.  Without V, the LP is spared only when Q's vertices
+      all lie strictly outside one row of R (``_separated``).
+    - Cut: a row cuts when a'c > beta + FEAS_TOL at R's Chebyshev center
+      c, which lies inside R by more than min_r, or when the ray from c
+      along a reaches a'x > beta + 10 FEAS_TOL before it leaves R (a point
+      of R that far out).  With h = max a'v over V, the row cuts when h >
+      beta + FEAS_TOL + delta and does not when h < beta + FEAS_TOL -
+      delta: R is the hull of its vertices, so h is R.support(a) up to
+      the vertices' error, which delta bounds.  A row that repeats a row
+      of R, as the rows a piece was cut along often do, is cleared by a
+      bound with a smaller error (``_cut_verdicts``).  R.support(a) is
+      solved only when all these tests fail.
+    - Redundancy: the vertices of each new piece are taken before its
+      ``remove_redundancy``, which then uses them (see there).
+
+    Vertices never stay on a set that leaves this function: the merge and
+    the Minkowski sum hull the vertices of output members, so vertices
+    enumerated from a piece's rows, rather than the output's own, would
+    change the artifact's bytes.
     """
     if P.dim != U.dim:
         raise GeometryError("dimension mismatch")
@@ -649,25 +833,26 @@ def region_diff(
         _, r = R.chebyshev()
         return r > min_r
 
-    def rec(R: HPolytope, members: list[HPolytope]) -> None:
+    def rec(R: HPolytope, V: np.ndarray | None, members: list[tuple]) -> None:
+        # R is significant and irredundant, V its vertices or None.
         counter[0] += 1
         if counter[0] > max_pieces:
             raise RegionBudgetError(f"region_diff exceeded {max_pieces} fragments")
-        if not significant(R):
-            return
-        c, _ = R.chebyshev()
         # Pick the member that actually cuts R with the fewest rows.
         best = None
-        for idx, Q in enumerate(members):
-            if _separated(R, Q):
+        for idx, (Q, Qn, VQ) in enumerate(members):
+            meets = None
+            if V is not None:
+                meets = _meet_verdict(R, V, Qn, VQ, min_r)
+            elif _separated(R, Q):
                 continue
-            inter = R.intersect(Q)
-            if not significant(inter):
+            if meets is None:
+                meets = significant(R.intersect(Q))
+            if not meets:
                 continue
-            Qn = Q.normalized()
-            far = _ray_support(R.A, R.b, c, Qn.A) > Qn.b + 10 * FEAS_TOL
+            cuts, clear = _cut_verdicts(R, V, Qn)
             cutting = [i for i, (a, beta) in enumerate(zip(Qn.A, Qn.b))
-                       if a @ c > beta + FEAS_TOL or far[i] or R.support(a) > beta + FEAS_TOL]
+                       if cuts[i] or (not clear[i] and R.support(a) > beta + FEAS_TOL)]
             if not cutting:
                 return  # R is inside Q entirely
             if best is None or len(cutting) < len(best[2]):
@@ -688,7 +873,8 @@ def region_diff(
             )
             piece._bounded = R._bounded
             if significant(piece):
-                rec(piece.remove_redundancy(), rest)
+                Vp = _vertices_or_none(piece)   # cached on piece for remove_redundancy
+                rec(piece.remove_redundancy(), Vp, rest)
             prefix_A.append(a.reshape(1, -1))
             prefix_b.append(beta)
 
@@ -696,7 +882,10 @@ def region_diff(
         return PolyUnion.empty(P.dim)
     if U.is_empty():
         return PolyUnion([P.remove_redundancy()], P.dim)
-    rec(P.remove_redundancy(), list(U.members))
+    P0 = P.remove_redundancy()
+    if significant(P0):
+        members = [(Q, Q.normalized(), _vertices_or_none(Q)) for Q in U.members]
+        rec(P0, _vertices_or_none(P0), members)
     return PolyUnion(out, P.dim)
 
 

@@ -140,8 +140,10 @@ def _outcome(solve, c, A, b):
 
 
 def _recorded_build_lps(monkeypatch):
-    """Every LP a K=2 build of the 2-D gap/relative-speed system solves."""
+    """Every LP that a K=3 build of the 2-D gap/relative-speed system and a
+    K=1 build of the ACC case study solve (the benchmark's two builds)."""
     from test_safeset import sys_2d
+    from safegov import envs
     from safegov.geometry import lp as lp_module, polytope as polytope_module
     from safegov.safeset import build_safe_artifact, compute_unrecoverable
 
@@ -155,8 +157,9 @@ def _recorded_build_lps(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(lp_module, "lp_solve", recording)
         mp.setattr(polytope_module, "lp_solve", recording)
-        sys, spec = sys_2d()
-        build_safe_artifact(compute_unrecoverable(sys, spec, K=2), sys, spec)
+        p = envs.AccParams()
+        for (sys, spec), K in [(sys_2d(), 3), ((envs.linear_system(p), envs.constraint_spec(p)), 1)]:
+            build_safe_artifact(compute_unrecoverable(sys, spec, K=K), sys, spec)
     return seen
 
 

@@ -739,7 +739,10 @@ def test_chebyshev_ball_settles_emptiness(monkeypatch):
     assert calls[0] == 1
     assert not sq.is_empty()
     assert calls[0] == 1
-    flat = convex_hull([[0.0, 0.0], [1.0, 1.0]])  # radius 0: emptiness needs its LP
+    segment = convex_hull([[0.0, 0.0], [1.0, 1.0]])  # a hull of points is known nonempty
+    assert not segment.is_empty()
+    assert calls[0] == 1
+    flat = HPolytope(segment.A, segment.b)  # radius 0: emptiness needs its LP
     flat.chebyshev()
     assert not flat.is_empty()
     assert calls[0] == 3
@@ -760,3 +763,182 @@ def test_repeated_support_direction_solves_one_lp(monkeypatch):
     assert calls[0] == 2
     assert HPolytope(P.A, P.b, P.dim).support(a) == h  # the memo belongs to one set
     assert calls[0] == 3
+
+
+def test_dedup_points_matches_np_unique():
+    """_dedup_points keeps the same points in the same order as the
+    np.unique(axis=0) version it replaced, on seeded clouds in 1-D to 4-D
+    with exact copies and copies moved by 1e-8, below the 1e-7 key step."""
+    from safegov.geometry.polytope import _dedup_points
+
+    def unique_dedup(pts, tol=1e-7):
+        if pts.shape[0] <= 1:
+            return pts
+        key = np.round(pts / tol).astype(np.int64)
+        _, idx = np.unique(key, axis=0, return_index=True)
+        return pts[np.sort(idx)]
+
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        dim = 1 + trial % 4
+        pts = rng.normal(size=(int(rng.integers(1, 30)), dim)) * 10.0 ** rng.integers(-3, 3)
+        copies = pts[rng.integers(0, len(pts), size=int(rng.integers(0, 20)))]
+        copies = copies + rng.choice([0.0, 1e-8, -1e-8], size=copies.shape)
+        cloud = np.vstack([pts, copies])[rng.permutation(len(pts) + len(copies))]
+        got, ref = _dedup_points(cloud), unique_dedup(cloud)
+        assert got.tobytes() == ref.tobytes(), trial
+
+
+def _as_piece(P):
+    """P held the way region_diff holds a piece: irredundant unit rows, its
+    Chebyshev ball and its vertices."""
+    R = P.remove_redundancy()
+    R.chebyshev()
+    return R, R.vertices()
+
+
+def _certificate_cases(rng, dim, min_r):
+    """(R, Q) pairs for the vertex certificates.  R is the unit box cut by
+    random rows, or a random hull; Q is a random hull, a box touching R
+    along a face, a box that overlaps R in a sliver 0.5 to 5 min_r wide,
+    a set cut along one of R's rows (shared face), or a box with rows
+    duplicated and scaled."""
+    e = np.eye(dim)
+    for trial in range(12):
+        cube = box(np.zeros(dim), np.ones(dim))
+        a = rng.normal(size=(2, dim))
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        cuts = HPolytope(a, a @ np.full(dim, 0.5) + rng.uniform(0.1, 0.4, size=2), dim)
+        R = cube.intersect(cuts) if trial % 2 else random_bounded_polytope(rng, dim, n_points=10)
+        yield R, random_bounded_polytope(rng, dim, n_points=8)
+        k = int(rng.integers(dim))
+        lo, hi = np.full(dim, -0.5), np.full(dim, 1.5)
+        touch = lo.copy()
+        touch[k] = 1.0
+        yield cube, box(touch, hi + e[k])                                   # shares the face x_k = 1
+        sliver = touch.copy()
+        sliver[k] = 1.0 - rng.uniform(0.5, 5.0) * min_r
+        yield cube, box(sliver, hi + e[k])                                  # overlaps x_k in [1 - w, 1]
+        yield cube.intersect(HPolytope(-a[:1], -a[0] @ np.full(dim, 0.5), dim)), \
+            random_bounded_polytope(rng, dim).intersect(HPolytope(a[:1], a[0] @ np.full(dim, 0.5), dim))
+        Q = box(rng.uniform(-0.5, 0.5, size=dim), rng.uniform(0.5, 1.5, size=dim))
+        s = rng.uniform(0.5, 2.0, size=len(Q.b))
+        yield R, HPolytope(np.vstack([Q.A, Q.A * s[:, None]]), np.concatenate([Q.b, Q.b * s]), dim)
+
+
+def _far_corner_cut(dim, depth):
+    """The box [0, 100]^dim with its far corner cut by a row `depth` deep.
+    Vertex enumeration accepts a point that misses a row by up to 1e-6
+    (1 + max|b|), so for depth below 1e-4 it keeps the cut-off corner, a
+    vertex `depth` outside the set."""
+    n = np.ones(dim) / np.sqrt(dim)
+    cube = box(np.zeros(dim), np.full(dim, 100.0))
+    return cube.intersect(HPolytope(n[None, :], [n @ np.full(dim, 100.0) - depth], dim)), n
+
+
+def _offsets(rng, k):
+    return rng.choice([-20, -2, -1.5, -0.5, 0, 0.5, 1.5, 2, 20], size=k) * FEAS_TOL
+
+
+def _lp_keep_mask(P):
+    """remove_redundancy's LP loop on P's deduplicated rows, one LP per row."""
+    D = P._dedup()
+    keep = np.ones(len(D.b), dtype=bool)
+    for i in range(len(D.b)):
+        keep[i] = False
+        res = lp_solve(-D.A[i], np.vstack([D.A[keep], D.A[i:i + 1]]), np.concatenate([D.b[keep], [D.b[i] + 1.0]]))
+        keep[i] = not (res.status == OPTIMAL and -res.value <= D.b[i] + FEAS_TOL)
+    return keep
+
+
+def test_vertex_certificates_match_the_lps():
+    """Every meet, cut and redundancy verdict a vertex certificate gives is
+    the verdict of the LP it spares, on seeded 2-D and 3-D cases: boxes cut
+    by random rows, members touching a piece's face, slivers 0.5-5 min_r
+    wide, members cut along a piece's own row, duplicated rows, and boxes
+    whose enumerated vertices include a point up to 5e-5 outside the set.
+    The certificates must also decide most verdicts, and the facet rays
+    must keep every row of a random hull."""
+    from safegov.geometry.polytope import (
+        VOLUME_TOL, _cut_verdicts, _meet_verdict, _min_radius_for, _vertex_redundancy)
+
+    rng = np.random.default_rng(29)
+    decided = {"meet": [0, 0], "cut": [0, 0], "keep": [0, 0]}    # [undecided, decided]
+    for dim in (2, 3):
+        min_r = _min_radius_for(dim, VOLUME_TOL)
+        pairs = list(_certificate_cases(rng, dim, min_r))
+        for depth in (2e-5, 5e-5):
+            P, n = _far_corner_cut(dim, depth)
+            s = n @ np.full(dim, 100.0) - depth            # P.support(n)
+            pairs += [(P, HPolytope(n[None, :] * t, [s * t + off], dim))
+                      for t, off in ((1.0, 0.0), (2.0, 0.5e-7), (0.5, -2e-7))]
+        for trial, (P, Q) in enumerate(pairs):
+            if Q.is_empty():
+                continue
+            R, VR = _as_piece(P)
+            Qn = Q.normalized()
+            VQ = Q.vertices() if Q.is_bounded() else None
+            verdict = _meet_verdict(R, VR, Qn, VQ, min_r)
+            meets = R.intersect(Q).chebyshev()[1] > min_r
+            decided["meet"][verdict is not None] += 1
+            assert verdict in (None, meets), (dim, trial)
+            # Q's rows; Q's normals within 20 FEAS_TOL of R's support; R's own
+            # rows tilted by 1e-10 and moved by as much (a member sharing a face).
+            tilted = R.A + 1e-10 * rng.normal(size=R.A.shape)
+            tilted /= np.linalg.norm(tilted, axis=1)[:, None]
+            for A, b in [(Qn.A, Qn.b),
+                         (Qn.A, np.array([R.support(a) for a in Qn.A]) + _offsets(rng, len(Qn.b))),
+                         (tilted, R.b + _offsets(rng, len(R.b)))]:
+                cuts, clear = _cut_verdicts(R, VR, HPolytope(A, b, dim))
+                lp = np.array([HPolytope(R.A, R.b, dim).support(a) > beta + FEAS_TOL for a, beta in zip(A, b)])
+                assert not np.any(cuts & ~lp) and not np.any(clear & lp), (dim, trial)
+                decided["cut"][0] += int(np.sum(~cuts & ~clear))
+                decided["cut"][1] += int(np.sum(cuts | clear))
+        for trial, P in enumerate([_far_corner_cut(dim, 5e-5)[0], _cut_corners(dim, np.array([0.5, 5, 20, -20]) * FEAS_TOL)]
+                                  + [_awkward_polytope(rng, dim) for _ in range(12)]):
+            D = P._dedup()
+            V = P.vertices()
+            keep, drop = _vertex_redundancy(D.A, D.b, V, P.chebyshev()[0])
+            lp = _lp_keep_mask(P)
+            assert not np.any(keep & ~lp) and not np.any(drop & lp), (dim, trial)
+            decided["keep"][0] += int(np.sum(lp & ~keep))
+            decided["keep"][1] += int(np.sum(keep))
+            fast = P.remove_redundancy()
+            assert _same_bytes(fast, HPolytope(P.A, P.b, dim).remove_redundancy()), (dim, trial)
+        # On random hulls, whose facets are not slivers, the facet rays keep every row.
+        for _ in range(10):
+            P = random_bounded_polytope(rng, dim, n_points=10)
+            D = P._dedup()
+            keep, drop = _vertex_redundancy(D.A, D.b, P.vertices(), P.chebyshev()[0])
+            assert keep.all() and not drop.any()
+    assert all(yes > 2 * no for no, yes in decided.values()), decided
+
+
+def test_vertex_certificates_keep_region_diff_bytes(monkeypatch):
+    """region_diff gives the same bytes with every vertex certificate off
+    (no vertices for pieces or members), at a higher LP count.  The cases
+    include members that touch the set, overlap it in slivers and repeat
+    its rows."""
+    from safegov.geometry import polytope as polytope_module
+    from safegov.geometry.polytope import VOLUME_TOL, _min_radius_for
+
+    rng = np.random.default_rng(37)
+    cases = []
+    for trial in range(8):
+        dim = 2 + trial % 2
+        pairs = list(_certificate_cases(rng, dim, _min_radius_for(dim, VOLUME_TOL)))
+        P = pairs[0][0]
+        cases.append((P, PolyUnion([Q for _, Q in pairs[:5]], dim)))
+        cases.append((box(np.zeros(dim), np.ones(dim)), PolyUnion([Q for _, Q in pairs[1:4]], dim)))
+
+    def run():
+        return [[(m.A.tobytes(), m.b.tobytes()) for m in region_diff(HPolytope(P.A, P.b, P.dim), U).members]
+                for P, U in cases]
+
+    calls = _count_lps(monkeypatch)
+    fast = run()
+    fast_lps = calls[0]
+    monkeypatch.setattr(polytope_module, "_vertices_or_none", lambda P: None)
+    calls[0] = 0
+    assert run() == fast
+    assert fast_lps < 0.7 * calls[0]

@@ -206,7 +206,10 @@ def test_2d_build_lp_count(monkeypatch):
     cutting rows by the same ray, a Chebyshev ball settled emptiness and
     support() memoised its values per set; 1,076 after (a bound: the
     count was 1,053).  It was 1,053 before convex_hull recorded its
-    centroid as the ray origin for remove_redundancy; 998 after."""
+    centroid as the ray origin for remove_redundancy; 998 after.  It was
+    998 before region_diff decided meets, cuts and its pieces' redundant
+    rows from their vertices where it could, and convex_hull marked its
+    output nonempty; 265 after."""
     from safegov.geometry import lp as lp_module, polytope as polytope_module
 
     sys, spec = sys_2d()
@@ -221,7 +224,7 @@ def test_2d_build_lp_count(monkeypatch):
     monkeypatch.setattr(polytope_module, "lp_solve", counted)
     sets = compute_unrecoverable(sys, spec, K=2)
     build_safe_artifact(sets, sys, spec)
-    assert calls[0] <= 998
+    assert calls[0] == 265
 
 
 # SHA-256 of jsonutil.dumps of the 2-D K=2 artifact, then of X_0, X_1, X_2.
@@ -241,6 +244,17 @@ ARTIFACT_2D_K3_SHA256 = (
     "c69ffaafad2a8c3e357947ba32807c19eb0d2c9a0bb6fcda279cd7aacbbe40cd",
     "910637f1e107ae23d787859a0c748044de0cc3be0a56f700e957466560a22e3f",
     "8b394dbbea18ba9fed458e4081c1ff9fa21476cdc3891607cd82817e11419f6f",
+)
+
+# The same digests for the 2-D K=4 build, whose step k=4 the K=3 pins do
+# not reach: the artifact, then X_0 ... X_4.
+ARTIFACT_2D_K4_SHA256 = (
+    "dcf82fa73eb4c7a3420fe747589766fee01c2fd7cead46efdab47da83dae192a",
+    "4cd829b0fc96d47b2d16691a033b9df25cd842a75a9a7abf6f394ad10ff5052b",
+    "c69ffaafad2a8c3e357947ba32807c19eb0d2c9a0bb6fcda279cd7aacbbe40cd",
+    "910637f1e107ae23d787859a0c748044de0cc3be0a56f700e957466560a22e3f",
+    "8b394dbbea18ba9fed458e4081c1ff9fa21476cdc3891607cd82817e11419f6f",
+    "ef4dd64e223737a118da9fa3ee0348cdca0ee90633bc02adb8f1eb849576e06a",
 )
 
 # The same digests for the ACC K=1 build on the default AccParams (the
@@ -272,6 +286,11 @@ def test_2d_k3_artifact_bytes_pinned():
     """As above for the 2-D build at K=3, whose step k=3 the K=2 pins do
     not reach."""
     assert _build_digests(*sys_2d(), K=3) == ARTIFACT_2D_K3_SHA256
+
+
+def test_2d_k4_artifact_bytes_pinned():
+    """As above for the 2-D build at K=4."""
+    assert _build_digests(*sys_2d(), K=4) == ARTIFACT_2D_K4_SHA256
 
 
 def test_acc_k1_artifact_bytes_pinned():
