@@ -6,23 +6,28 @@ evaluated up to FEAS_TOL.  Types are immutable after construction and all
 operations are pure functions, so values can be shared freely.
 
 An HPolytope caches what it learns about itself: emptiness, boundedness,
-irredundancy, its Chebyshev ball, its vertices and the support values it
-has been asked for (a memo per set, keyed on the direction's bytes, so it
-never outlives the set).  Operations whose result provably shares a fact
-carry it over instead of paying LPs for it again:
+irredundancy, its Chebyshev ball, a point inside it, its vertices and the
+support values it has been asked for (a memo per set, keyed on the
+direction's bytes, so it never outlives the set).  Operations whose
+result provably shares a fact carry it over instead of paying LPs for it
+again:
 
 - ``intersect`` is bounded when either operand is known to be bounded;
 - ``convex_hull`` is bounded and nonempty, being the hull of finitely
-  many points, and contains the centroid of its points, which it records
-  as an interior point;
+  many points; it records the centroid of its points as an interior
+  point and keeps the points themselves for ``remove_redundancy``;
 - ``inverse_affine_map`` (invertible map) keeps its input's boundedness
   and irredundancy;
 - ``remove_redundancy`` describes the same set, so it keeps boundedness,
   the Chebyshev ball and the interior point; it is known to be nonempty
   and irredundant;
-- each piece ``region_diff`` splits off a set R is bounded when R is;
+- each piece ``region_diff`` splits off a set R is bounded when R is; a
+  piece shown significant by its vertices is nonempty and records their
+  centroid as its interior point;
 - ``chebyshev`` settles emptiness as well when the ball's radius is
-  above 10 FEAS_TOL.
+  above 10 FEAS_TOL;
+- ``is_bounded`` needs no LP when the rows hold a positive multiple of
+  every +e_i and -e_i (a box bounds the set).
 
 Vertices are not carried over: vertices enumerated from one set's rows
 can differ in the last bits from those of the same set written with
@@ -31,15 +36,21 @@ artifact's bytes.
 
 Vertex enumeration solves every dim-subset of half-space rows, which is
 exact and affordable in the dimensions this package targets (<= 4; the
-bundled case study uses 3).  In these dimensions the vertices answer
-most yes/no questions of the set recursion at less cost than an LP.
-``region_diff`` takes the vertices of every piece it keeps and
-decides from them whether a member meets the piece, whether a member's
-row cuts it, and which of its rows are redundant; only the questions that
-fall inside a margin band around the LP's own threshold go to the LP, so
-every decision stays the LP's.  ``region_diff`` and
-``merge_convex_members`` also rule out a meeting when a member's vertices
-all lie outside one row of the other set.
+bundled case study uses 3).  In these dimensions vertices, and the
+points a hull was taken of, answer most yes/no questions of the set
+recursion at less cost than an LP.  Each shortcut below decides only
+outside a margin band around the LP's own threshold and leaves the band
+to the LP, so every decision stays the LP's:
+
+- ``region_diff`` decides from vertices whether a piece is significant,
+  whether a member meets a piece (slab tests batched over all members),
+  whether a member's row cuts it, and which of its rows are redundant;
+- ``remove_redundancy`` keeps rows by ray certificates from an interior
+  point, from the facets of its vertices or its hull points, and drops
+  rows slack at every vertex;
+- ``merge_convex_members`` marks a pair apart when its vertices are
+  separated by a row or its hull outgrows both volumes together by more
+  than the tolerance, before any intersection is formed.
 """
 
 from __future__ import annotations
@@ -86,7 +97,7 @@ def _rows(A, b, dim):
         A = A.reshape(0, dim)
     if A.shape[1] != dim or A.shape[0] != b.size:
         raise GeometryError("inconsistent half-space data")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise GeometryError("non-finite half-space data")
     return A, b
 
@@ -95,7 +106,7 @@ class HPolytope:
     """Closed convex polyhedron {x : A x <= b} in R^dim."""
 
     __slots__ = ("A", "b", "dim", "_empty", "_bounded", "_irredundant", "_cheb", "_inner", "_verts",
-                 "_support")
+                 "_points", "_support")
 
     def __init__(self, A, b, dim: int | None = None):
         if dim is None:
@@ -115,6 +126,7 @@ class HPolytope:
         self._cheb: tuple[np.ndarray | None, float] | None = None
         self._inner: np.ndarray | None = None
         self._verts: np.ndarray | None = None
+        self._points: np.ndarray | None = None
         self._support: dict[bytes, float] = {}
 
     # -- constructors -------------------------------------------------
@@ -162,8 +174,13 @@ class HPolytope:
         return self._empty
 
     def is_bounded(self) -> bool:
+        """Whether the set is bounded (an empty set is).  Rows holding a
+        positive multiple of every +e_i and -e_i bound the set in a box,
+        empty or not, so such a set solves no LP."""
         if self._bounded is None:
-            if self.is_empty():
+            if _boxed(self.A):
+                self._bounded = True
+            elif self.is_empty():
                 self._bounded = True
             else:
                 bounded = True
@@ -235,14 +252,20 @@ class HPolytope:
 
     def _dedup(self) -> "HPolytope":
         """Drop duplicate rows, keeping the tightest offset per normal."""
-        P = self.normalized()
-        if P.A.shape[0] <= 1:
-            return P
-        key = np.round(P.A / 1e-9) * 1e-9
+        norms = np.linalg.norm(self.A, axis=1)
+        if norms.min(initial=np.inf) < 1e-12:
+            P = self.normalized()
+            A, b = P.A, P.b
+        else:
+            # normalized() without building its set: no row is dropped.
+            A, b = self.A / norms[:, None], self.b / norms
+        if A.shape[0] <= 1:
+            return HPolytope(A, b, self.dim)
+        key = np.round(A / 1e-9) * 1e-9
         # Sorted on the normal's key, then on the offset: each run of equal
         # keys starts with its tightest row.
-        order = np.lexsort(np.column_stack([key, P.b]).T[::-1])
-        A, b = P.A[order], P.b[order]
+        order = np.lexsort(np.column_stack([key, b]).T[::-1])
+        A, b = A[order], b[order]
         key = key[order]
         first = np.ones(len(b), dtype=bool)
         first[1:] = np.any(key[1:] != key[:-1], axis=1)
@@ -262,29 +285,39 @@ class HPolytope:
           LP when the ray from c along a_i passes row i by more than
           10 FEAS_TOL before it meets any other row (Clarkson's
           ray-shooting test).  Any interior point serves as c: the cached
-          Chebyshev center when there is one, otherwise the centroid that
-          ``convex_hull`` records for its output.  A c that fails a row
+          Chebyshev center when there is one, otherwise the interior point
+          recorded by ``convex_hull`` or ``region_diff``.  A c that fails a row
           after rounding certifies nothing.  c is inside every row, so the
           ray's point at a_i'x = b_i + 10 FEAS_TOL meets every other row
           and the relaxed row a_i'x <= b_i + 1: it is feasible for row i's LP,
           whose rows are a subset of these.  The LP's maximum is then
           above b_i + FEAS_TOL by far more than its rounding, so the LP
           would keep row i too;
-        - when the set's vertices are already cached (``region_diff``
-          takes them for its pieces), two vertex certificates come first;
-          see ``_vertex_redundancy``.  A row inactive at every vertex by
-          more than a margin is dropped: the set is the hull of its
-          vertices, so the row is slack on all of it, and a row slack on
-          the whole set can go without changing the set.  An active row is
-          kept when a ray along a_i from the centroid of its active
+        - when the set's vertices are at hand, two vertex certificates
+          come first; see ``_vertex_redundancy``.  A row inactive at every
+          vertex by more than a margin is dropped: the set is the hull of
+          its vertices, so the row is slack on all of it, and a row slack
+          on the whole set can go without changing the set.  An active row
+          is kept when a ray along a_i from the centroid of its active
           vertices, nudged toward c, passes it by more than 10 FEAS_TOL;
           this is the ray test above, started on row i's own facet, where
-          a ray from c may be blocked early.  Rows neither test decides get
-          their LP.
+          a ray from c may be blocked early.  The vertices are at hand
+          when they are cached (``region_diff`` takes them for its
+          pieces), and are taken, with their centroid as c, for a set
+          already known bounded that has no interior point recorded (its
+          emptiness is settled first, and boundedness is never tested
+          for this);
+        - a ``convex_hull`` output without cached vertices uses the points
+          it was the hull of in their place, for the facet rays only.  The
+          rays certify by themselves: each starts at a point that meets
+          every row, and ``_ray_support`` gives a start that fails a row
+          after rounding no bound at all.  No row is dropped on the
+          points' word, since a joggled (qhull ``QJ``) hull is the hull of
+          its points only up to the joggle.
 
-        The result is marked irredundant and nonempty; it keeps self's
-        boundedness flag, Chebyshev ball and interior point, but not its
-        vertices.
+        Rows none of these tests decide get their LP.  The result is marked
+        irredundant and nonempty; it keeps self's boundedness flag,
+        Chebyshev ball and interior point, but not its vertices.
         """
         if self._irredundant:
             out = self._dedup()
@@ -296,14 +329,19 @@ class HPolytope:
             keep = np.ones(len(b), dtype=bool)
             certified = np.zeros(len(b), dtype=bool)
             drop = np.zeros(len(b), dtype=bool)
-            origin = self._inner
-            if self._cheb is not None and self._cheb[0] is not None:
-                origin = self._cheb[0]
+            origin = _center(self)
+            V = self._verts
+            if V is None and origin is None and self._bounded is True:
+                V = _vertices_or_none(self)
+                if V is not None:
+                    origin = V.mean(axis=0)
             if origin is not None:
                 certified = _ray_support(A, b, origin, A, skip_own=True) > b + 10 * FEAS_TOL
-            if self._verts is not None:
-                facet, drop = _vertex_redundancy(A, b, self._verts, origin)
+            if V is not None:
+                facet, drop = _vertex_redundancy(A, b, V, origin)
                 certified |= facet
+            elif self._points is not None:
+                certified |= _vertex_redundancy(A, b, self._points, origin)[0]
             for i in np.flatnonzero(~certified):
                 keep[i] = False
                 if drop[i]:
@@ -334,27 +372,9 @@ class HPolytope:
         if not self.is_bounded():
             raise UnboundedSetError("vertices of an unbounded set")
         P = self._dedup()
-        A, b = P.A, P.b
-        r, d = A.shape
-        if r > _VERTEX_ROW_CAP:
-            raise GeometryError(f"vertex enumeration row cap exceeded ({r} rows)")
-        combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(r), d)),
-                             dtype=np.intp, count=math.comb(r, d) * d).reshape(-1, d)
-        mats = A[combos]                      # (k, d, d)
-        dets = np.abs(np.linalg.det(mats))
-        ok = dets > 1e-8
-        pts = []
-        if np.any(ok):
-            sols = np.linalg.solve(mats[ok], b[combos[ok]][..., None])[..., 0]
-            scale = 1.0 + np.abs(b).max(initial=1.0)
-            feas = np.all(sols @ A.T - b <= 1e-6 * scale, axis=1)
-            finite = np.all(np.isfinite(sols), axis=1)
-            pts = sols[feas & finite]
-        if len(pts) == 0:
-            raise GeometryError("no vertices found (degenerate numerics)")
-        verts = _dedup_points(np.asarray(pts))
-        self._verts = verts
+        verts = _enumerate_vertices(P.A, P.b)
         verts.setflags(write=False)
+        self._verts = verts
         return verts
 
     def volume(self) -> float:
@@ -429,6 +449,26 @@ class PolyUnion:
 
     def __repr__(self) -> str:
         return f"PolyUnion(dim={self.dim}, members={len(self.members)})"
+
+
+def _boxed(A: np.ndarray) -> bool:
+    """True when the rows A hold a positive multiple of every +e_i and
+    -e_i, so that {x : A x <= b} lies in a box for every b."""
+    d = A.shape[1]
+    nz = A != 0.0
+    axis = nz.sum(axis=1) == 1
+    k = nz[axis].argmax(axis=1)
+    seen = np.zeros((2, d), dtype=bool)
+    seen[(A[axis][np.arange(len(k)), k] > 0.0).astype(int), k] = True
+    return bool(seen.all())
+
+
+def _center(P: HPolytope) -> np.ndarray | None:
+    """P's cached Chebyshev center, else its recorded interior point, else
+    None; never solves an LP."""
+    if P._cheb is not None and P._cheb[0] is not None:
+        return P._cheb[0]
+    return P._inner
 
 
 def _ray_support(A: np.ndarray, b: np.ndarray, c: np.ndarray, D: np.ndarray,
@@ -506,6 +546,31 @@ def _dedup_points(pts: np.ndarray, tol: float = 1e-7) -> np.ndarray:
     return pts[np.sort(order[first])]
 
 
+def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The points where dim of the rows (A, b) meet and every row holds,
+    up to 1e-6 (1 + max|b|), deduplicated: the vertices of a bounded,
+    nonempty set given by its deduplicated rows.  Raises GeometryError
+    past the row cap or when no such point exists."""
+    r, d = A.shape
+    if r > _VERTEX_ROW_CAP:
+        raise GeometryError(f"vertex enumeration row cap exceeded ({r} rows)")
+    combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(r), d)),
+                         dtype=np.intp, count=math.comb(r, d) * d).reshape(-1, d)
+    mats = A[combos]                      # (k, d, d)
+    dets = np.abs(np.linalg.det(mats))
+    ok = dets > 1e-8
+    pts = []
+    if np.any(ok):
+        sols = np.linalg.solve(mats[ok], b[combos[ok]][..., None])[..., 0]
+        scale = 1.0 + np.abs(b).max(initial=1.0)
+        feas = np.all(sols @ A.T - b <= 1e-6 * scale, axis=1)
+        finite = np.all(np.isfinite(sols), axis=1)
+        pts = sols[feas & finite]
+    if len(pts) == 0:
+        raise GeometryError("no vertices found (degenerate numerics)")
+    return _dedup_points(np.asarray(pts))
+
+
 def _point_cloud_volume(pts: np.ndarray) -> float:
     pts = _dedup_points(np.atleast_2d(pts))
     d = pts.shape[1]
@@ -531,12 +596,14 @@ def convex_hull(points) -> HPolytope:
     with equality row pairs and the hull is taken inside the affine span.
     The result is marked bounded and nonempty, and the centroid of the
     points is recorded as a point inside it (the ray origin of
-    remove_redundancy).
+    remove_redundancy).  The points are kept too: remove_redundancy starts
+    its facet rays from them; vertices() never reads them.
     """
     out = _hull(points)
     out._bounded = True
     out._empty = False
-    out._inner = np.atleast_2d(np.asarray(points, dtype=float)).mean(axis=0)
+    out._points = np.atleast_2d(np.asarray(points, dtype=float))
+    out._inner = out._points.mean(axis=0)
     return out
 
 
@@ -670,13 +737,49 @@ def _min_radius_for(dim: int, volume_tol: float) -> float:
 
 
 def _vertices_or_none(P: HPolytope) -> np.ndarray | None:
-    """P's vertices, or None when P is unbounded or enumeration fails."""
+    """P's vertices, or None when P is unbounded or enumeration fails.
+
+    A set known bounded whose emptiness is not settled (a region_diff
+    piece) is enumerated from its deduplicated rows without an LP, and
+    nothing is cached: if the set is empty, the points are not vertices of
+    it, and only ``_significance`` may judge them."""
     if not P.is_bounded():
         return None
     try:
+        if P._empty is None:
+            D = P._dedup()
+            return _enumerate_vertices(D.A, D.b)
         return P.vertices()
     except GeometryError:
         return None
+
+
+def _significance(P: HPolytope, V: np.ndarray, min_r: float) -> bool | None:
+    """Whether the Chebyshev radius of P exceeds min_r, from the points V
+    that ``_vertices_or_none`` gives for P; P has unit rows.
+
+    Returns True when the centroid c of V lies deeper than min_r +
+    10 FEAS_TOL in P (depth: the least slack over the unit rows): the ball
+    of that radius around c lies in P, so the LP's radius is above min_r
+    by more than its rounding.  P is then marked nonempty and records c
+    as its interior point.
+
+    Returns False when a row (a, beta) and the least a'v over V leave a
+    slab narrower than 2 (min_r - 10 FEAS_TOL).  If P is nonempty, V are
+    its vertices and P, their hull, lies in the slab, so its radius is
+    below min_r by more than the LP's rounding; if P is empty, the LP
+    finds no ball at all.  This is ``_apart``'s slab rule.
+
+    Returns None otherwise; the Chebyshev LP on P must decide.
+    """
+    c = V.mean(axis=0)
+    if (P.b - P.A @ c).min() > min_r + 10 * FEAS_TOL:
+        P._empty = False
+        P._inner = c
+        return True
+    if np.any(P.b - (V @ P.A.T).min(axis=0) < 2.0 * (min_r - 10 * FEAS_TOL)):
+        return False
+    return None
 
 
 def _separated(P: HPolytope, Q: HPolytope) -> bool:
@@ -693,18 +796,53 @@ def _separated(P: HPolytope, Q: HPolytope) -> bool:
     return bool(np.any(np.all(V @ P.A.T - P.b > margin, axis=0)))
 
 
+def _stacked(members: list[tuple]) -> tuple:
+    """region_diff's members (Q, Qn, VQ), with Qn the unit rows and VQ the
+    vertices (or None), stacked once for ``_apart``: the rows, their
+    offsets, the start of each member's rows, the mask of members with
+    rows, the vertices, the start of each member's vertices and the mask
+    of members with vertices."""
+    dim = members[0][1].dim
+    rows = np.array([len(Qn.b) for _, Qn, _ in members])
+    verts = np.array([0 if VQ is None else len(VQ) for _, _, VQ in members])
+    A = np.vstack([Qn.A for _, Qn, _ in members])
+    b = np.concatenate([Qn.b for _, Qn, _ in members])
+    W = np.vstack([np.zeros((0, dim))] + [VQ for _, _, VQ in members if VQ is not None])
+    has_rows, has_verts = rows > 0, verts > 0
+    return (A, b, (np.cumsum(rows) - rows)[has_rows], has_rows,
+            W, (np.cumsum(verts) - verts)[has_verts], has_verts)
+
+
+def _apart(R: HPolytope, VR: np.ndarray, stack: tuple, min_r: float) -> np.ndarray:
+    """Mask over the stacked members (``_stacked``) that cannot meet R in a
+    ball of radius above min_r; R has unit rows and vertices VR.
+
+    A member is apart when a row (a, beta) of R or of the member and the
+    least a'v over the other set's vertices leave a slab narrower than
+    2 (min_r - 10 FEAS_TOL): R & Q lies in that slab, so its Chebyshev
+    radius is below min_r by more than the LP's rounding.  This covers
+    sets apart and sets touching along a face.  Both tests run on every
+    member at once: one product with the stacked rows and one with the
+    stacked vertices, reduced per member.
+    """
+    A, b, row_starts, has_rows, W, vert_starts, has_verts = stack
+    thin = 2.0 * (min_r - 10 * FEAS_TOL)
+    out = np.zeros(len(has_rows), dtype=bool)
+    if len(b):
+        out[has_rows] = np.logical_or.reduceat(b - (VR @ A.T).min(axis=0) < thin, row_starts)
+    if len(W):
+        low = np.minimum.reduceat(W @ R.A.T, vert_starts, axis=0)     # (members, rows of R)
+        out[has_verts] |= np.any(R.b - low < thin, axis=1)
+    return out
+
+
 def _meet_verdict(R: HPolytope, VR: np.ndarray, Qn: HPolytope, VQ: np.ndarray | None,
                   min_r: float) -> bool | None:
-    """Whether R & Q holds a ball of radius above min_r, from vertices.
+    """True when R & Q holds a ball of radius above min_r by the test
+    below, else None; for a member that ``_apart`` has not ruled out.
 
-    R has unit rows, a cached Chebyshev center c and vertices VR; Qn is Q
-    with unit rows and VQ its vertices (None if unknown).
-
-    Returns False when a row (a, beta) of one set and the least a'v over
-    the other set's vertices leave a slab narrower than 2 (min_r -
-    10 FEAS_TOL): R & Q lies in that slab, so its Chebyshev radius is
-    below min_r by more than the LP's rounding.  This covers sets apart
-    and sets touching along a face.
+    R has unit rows, an interior point c (``_center``) and vertices VR; Qn
+    is Q with unit rows and VQ its vertices (None if unknown).
 
     Returns True when a candidate point lies deeper than min_r +
     10 FEAS_TOL in both sets (depth: the least slack over the unit rows):
@@ -715,12 +853,7 @@ def _meet_verdict(R: HPolytope, VR: np.ndarray, Qn: HPolytope, VQ: np.ndarray | 
 
     Returns None otherwise; the Chebyshev LP on R & Q must decide.
     """
-    thin = 2.0 * (min_r - 10 * FEAS_TOL)
-    if VQ is not None and np.any(R.b - (VQ @ R.A.T).min(axis=0) < thin):
-        return False
-    if np.any(Qn.b - (VR @ Qn.A.T).min(axis=0) < thin):
-        return False
-    points = [R.chebyshev()[0]]
+    points = [_center(R)]
     shared = [VR[np.all(VR @ Qn.A.T <= Qn.b, axis=1)]]
     if VQ is not None:
         points.append(VQ.mean(axis=0))
@@ -742,8 +875,8 @@ def _meet_verdict(R: HPolytope, VR: np.ndarray, Qn: HPolytope, VQ: np.ndarray | 
 def _cut_verdicts(R: HPolytope, V: np.ndarray | None, Qn: HPolytope) -> tuple[np.ndarray, np.ndarray]:
     """(cuts, clear) masks over the unit rows (a, beta) of Qn: the rows
     certified to cut R, R.support(a) > beta + FEAS_TOL, and those
-    certified not to.  R has unit rows, a cached Chebyshev center c and
-    vertices V (None if unknown); see region_diff for the tests.
+    certified not to.  R has unit rows, an interior point c (``_center``)
+    and vertices V (None if unknown); see region_diff for the tests.
 
     A row of Qn within 1e-9 of a row (a_j, b_j) of R is also clear when
     b_j + max over V of (a - a_j)'v < beta + FEAS_TOL / 2.  R lies inside
@@ -753,7 +886,7 @@ def _cut_verdicts(R: HPolytope, V: np.ndarray | None, Qn: HPolytope) -> tuple[np
     other members repeat, and there the vertex bound h sits at beta, too
     close to the threshold for the margin delta.
     """
-    c = R.chebyshev()[0]
+    c = _center(R)
     cuts = (Qn.A @ c > Qn.b + FEAS_TOL) | (_ray_support(R.A, R.b, c, Qn.A) > Qn.b + 10 * FEAS_TOL)
     if V is None:
         return cuts, np.zeros_like(cuts)
@@ -792,30 +925,38 @@ def region_diff(
     only outside a margin band of at least 10 FEAS_TOL around the LP's
     threshold, and leaves the band to the LP.
 
-    Every significant piece takes its vertices V.  This costs no LP: a
-    piece is known bounded when P is, and a Chebyshev ball wider than
-    10 FEAS_TOL has settled its emptiness.  P itself pays for its
-    boundedness once if it is not known.  A piece whose enumeration
-    fails goes without V.  Let delta = 10 FEAS_TOL plus the residual of V
-    against the piece's rows.
+    Every piece takes its vertices V before its significance is settled.
+    This costs no LP: a piece is known bounded when R is, and enumeration
+    needs no emptiness test (``_vertices_or_none``).  P itself pays for its
+    boundedness once if it is not known.  A piece whose enumeration fails
+    goes without V.  Let delta = 10 FEAS_TOL plus the residual of V against
+    the piece's rows.
 
-    - Meet: ``_meet_verdict`` rules Q out when a row of R or of Q leaves
-      the other set's vertices outside a slab too thin for a ball of
-      radius min_r, and rules it in when a candidate point is deeper
-      than min_r + 10 FEAS_TOL in both.  Otherwise the Chebyshev LP on
-      R & Q decides.  Without V, the LP is spared only when Q's vertices
-      all lie strictly outside one row of R (``_separated``).
-    - Cut: a row cuts when a'c > beta + FEAS_TOL at R's Chebyshev center
-      c, which lies inside R by more than min_r, or when the ray from c
-      along a reaches a'x > beta + 10 FEAS_TOL before it leaves R (a point
-      of R that far out).  With h = max a'v over V, the row cuts when h >
-      beta + FEAS_TOL + delta and does not when h < beta + FEAS_TOL -
-      delta: R is the hull of its vertices, so h is R.support(a) up to
-      the vertices' error, which delta bounds.  A row that repeats a row
-      of R, as the rows a piece was cut along often do, is cleared by a
-      bound with a smaller error (``_cut_verdicts``).  R.support(a) is
-      solved only when all these tests fail.
-    - Redundancy: the vertices of each new piece are taken before its
+    - Significance: a piece whose vertex centroid lies deeper than
+      min_r + 10 FEAS_TOL is significant and keeps that centroid as its
+      interior point; one that a row and its vertices squeeze into a slab
+      narrower than 2 (min_r - 10 FEAS_TOL) is not (``_significance``).
+      Only the rest solve the Chebyshev LP.  Any point inside R by more
+      than min_r serves the tests below as R's center c: the cached
+      Chebyshev center, else the recorded centroid (``_center``).
+    - Meet: ``_apart`` rules out, for all members at once, each member
+      for which a row of R or of Q leaves the other set's vertices in a
+      slab too thin for a ball of radius min_r.  ``_meet_verdict`` rules a
+      surviving member in when a candidate point is deeper than min_r +
+      10 FEAS_TOL in both sets.  Otherwise the Chebyshev LP on R & Q
+      decides.  Without V, the LP is spared only when Q's vertices all lie
+      strictly outside one row of R (``_separated``).
+    - Cut: a row cuts when a'c > beta + FEAS_TOL at c, which lies inside R
+      by more than min_r, or when the ray from c along a reaches a'x >
+      beta + 10 FEAS_TOL before it leaves R (a point of R that far out).
+      With h = max a'v over V, the row cuts when h > beta + FEAS_TOL +
+      delta and does not when h < beta + FEAS_TOL - delta: R is the hull of
+      its vertices, so h is R.support(a) up to the vertices' error, which
+      delta bounds.  A row that repeats a row of R, as the rows a piece was
+      cut along often do, is cleared by a bound with a smaller error
+      (``_cut_verdicts``).  R.support(a) is solved only when all these
+      tests fail.
+    - Redundancy: each significant piece keeps its vertices for its
       ``remove_redundancy``, which then uses them (see there).
 
     Vertices never stay on a set that leaves this function: the merge and
@@ -833,19 +974,25 @@ def region_diff(
         _, r = R.chebyshev()
         return r > min_r
 
-    def rec(R: HPolytope, V: np.ndarray | None, members: list[tuple]) -> None:
-        # R is significant and irredundant, V its vertices or None.
+    def rec(R: HPolytope, V: np.ndarray | None, members: list[int]) -> None:
+        # R is significant and irredundant, V its vertices or None;
+        # members index the entries not yet used on this branch.
         counter[0] += 1
         if counter[0] > max_pieces:
             raise RegionBudgetError(f"region_diff exceeded {max_pieces} fragments")
+        apart = None if V is None else _apart(R, V, stack, min_r)
         # Pick the member that actually cuts R with the fewest rows.
         best = None
-        for idx, (Q, Qn, VQ) in enumerate(members):
+        for pos, k in enumerate(members):
+            Q, Qn, VQ = entries[k]
             meets = None
-            if V is not None:
-                meets = _meet_verdict(R, V, Qn, VQ, min_r)
-            elif _separated(R, Q):
+            if apart is None:
+                if _separated(R, Q):
+                    continue
+            elif apart[k]:
                 continue
+            else:
+                meets = _meet_verdict(R, V, Qn, VQ, min_r)
             if meets is None:
                 meets = significant(R.intersect(Q))
             if not meets:
@@ -856,12 +1003,12 @@ def region_diff(
             if not cutting:
                 return  # R is inside Q entirely
             if best is None or len(cutting) < len(best[2]):
-                best = (idx, Qn, cutting)
+                best = (pos, Qn, cutting)
         if best is None:
             out.append(R.remove_redundancy())
             return
-        idx, Qn, cutting = best
-        rest = members[:idx] + members[idx + 1:]
+        pos, Qn, cutting = best
+        rest = members[:pos] + members[pos + 1:]
         prefix_A: list[np.ndarray] = []
         prefix_b: list[float] = []
         for i in cutting:
@@ -872,11 +1019,20 @@ def region_diff(
                 R.dim,
             )
             piece._bounded = R._bounded
-            if significant(piece):
-                Vp = _vertices_or_none(piece)   # cached on piece for remove_redundancy
-                rec(piece.remove_redundancy(), Vp, rest)
             prefix_A.append(a.reshape(1, -1))
             prefix_b.append(beta)
+            Vp = _vertices_or_none(piece)
+            keep = None if Vp is None else _significance(piece, Vp, min_r)
+            if keep is None:
+                keep = significant(piece)
+            if not keep:
+                continue
+            if Vp is not None and not piece.is_empty():  # an LP only for radii below 10 FEAS_TOL
+                Vp.setflags(write=False)
+                piece._verts = Vp                       # for remove_redundancy
+            else:
+                Vp = None
+            rec(piece.remove_redundancy(), Vp, rest)
 
     if P.is_empty():
         return PolyUnion.empty(P.dim)
@@ -884,8 +1040,9 @@ def region_diff(
         return PolyUnion([P.remove_redundancy()], P.dim)
     P0 = P.remove_redundancy()
     if significant(P0):
-        members = [(Q, Q.normalized(), _vertices_or_none(Q)) for Q in U.members]
-        rec(P0, _vertices_or_none(P0), members)
+        entries = [(Q, Q.normalized(), _vertices_or_none(Q)) for Q in U.members]
+        stack = _stacked(entries)
+        rec(P0, _vertices_or_none(P0), list(range(len(entries))))
     return PolyUnion(out, P.dim)
 
 
@@ -913,8 +1070,14 @@ def merge_convex_members(U: PolyUnion) -> PolyUnion:
     Such a pair could pass the volume test only if its gap were within the
     volume tolerance.  With this shortcut the artifacts and every X_k stay
     byte-identical for the ACC build at K=1 and K=2 and for the 2-D system
-    at K=2, K=3 and K=4; ACC K=1 and 2-D K=2 and K=3 are pinned in
-    tests/test_safeset.py.
+    at K=2, K=3 and K=4; all five are pinned in tests/test_safeset.py.
+
+    A pair whose hull volume exceeds vols[i] + vols[j] + tol is marked
+    apart before the intersection is formed, so its emptiness LP and
+    vertex enumeration are spared.  This is exact: the volume test
+    compares the hull volume with (vols[i] + vols[j] - vol_int) + tol, and
+    as vol_int >= 0 and rounding is monotone, that sum is at most the
+    bound computed without vol_int.
     """
     members = list(U.members)
     vols = [m.volume() for m in members]
@@ -939,6 +1102,10 @@ def merge_convex_members(U: PolyUnion) -> PolyUnion:
                     continue
                 vi, vj = members[i].vertices(), members[j].vertices()
                 vol_hull = _point_cloud_volume(np.vstack([vi, vj]))
+                tol = max(_MERGE_VOLUME_TOL, 1e-9 * vol_hull)
+                if vol_hull > vols[i] + vols[j] + tol:
+                    apart.add(pair)
+                    continue
                 vol_int = 0.0
                 inter = members[i].intersect(members[j])
                 if not inter.is_empty():
@@ -946,7 +1113,7 @@ def merge_convex_members(U: PolyUnion) -> PolyUnion:
                         vol_int = _point_cloud_volume(inter.vertices())
                     except GeometryError:
                         vol_int = 0.0
-                if vol_hull <= vols[i] + vols[j] - vol_int + max(_MERGE_VOLUME_TOL, 1e-9 * vol_hull):
+                if vol_hull <= vols[i] + vols[j] - vol_int + tol:
                     merged = convex_hull(np.vstack([vi, vj])).remove_redundancy()
                     keep = [k for k in range(n) if k not in (i, j)]
                     members = [members[k] for k in keep] + [merged]

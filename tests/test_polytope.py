@@ -25,7 +25,7 @@ from safegov.geometry import (
     union_minkowski,
     union_subset,
 )
-from safegov.geometry.lp import FEAS_TOL, OPTIMAL, LpError
+from safegov.geometry.lp import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpError
 
 
 def box(lo, hi):
@@ -475,9 +475,13 @@ def test_merge_convex_members_retests_merged_members():
     assert set_equal(merged.members[0], box([0, 0], [4, 3]))
 
 
-def test_boundedness_flag_matches_lp_answer():
+def test_boundedness_flag_matches_lp_answer(monkeypatch):
     def lp_bounded(P):
-        return HPolytope(P.A, P.b, P.dim).is_bounded()
+        """is_bounded's LPs on P's rows: bounded when empty or when no axis
+        direction is unbounded."""
+        if lp_solve(np.zeros(P.dim), P.A, P.b).status == INFEASIBLE:
+            return True
+        return all(lp_solve(s * e, P.A, P.b).status != UNBOUNDED for e in np.eye(P.dim) for s in (1.0, -1.0))
 
     sq = box([0, 0], [1, 1])
     half_x = HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
@@ -501,6 +505,27 @@ def test_boundedness_flag_matches_lp_answer():
     for P in outs:
         assert P.is_bounded() == lp_bounded(P), P
     assert not half_x.intersect(half_y).is_bounded()
+    # Rows holding a positive multiple of every +e_i and -e_i bound the set,
+    # empty or not, and is_bounded solves no LP for it; a set missing one of
+    # these rows, or with none of them, takes the LPs.
+    e = np.eye(3)
+    boxed = [
+        HPolytope(np.vstack([2.0 * e, rng.normal(size=(2, 3)), -0.5 * e]), np.r_[np.ones(3), 5.0, 5.0, np.ones(3)], 3),
+        box([1, 1], [0, 2]),
+        HPolytope(np.vstack([e, -e]), np.r_[np.ones(3), -2.0, 0.0, 0.0], 3),
+    ]
+    others = [
+        HPolytope(np.vstack([e, -e[:2]]), np.ones(5), 3),
+        HPolytope(np.vstack([e, -np.ones((1, 3))]), np.r_[np.ones(3), 1.0], 3),
+        HPolytope(np.vstack([e, -e[:2], [[0.0, 0.0, -1e-3]]]), np.ones(6), 3),
+    ]
+    calls = _count_lps(monkeypatch)
+    for P in boxed:
+        assert P.is_bounded()
+    assert calls[0] == 0
+    for P in boxed + others:
+        assert P.is_bounded() == lp_bounded(P), P
+    assert [P.is_bounded() for P in others] == [False, True, True]
 
 
 def test_serialization_roundtrip_bit_exact():
@@ -650,8 +675,10 @@ def test_ray_certificate_keeps_the_lp_decisions(monkeypatch):
 
 def test_hull_centroid_keeps_the_lp_decisions(monkeypatch):
     """remove_redundancy on a convex_hull output shoots its rays from the
-    recorded centroid.  It returns the same row bytes as the same hull with
-    the centroid cleared, and on full-dimensional clouds with fewer LPs.
+    recorded centroid and from the facets of the hull's points.  It returns
+    the same row bytes as the same rows known nonempty but with no interior
+    point, points or boundedness (every undecided row takes its LP), and on
+    full-dimensional clouds with fewer LPs.
     The clouds are seeded: full-dimensional ones in 2-D, 3-D and 4-D, a
     planar one in 3-D, and a near-degenerate one (a 3-D grid jittered by
     1e-10, hulled with qhull's joggle option QJ).  On the last, one row LP
@@ -672,13 +699,14 @@ def test_hull_centroid_keeps_the_lp_decisions(monkeypatch):
         if trial == len(clouds) - 1:
             monkeypatch.setattr(polytope_module, "ConvexHull",
                                 lambda p, qhull_options=None: real_hull(p, qhull_options="QJ"))
-        hulls = [convex_hull(pts), convex_hull(pts)]
-        hulls[1]._inner = None
+        hull = convex_hull(pts)
+        bare = HPolytope(hull.A, hull.b, hull.dim)
+        bare._empty = False
         outcomes, lps = [], []
-        for hull in hulls:
+        for P in (hull, bare):
             calls[0] = 0
             try:
-                out = hull.remove_redundancy()
+                out = P.remove_redundancy()
                 outcomes.append((out.A.tobytes(), out.b.tobytes()))
             except LpError as exc:
                 outcomes.append(str(exc))
@@ -860,7 +888,7 @@ def test_vertex_certificates_match_the_lps():
     The certificates must also decide most verdicts, and the facet rays
     must keep every row of a random hull."""
     from safegov.geometry.polytope import (
-        VOLUME_TOL, _cut_verdicts, _meet_verdict, _min_radius_for, _vertex_redundancy)
+        VOLUME_TOL, _apart, _cut_verdicts, _meet_verdict, _min_radius_for, _stacked, _vertex_redundancy)
 
     rng = np.random.default_rng(29)
     decided = {"meet": [0, 0], "cut": [0, 0], "keep": [0, 0]}    # [undecided, decided]
@@ -878,7 +906,10 @@ def test_vertex_certificates_match_the_lps():
             R, VR = _as_piece(P)
             Qn = Q.normalized()
             VQ = Q.vertices() if Q.is_bounded() else None
-            verdict = _meet_verdict(R, VR, Qn, VQ, min_r)
+            if _apart(R, VR, _stacked([(Q, Qn, VQ)]), min_r)[0]:
+                verdict = False
+            else:
+                verdict = _meet_verdict(R, VR, Qn, VQ, min_r)
             meets = R.intersect(Q).chebyshev()[1] > min_r
             decided["meet"][verdict is not None] += 1
             assert verdict in (None, meets), (dim, trial)
@@ -942,3 +973,212 @@ def test_vertex_certificates_keep_region_diff_bytes(monkeypatch):
     calls[0] = 0
     assert run() == fast
     assert fast_lps < 0.7 * calls[0]
+
+
+def _pieces(rng, dim, min_r):
+    """Pieces the way region_diff forms them: the rows of an irredundant
+    set R with unit rows (a cube or a random hull), the earlier cut rows
+    of the member, then one cut row flipped.  The cuts leave slivers 0.5
+    to 5 min_r wide along a face of R, wedges 0.5 to 10 min_r deep at a
+    vertex of R, a flat piece (a cut along one of R's own rows), an empty
+    piece (a cut beyond R) and pieces through R's middle."""
+    for trial in range(8):
+        cube = box(np.zeros(dim), np.ones(dim))
+        R = (cube if trial % 2 else random_bounded_polytope(rng, dim, n_points=10)).remove_redundancy()
+        V = R.vertices()
+        j = int(rng.integers(len(R.b)))
+        v = V[rng.integers(len(V))]
+        active = np.abs(R.A @ v - R.b) < 1e-9
+        n = rng.uniform(0.1, 1.0, size=int(active.sum())) @ R.A[active]
+        n /= np.linalg.norm(n)
+        a = rng.normal(size=dim)
+        a /= np.linalg.norm(a)
+        cuts = [(R.A[j], R.b[j] - rng.uniform(0.5, 5.0) * min_r),     # sliver along a face
+                (n, n @ v - rng.uniform(0.5, 10.0) * min_r),           # wedge at a vertex
+                (R.A[j], R.b[j]),                                      # along R's own row
+                (R.A[j], R.b[j] + 0.1),                                # beyond R
+                (a, a @ V.mean(axis=0))]                               # through the middle
+        for k, (c, beta) in enumerate(cuts):
+            for prefix in ([], cuts[:k][-1:]):
+                A = np.vstack([R.A] + [p[None, :] for p, _ in prefix] + [-c[None, :]])
+                b = np.concatenate([R.b, [q for _, q in prefix], [-beta]])
+                yield HPolytope(A, b, dim)
+
+
+def test_piece_significance_matches_the_lp():
+    """Every significance verdict region_diff takes from a piece's vertices
+    is the Chebyshev LP's (radius above min_r), on seeded 2-D, 3-D and 4-D
+    pieces: slivers, wedges, flat and empty pieces and plain cuts.  A deep
+    verdict leaves the piece marked nonempty with its centroid recorded;
+    the vertices decide most pieces, both ways."""
+    from safegov.geometry.polytope import VOLUME_TOL, _min_radius_for, _significance, _vertices_or_none
+
+    rng = np.random.default_rng(43)
+    verdicts = {None: 0, True: 0, False: 0}
+    for dim in (2, 3, 4):
+        min_r = _min_radius_for(dim, VOLUME_TOL)
+        for trial, piece in enumerate(_pieces(rng, dim, min_r)):
+            piece._bounded = True
+            V = _vertices_or_none(piece)
+            lp = HPolytope(piece.A, piece.b, dim).chebyshev()[1] > min_r
+            if V is None:
+                assert not lp, (dim, trial)
+                continue
+            verdict = _significance(piece, V, min_r)
+            verdicts[verdict] += 1
+            assert verdict in (None, lp), (dim, trial)
+            if verdict:
+                assert piece._empty is False and piece.contains(piece._inner)
+    assert verdicts[True] > verdicts[None] and verdicts[False] > verdicts[None], verdicts
+
+
+def _redundancy_cases(rng, dim):
+    """(kind, points or set): hulls of seeded clouds with repeated points
+    and points moved onto the plane x_0 = max x_0, grids jittered by 1e-10 and
+    hulled with qhull's joggle option QJ, and sets known bounded but with
+    no interior point: random hulls with redundant, near-vertex and
+    near-duplicate rows (normals tilted by 1e-10, offsets moved by up to
+    20 FEAS_TOL), and half-spaces clipped to a box, the way ConstraintSpec
+    clips X0."""
+    for _ in range(6):
+        pts = rng.normal(size=(12, dim)) * rng.uniform(0.5, 2.0)
+        face = pts[:3].copy()
+        face[:, 0] = pts[:, 0].max()
+        yield "hull", np.vstack([pts, pts[:4], face])
+    grid = np.array(list(itertools.product(np.linspace(0.0, 1.0, 3), repeat=dim)))
+    for _ in range(2):
+        yield "joggled", grid + rng.normal(size=grid.shape) * 1e-10
+    for _ in range(6):
+        P = _awkward_polytope(rng, dim)
+        idx = rng.integers(0, len(P.b), size=3)
+        tilted = P.A[idx] + 1e-10 * rng.normal(size=(3, dim))
+        Q = HPolytope(np.vstack([P.A, tilted]), np.concatenate([P.b, P.b[idx] + _offsets(rng, 3)]), dim)
+        Q._bounded = True     # it keeps the rows of a hull
+        yield "bounded", Q
+    for _ in range(3):
+        cube = box(np.full(dim, -1.0), np.ones(dim))
+        cube.is_bounded()
+        a = rng.normal(size=(2, dim))
+        yield "bounded", HPolytope(a, rng.uniform(-0.5, 0.5, size=2), dim).intersect(cube)
+
+
+def test_hull_points_and_bounded_vertices_keep_the_lp_decisions(monkeypatch):
+    """remove_redundancy's certificates from a hull's points and from the
+    vertices of a set known bounded without an interior point give the
+    LP's verdict on every row they decide, and the same row bytes as the
+    LP alone.  A joggled hull can make a row LP raise LpError; the
+    certificates solve a subset of the LPs the LP alone solves, with the
+    same rows, so they raise only where the LP alone raises as well.
+    Hull points only keep rows, never drop them."""
+    from safegov.geometry import polytope as polytope_module
+    from safegov.geometry.polytope import _vertex_redundancy
+
+    rng = np.random.default_rng(47)
+    real_hull = polytope_module.ConvexHull
+    compared = decided = 0
+    for dim in (2, 3, 4):
+        for trial, (kind, case) in enumerate(_redundancy_cases(rng, dim)):
+            if kind == "joggled":
+                monkeypatch.setattr(polytope_module, "ConvexHull",
+                                    lambda p, qhull_options=None: real_hull(p, qhull_options="QJ"))
+            P = convex_hull(case) if kind != "bounded" else case
+            monkeypatch.setattr(polytope_module, "ConvexHull", real_hull)
+            assert P._bounded is True and (kind == "bounded") == (P._inner is None)
+            bare = HPolytope(P.A, P.b, dim)
+            outcomes = []
+            for Q in (P, bare):
+                try:
+                    out = Q.remove_redundancy()
+                    outcomes.append((out.A.tobytes(), out.b.tobytes()))
+                except LpError:
+                    outcomes.append(None)
+            assert outcomes[0] == outcomes[1] or outcomes[1] is None, (dim, trial)
+            D = P._dedup()
+            if kind == "bounded":
+                V = P.vertices()
+                keep, drop = _vertex_redundancy(D.A, D.b, V, V.mean(axis=0))
+            else:
+                keep, drop = _vertex_redundancy(D.A, D.b, P._points, P._inner)[0], np.zeros(len(D.b), bool)
+            try:
+                lp = _lp_keep_mask(P)
+            except LpError:
+                continue
+            assert not np.any(keep & ~lp) and not np.any(drop & lp), (dim, trial)
+            compared += len(lp)
+            decided += int(np.sum(keep | drop))
+    assert decided > compared // 2, (decided, compared)
+
+
+def _merge_without_volume_bound(U):
+    """merge_convex_members as it was before the hull volume was compared
+    with the member volumes ahead of the intersection: every pair not
+    separated forms its intersection and takes the full volume test."""
+    from safegov.geometry.polytope import _MERGE_VOLUME_TOL, _point_cloud_volume, _separated
+
+    members = list(U.members)
+    vols = [m.volume() for m in members]
+    serials = list(range(len(members)))
+    fresh = itertools.count(len(members))
+    apart = set()
+    changed = True
+    while changed:
+        changed = False
+        n = len(members)
+        for i, j in itertools.combinations(range(n), 2):
+            if vols[i] <= _MERGE_VOLUME_TOL or vols[j] <= _MERGE_VOLUME_TOL or (serials[i], serials[j]) in apart:
+                continue
+            if _separated(members[i], members[j]) or _separated(members[j], members[i]):
+                apart.add((serials[i], serials[j]))
+                continue
+            vi, vj = members[i].vertices(), members[j].vertices()
+            vol_hull = _point_cloud_volume(np.vstack([vi, vj]))
+            vol_int = 0.0
+            inter = members[i].intersect(members[j])
+            if not inter.is_empty():
+                try:
+                    vol_int = _point_cloud_volume(inter.vertices())
+                except GeometryError:
+                    vol_int = 0.0
+            if vol_hull <= vols[i] + vols[j] - vol_int + max(_MERGE_VOLUME_TOL, 1e-9 * vol_hull):
+                keep = [k for k in range(n) if k not in (i, j)]
+                members = [members[k] for k in keep] + [convex_hull(np.vstack([vi, vj])).remove_redundancy()]
+                vols = [vols[k] for k in keep] + [vol_hull]
+                serials = [serials[k] for k in keep] + [next(fresh)]
+                changed = True
+                break
+            apart.add((serials[i], serials[j]))
+    return PolyUnion(members, U.dim)
+
+
+def test_merge_volume_bound_keeps_the_merges(monkeypatch):
+    """The merge marks a pair apart when its hull volume exceeds both
+    volumes and the tolerance together, before forming the intersection.
+    It returns the same member bytes as the full volume test on every
+    pair, with fewer LPs, on seeded 2-D and 3-D unions: rows of boxes
+    whose gaps hold less volume than the tolerance (they merge), boxes
+    overlapping or nested, and random hulls."""
+    rng = np.random.default_rng(53)
+    unions = []
+    for dim in (2, 3):
+        for _ in range(3):
+            gaps = rng.uniform(0.0, 0.9e-9, size=3) * rng.integers(0, 2, size=3)
+            lo = np.concatenate([[0.0], np.cumsum(1.0 + gaps)])
+            cells = [box(np.r_[lo[k], np.zeros(dim - 1)], np.r_[lo[k] + 1.0, np.ones(dim - 1)]) for k in range(4)]
+            unions.append(PolyUnion(cells, dim))
+            inner = rng.uniform(0.1, 0.4, size=dim)
+            unions.append(PolyUnion([box(np.zeros(dim), np.ones(dim)), box(inner, inner + 0.5),
+                                     box(np.full(dim, 0.5), np.full(dim, 1.5)),
+                                     random_bounded_polytope(rng, dim), random_bounded_polytope(rng, dim)], dim))
+    calls = _count_lps(monkeypatch)
+
+    def run(merge):
+        calls[0] = 0
+        members = [[(m.A.tobytes(), m.b.tobytes()) for m in merge(PolyUnion(
+            [HPolytope(m.A, m.b, m.dim) for m in U.members], U.dim)).members] for U in unions]
+        return members, calls[0]
+
+    fast, fast_lps = run(merge_convex_members)
+    full, full_lps = run(_merge_without_volume_bound)
+    assert fast == full
+    assert fast_lps < full_lps
+    assert sum(len(m) == 1 for m in fast) >= 3    # the rows of boxes merged despite their gaps

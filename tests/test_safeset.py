@@ -209,7 +209,11 @@ def test_2d_build_lp_count(monkeypatch):
     centroid as the ray origin for remove_redundancy; 998 after.  It was
     998 before region_diff decided meets, cuts and its pieces' redundant
     rows from their vertices where it could, and convex_hull marked its
-    output nonempty; 265 after."""
+    output nonempty; 265 after.  It was 265 before region_diff decided a
+    piece's significance from its vertices, the merge compared hull and
+    member volumes before forming an intersection, remove_redundancy
+    started rays from hull points and from the vertices of sets known
+    bounded, and is_bounded certified boxes without LPs; 89 after."""
     from safegov.geometry import lp as lp_module, polytope as polytope_module
 
     sys, spec = sys_2d()
@@ -224,7 +228,7 @@ def test_2d_build_lp_count(monkeypatch):
     monkeypatch.setattr(polytope_module, "lp_solve", counted)
     sets = compute_unrecoverable(sys, spec, K=2)
     build_safe_artifact(sets, sys, spec)
-    assert calls[0] == 265
+    assert calls[0] == 89
 
 
 # SHA-256 of jsonutil.dumps of the 2-D K=2 artifact, then of X_0, X_1, X_2.
@@ -265,6 +269,15 @@ ARTIFACT_ACC_K1_SHA256 = (
     "e21c3cda6d631cfdcf7d802796764b9742af852c2f749acc46d8b22c5b4c7e6e",
 )
 
+# The same digests for the ACC K=2 build: the artifact, then X_0, X_1 and
+# X_2.  X_2 has 79 members, the most of any pinned build.
+ARTIFACT_ACC_K2_SHA256 = (
+    "4808a3b8c6a05fa05d62024e570e2c70458a0ecd5226c0bf3c81e227594a936e",
+    "7ee3590888fad3c4d76cb25b8585e6364984f3f3e0f14933a8bf412073050a3e",
+    "e21c3cda6d631cfdcf7d802796764b9742af852c2f749acc46d8b22c5b4c7e6e",
+    "b232c01c27c9e4d637fc4ba6e8470b02785049c439b55b317bccf9b190c163f5",
+)
+
 
 def _build_digests(sys, spec, K):
     sets = compute_unrecoverable(sys, spec, K=K)
@@ -300,6 +313,15 @@ def test_acc_k1_artifact_bytes_pinned():
 
     p = envs.AccParams()
     assert _build_digests(envs.linear_system(p), envs.constraint_spec(p), K=1) == ARTIFACT_ACC_K1_SHA256
+
+
+def test_acc_k2_artifact_bytes_pinned():
+    """As above for the ACC case study at K=2, whose second step works on
+    the most members of any pinned build."""
+    from safegov import envs
+
+    p = envs.AccParams()
+    assert _build_digests(envs.linear_system(p), envs.constraint_spec(p), K=2) == ARTIFACT_ACC_K2_SHA256
 
 
 def test_2d_reduced_against_dp_oracle_small():
