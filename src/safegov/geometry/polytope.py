@@ -252,20 +252,14 @@ class HPolytope:
 
     def _dedup(self) -> "HPolytope":
         """Drop duplicate rows, keeping the tightest offset per normal."""
-        norms = np.linalg.norm(self.A, axis=1)
-        if norms.min(initial=np.inf) < 1e-12:
-            P = self.normalized()
-            A, b = P.A, P.b
-        else:
-            # normalized() without building its set: no row is dropped.
-            A, b = self.A / norms[:, None], self.b / norms
-        if A.shape[0] <= 1:
-            return HPolytope(A, b, self.dim)
-        key = np.round(A / 1e-9) * 1e-9
+        P = self.normalized()
+        if P.A.shape[0] <= 1:
+            return P
+        key = np.round(P.A / 1e-9) * 1e-9
         # Sorted on the normal's key, then on the offset: each run of equal
         # keys starts with its tightest row.
-        order = np.lexsort(np.column_stack([key, b]).T[::-1])
-        A, b = A[order], b[order]
+        order = np.lexsort(np.column_stack([key, P.b]).T[::-1])
+        A, b = P.A[order], P.b[order]
         key = key[order]
         first = np.ones(len(b), dtype=bool)
         first[1:] = np.any(key[1:] != key[:-1], axis=1)
