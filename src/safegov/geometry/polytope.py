@@ -106,7 +106,7 @@ class HPolytope:
     """Closed convex polyhedron {x : A x <= b} in R^dim."""
 
     __slots__ = ("A", "b", "dim", "_empty", "_bounded", "_irredundant", "_cheb", "_inner", "_verts",
-                 "_points", "_support")
+                 "_points", "_support", "_scale")
 
     def __init__(self, A, b, dim: int | None = None):
         if dim is None:
@@ -128,6 +128,7 @@ class HPolytope:
         self._verts: np.ndarray | None = None
         self._points: np.ndarray | None = None
         self._support: dict[bytes, float] = {}
+        self._scale: np.ndarray | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -164,8 +165,15 @@ class HPolytope:
         if self.A.shape[0] == 0:
             return True
         slack = self.A @ x - self.b
-        scale = np.maximum(1.0, np.linalg.norm(self.A, axis=1))
-        return bool(np.all(slack <= tol * scale))
+        return bool(np.all(slack <= tol * self._row_scale()))
+
+    def _row_scale(self) -> np.ndarray:
+        """max(1, ||a_i||) per row, the scale of the membership tolerance.
+        Cached: the rows are read-only, so it cannot go stale."""
+        if self._scale is None:
+            self._scale = np.maximum(1.0, np.linalg.norm(self.A, axis=1))
+            self._scale.setflags(write=False)
+        return self._scale
 
     def is_empty(self) -> bool:
         if self._empty is None:
@@ -426,8 +434,7 @@ class PolyUnion:
             if m.A.shape[0] == 0:
                 out[:] = True
                 break
-            scale = np.maximum(1.0, np.linalg.norm(m.A, axis=1))
-            out |= np.all(X @ m.A.T - m.b <= tol * scale, axis=1)
+            out |= np.all(X @ m.A.T - m.b <= tol * m._row_scale(), axis=1)
         return out
 
     def to_dict(self) -> dict:
@@ -1049,6 +1056,11 @@ def union_subset(U1: PolyUnion, U2: PolyUnion) -> bool:
     return all(subset_of_union(m, U2) for m in U1.members)
 
 
+def _vertex_inside(V: np.ndarray, P: HPolytope) -> bool:
+    """Whether some row of V satisfies every row of P exactly."""
+    return bool(np.any(np.all(V @ P.A.T <= P.b, axis=1)))
+
+
 def merge_convex_members(U: PolyUnion) -> PolyUnion:
     """Pairwise-merge members whose union is convex (hull volume matches).
 
@@ -1072,6 +1084,11 @@ def merge_convex_members(U: PolyUnion) -> PolyUnion:
     compares the hull volume with (vols[i] + vols[j] - vol_int) + tol, and
     as vol_int >= 0 and rounding is monotone, that sum is at most the
     bound computed without vol_int.
+
+    A pair whose intersection is formed is nonempty without its LP when a
+    cached vertex of one member meets every row of the other with no
+    tolerance: that vertex is a point of both.  The LP would report the
+    same, so the bytes stay equal.
     """
     members = list(U.members)
     vols = [m.volume() for m in members]
@@ -1102,6 +1119,8 @@ def merge_convex_members(U: PolyUnion) -> PolyUnion:
                     continue
                 vol_int = 0.0
                 inter = members[i].intersect(members[j])
+                if _vertex_inside(vi, members[j]) or _vertex_inside(vj, members[i]):
+                    inter._empty = False
                 if not inter.is_empty():
                     try:
                         vol_int = _point_cloud_volume(inter.vertices())

@@ -20,6 +20,7 @@ and keeps exploring its full action grid.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,13 @@ class QFunction:
     `theta` holds every parameter: the weight matrices of `sizes` (layer
     order, C order), then the bias vectors.  `weights` and `biases` are
     views into it, so an in-place update of `theta` updates the network.
+
+    `forward` and `loss_and_grads` are the per-step calls: every Q
+    evaluation goes through the first and every training step through the
+    second, so a tracer that wraps them by name sees all of the network's
+    work.  Both run the layers in place (one array per layer, bias add and
+    tanh into it); each floating-point operation is the one a plain
+    ``np.tanh(h @ W + b)`` would do, in the same order.
     """
 
     def __init__(self, theta, sizes, in_lo, in_hi):
@@ -65,6 +73,13 @@ class QFunction:
         self.in_lo = np.asarray(in_lo, dtype=float)
         self.in_hi = np.asarray(in_hi, dtype=float)
         self._span = np.maximum(self.in_hi - self.in_lo, 1e-12)
+        # Per layer: its weight slice of theta, the weight shape, its bias slice.
+        layers = list(zip(self.sizes[:-1], self.sizes[1:]))
+        w, i = 0, sum(a * b for a, b in layers)
+        self._grad_slices = []
+        for a, b in layers:
+            self._grad_slices.append((slice(w, w + a * b), (a, b), slice(i, i + b)))
+            w, i = w + a * b, i + b
 
     @classmethod
     def create(cls, in_lo, in_hi, hidden=(64, 64), rng: np.random.Generator | None = None) -> "QFunction":
@@ -82,42 +97,69 @@ class QFunction:
         return QFunction(self.theta.copy(), self.sizes, self.in_lo, self.in_hi)
 
     def _normalize(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.in_lo) / self._span * 2.0 - 1.0
+        h = X - self.in_lo
+        h /= self._span
+        h *= 2.0
+        h -= 1.0
+        return h
+
+    def _hidden(self, h: np.ndarray) -> list[np.ndarray]:
+        """Activations of every layer but the output, the input's first."""
+        acts = [h]
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = h @ W
+            h += b
+            np.tanh(h, out=h)
+            acts.append(h)
+        return acts
+
+    def _output(self, h: np.ndarray) -> np.ndarray:
+        out = h @ self.weights[-1]
+        out += self.biases[-1]
+        return out[:, 0]
 
     def forward(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        h = self._normalize(X)
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ W + b)
-        out = h @ self.weights[-1] + self.biases[-1]
-        return out[:, 0]
+        return self._output(self._hidden(self._normalize(X))[-1])
 
     def q_values(self, x, actions: np.ndarray) -> np.ndarray:
         """Q(x, u) over an action grid (actions shape (k,) for scalar input)."""
-        actions = np.atleast_2d(np.asarray(actions, dtype=float).reshape(len(actions), -1))
+        actions = np.asarray(actions, dtype=float).reshape(len(actions), -1)
         x = np.asarray(x, dtype=float).ravel()
-        X = np.hstack([np.tile(x, (actions.shape[0], 1)), actions])
+        X = np.empty((actions.shape[0], x.size + actions.shape[1]))
+        X[:, :x.size] = x
+        X[:, x.size:] = actions
         return self.forward(X)
 
     def loss_and_grads(self, X, y) -> tuple[float, np.ndarray]:
-        """Mean squared error and its gradient by backprop, laid out as theta."""
+        """Mean squared error and its gradient by backprop, laid out as theta.
+
+        Each layer's gradient is written straight into its slice of the
+        returned vector.  The width-1 output layer back-propagates by a
+        broadcast multiply, delta * W[:, 0], which gives the bytes of the
+        k=1 product delta @ W.T at a fraction of its cost.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
-        acts = [self._normalize(X)]
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            acts.append(np.tanh(acts[-1] @ W + b))
-        pred = (acts[-1] @ self.weights[-1] + self.biases[-1])[:, 0]
-        err = pred - y
+        acts = self._hidden(self._normalize(X))
+        err = self._output(acts[-1]) - y
         n = y.size
         loss = float(err @ err / n)
-        delta = (2.0 * err / n)[:, None]
+        err *= 2.0
+        err /= n
+        delta = err[:, None]
         grad = np.empty_like(self.theta)
-        gW, gb = _unflatten(grad, self.sizes)
         for li in range(len(self.weights) - 1, -1, -1):
-            gW[li][...] = acts[li].T @ delta
-            gb[li][...] = delta.sum(axis=0)
+            w_slice, shape, b_slice = self._grad_slices[li]
+            np.matmul(acts[li].T, delta, out=grad[w_slice].reshape(shape))
+            delta.sum(axis=0, out=grad[b_slice])
             if li > 0:
-                delta = (delta @ self.weights[li].T) * (1.0 - acts[li] ** 2)
+                W = self.weights[li]
+                delta = delta * W[:, 0] if W.shape[1] == 1 else delta @ W.T
+                a = acts[li]                    # spent: becomes 1 - a**2 in place
+                a *= a
+                np.subtract(1.0, a, out=a)
+                delta *= a
         return loss, grad
 
     def loss(self, X, y) -> float:
@@ -246,23 +288,42 @@ class EpisodeLog:
 
 
 def _adam_run(q: QFunction, X, y, train_idx, epochs, batch, lr, rng):
+    """Adam (Kingma & Ba 2015) on minibatches of the rows `train_idx`.
+
+    Each epoch gathers its shuffled rows once and takes the batches as
+    views.  The moments and one work vector are allocated once and
+    updated in place; each update is the same sequence of IEEE operations
+    as m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    theta -= (lr corr) m / (sqrt(v) + eps).
+    """
     m = np.zeros_like(q.theta)
     v = np.zeros_like(q.theta)
+    tmp = np.empty_like(q.theta)
     b1, b2, eps = 0.9, 0.999, 1e-8
     t = 0
     idx = np.array(train_idx)
     for _ in range(epochs):
         rng.shuffle(idx)
+        Xe, ye = X[idx], y[idx]
         for s in range(0, idx.size, batch):
-            sel = idx[s:s + batch]
-            loss, g = q.loss_and_grads(X[sel], y[sel])
-            if not np.isfinite(loss):
-                raise LearnerError(f"non-finite training loss {loss!r} (batch of {sel.size})")
+            yb = ye[s:s + batch]
+            loss, g = q.loss_and_grads(Xe[s:s + batch], yb)
+            if not math.isfinite(loss):
+                raise LearnerError(f"non-finite training loss {loss!r} (batch of {yb.size})")
             t += 1
-            corr = np.sqrt(1 - b2 ** t) / (1 - b1 ** t)
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g ** 2
-            q.theta -= lr * corr * m / (np.sqrt(v) + eps)
+            corr = math.sqrt(1 - b2 ** t) / (1 - b1 ** t)
+            m *= b1
+            np.multiply(g, 1 - b1, out=tmp)
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1 - b2
+            v *= b2
+            v += tmp
+            np.multiply(m, lr * corr, out=g)    # g is spent: it holds the step
+            np.sqrt(v, out=tmp)
+            tmp += eps
+            g /= tmp
+            q.theta -= g
 
 
 def fit(q: QFunction, buffer: ReplayBuffer, epochs: int, batch: int,

@@ -1,8 +1,11 @@
 import logging
+import math
 
 import numpy as np
 import pytest
 
+import learner_reference as ref
+from safegov import learner
 from safegov.envs import BOX_HI, BOX_LO, AccEnv, constraint_spec, reward
 from safegov.geometry import FEAS_TOL
 from safegov.governor import GovernorConfig, govern
@@ -12,6 +15,7 @@ from safegov.learner import (
     TrainConfig,
     action_grid,
     fit,
+    pretrain_to_policy,
     q_target,
     run_trajectory,
     train,
@@ -46,6 +50,118 @@ def test_loss_gradients_match_finite_differences():
         fd[i] = (up - down) / (2 * h)
     q.theta[:] = theta
     assert np.allclose(grad, fd, rtol=1e-5, atol=1e-8)
+
+
+def _random_net(rng, sizes):
+    lo = -rng.uniform(1.0, 3.0, size=sizes[0])
+    hi = rng.uniform(1.0, 3.0, size=sizes[0])
+    q = QFunction.create(lo, hi, hidden=sizes[1:-1], rng=rng)
+    for b in q.biases:
+        b[:] = rng.normal(scale=0.3, size=b.size)
+    return q
+
+
+@pytest.mark.parametrize("sizes", [(4, 64, 64, 1), (3, 8, 1), (5, 16, 12, 9, 1)])
+def test_network_matches_reference_bitwise(sizes):
+    """Forward, q-values, loss and gradient, and theta after 50 Adam steps,
+    are the bytes of the allocate-per-operation reference."""
+    rng = np.random.default_rng(sum(sizes))
+    for trial in range(3):
+        q = _random_net(rng, sizes)
+        for n in (1, 3, 64, 256):
+            pool = rng.uniform(q.in_lo * 1.2, q.in_hi * 1.2, size=(2 * n + 5, sizes[0]))
+            X = pool[rng.permutation(pool.shape[0])[:n]]        # fancy-indexed, as a batch is
+            y = rng.normal(size=n)
+            loss, grad = q.loss_and_grads(X, y)
+            loss_ref, grad_ref = ref.loss_and_grads(q, X, y)
+            assert loss == loss_ref
+            assert grad.tobytes() == grad_ref.tobytes()
+            assert q.forward(X).tobytes() == ref.forward(q, X).tobytes()
+            actions = rng.uniform(-3.0, 3.0, size=n)
+            x = X[0, :-1]
+            assert q.q_values(x, actions).tobytes() == ref.q_values(q, x, actions).tobytes()
+
+        X = rng.uniform(q.in_lo, q.in_hi, size=(130, sizes[0]))
+        y = rng.normal(size=130)
+        train_idx = rng.permutation(130)[:100]
+        for batch, epochs in ((10, 5), (64, 25), (256, 50)):          # 50 steps each
+            a, b = q.copy(), q.copy()
+            rng_a, rng_b = np.random.default_rng(trial), np.random.default_rng(trial)
+            learner._adam_run(a, X, y, train_idx, epochs, batch, 3e-3, rng_a)
+            ref._adam_run(b, X, y, train_idx, epochs, batch, 3e-3, rng_b)
+            assert not np.array_equal(a.theta, q.theta)
+            assert a.theta.tobytes() == b.theta.tobytes()
+            assert rng_a.random() == rng_b.random()
+
+
+def _reference_train(monkeypatch, env, cfg, art=None):
+    with monkeypatch.context() as m:
+        m.setattr(QFunction, "forward", ref.forward)
+        m.setattr(QFunction, "q_values", ref.q_values)
+        m.setattr(QFunction, "loss_and_grads", ref.loss_and_grads)
+        m.setattr(learner, "_adam_run", ref._adam_run)
+        return train(env, cfg, art)
+
+
+@pytest.mark.parametrize("mode", ["conventional", "safe"])
+def test_train_matches_reference_bitwise(monkeypatch, mode):
+    env = AccEnv()
+    art = None
+    if mode == "safe":
+        spec = constraint_spec(env.params)
+        art = build_safe_artifact(compute_unrecoverable(env.system, spec, K=0), env.system, spec)
+    cfg = TrainConfig(seed=7, mode=mode, **TINY)
+    q, logs = train(env, cfg, art)
+    q_ref, logs_ref = _reference_train(monkeypatch, env, cfg, art)
+    assert q.theta.tobytes() == q_ref.theta.tobytes()
+    assert len(logs) == len(logs_ref) == cfg.episodes
+    for a, b in zip(logs, logs_ref):
+        for name in LOG_ARRAYS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def _count_batches(monkeypatch):
+    sizes = []
+    real = QFunction.loss_and_grads
+
+    def counted(self, X, y):
+        sizes.append(len(y))
+        return real(self, X, y)
+
+    monkeypatch.setattr(QFunction, "loss_and_grads", counted)
+    return sizes
+
+
+def _expected_batches(n_train, epochs, batch):
+    per_epoch = [batch] * (n_train // batch) + ([n_train % batch] if n_train % batch else [])
+    assert len(per_epoch) == math.ceil(n_train / batch)
+    return per_epoch * epochs
+
+
+@pytest.mark.parametrize("n, epochs, batch", [(45, 3, 8), (64, 2, 64), (12, 4, 5), (200, 2, 64)])
+def test_fit_takes_one_step_per_batch(monkeypatch, caplog, n, epochs, batch):
+    rng = np.random.default_rng(n)
+    q = QFunction.create([0.0] * 4, [1.0] * 4, hidden=(6,), rng=rng)
+    buf = ReplayBuffer()
+    for x, t in zip(rng.uniform(size=(n, 4)), rng.normal(size=n)):
+        buf.push(x[:3], x[3], t)
+    sizes = _count_batches(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="safegov.learner"):
+        fit(q, buf, epochs=epochs, batch=batch, rng=rng, lr=1e-4)
+    reverted = any("held-out loss grew" in r.getMessage() for r in caplog.records)
+    n_train = n - max(1, n // 10) if n >= 20 else n
+    assert sizes == _expected_batches(n_train, epochs, batch) * (2 if reverted else 1)
+
+
+def test_pretrain_takes_one_step_per_batch(monkeypatch):
+    env = AccEnv()
+    cfg = TrainConfig(pretrain_states=30, pretrain_epochs=3)
+    actions = action_grid(env.params.u_min, env.params.u_max, cfg.action_step)
+    rng = np.random.default_rng(0)
+    q = QFunction.create([*BOX_LO, env.params.u_min], [*BOX_HI, env.params.u_max], hidden=(4,), rng=rng)
+    sizes = _count_batches(monkeypatch)
+    pretrain_to_policy(q, env, actions, cfg, rng)
+    assert sizes == _expected_batches(cfg.pretrain_states * len(actions), cfg.pretrain_epochs, 256)
 
 
 def test_replay_buffer_arrays_keep_push_order():

@@ -72,6 +72,51 @@ def test_contains_dimension_mismatch():
         box([0], [1]).contains([0.0, 0.0])
 
 
+def test_membership_row_scale_cache_keeps_the_verdicts():
+    """contains and contains_many reuse a cached max(1, ||a_i||); their
+    verdicts must equal the formula recomputed from the rows, on rows
+    scaled far below and above 1, vacuous zero rows, and points placed
+    on, just inside and just outside the tolerance band of each row."""
+
+    def uncached(A, b, x, tol):
+        return bool(np.all(A @ x - b <= tol * np.maximum(1.0, np.linalg.norm(A, axis=1))))
+
+    def uncached_many(A, b, X, tol):
+        # The batched product rounds apart from A @ x near the band's edge.
+        return np.all(X @ A.T - b <= tol * np.maximum(1.0, np.linalg.norm(A, axis=1)), axis=1)
+
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        dim = int(rng.integers(1, 5))
+        sets = []
+        for _ in range(3):
+            k = int(rng.integers(dim + 1, 3 * dim + 3))
+            A = rng.normal(size=(k, dim)) * rng.choice([1e-3, 0.2, 1.0, 7.0, 300.0], size=(k, 1))
+            A[rng.random(k) < 0.15] = 0.0
+            b = np.abs(rng.normal(size=k)) * np.linalg.norm(A, axis=1) + rng.uniform(0.0, 0.1, size=k)
+            sets.append(HPolytope(A, b, dim))
+        U = PolyUnion(sets, dim)
+        points = [rng.normal(size=dim) * 2.0 for _ in range(6)]
+        for P in sets:
+            for a, beta in zip(P.A, P.b):
+                nn = a @ a
+                if nn == 0.0:
+                    continue
+                x0 = rng.normal(size=dim)
+                on = x0 + (beta - a @ x0) / nn * a
+                step = FEAS_TOL * max(1.0, np.sqrt(nn)) / nn * a
+                points += [on] + [on + s * step for s in (-2.0, -1.001, 0.5, 0.999, 1.001, 2.0)]
+        X = np.array(points)
+        for tol in (FEAS_TOL, 1e-6, 0.0):
+            for P in sets:
+                want = [uncached(P.A, P.b, x, tol) for x in X]
+                assert [P.contains(x, tol) for x in X] == want
+                assert [P.contains(x, tol) for x in X] == want       # from the cache
+            want = np.any([uncached_many(m.A, m.b, X, tol) for m in U.members], axis=0)
+            assert U.contains_many(X, tol).tolist() == want.tolist()
+            assert [U.contains(x, tol) for x in X] == [any(uncached(m.A, m.b, x, tol) for m in U.members) for x in X]
+
+
 def test_subset_basics():
     assert subset(box([0, 0], [1, 1]), box([0, 0], [2, 2]))
     assert not subset(box([0], [2]), box([0], [1]))

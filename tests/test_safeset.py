@@ -213,7 +213,9 @@ def test_2d_build_lp_count(monkeypatch):
     piece's significance from its vertices, the merge compared hull and
     member volumes before forming an intersection, remove_redundancy
     started rays from hull points and from the vertices of sets known
-    bounded, and is_bounded certified boxes without LPs; 89 after."""
+    bounded, and is_bounded certified boxes without LPs; 89 after.  It was
+    89 before the merge took a vertex of one member inside the other as
+    proof that their intersection is nonempty; 75 after."""
     from safegov.geometry import lp as lp_module, polytope as polytope_module
 
     sys, spec = sys_2d()
@@ -228,7 +230,7 @@ def test_2d_build_lp_count(monkeypatch):
     monkeypatch.setattr(polytope_module, "lp_solve", counted)
     sets = compute_unrecoverable(sys, spec, K=2)
     build_safe_artifact(sets, sys, spec)
-    assert calls[0] == 89
+    assert calls[0] == 75
 
 
 # SHA-256 of jsonutil.dumps of the 2-D K=2 artifact, then of X_0, X_1, X_2.
