@@ -8,9 +8,21 @@ operations are pure functions, so values can be shared freely.
 An HPolytope caches what it learns about itself: emptiness, boundedness,
 irredundancy, its Chebyshev ball, a point inside it, its vertices and the
 support values it has been asked for (a memo per set, keyed on the
-direction's bytes, so it never outlives the set).  Operations whose
-result provably shares a fact carry it over instead of paying LPs for it
-again:
+direction's bytes, so it never outlives the set).  It also computes each
+form of its rows once: the membership row scale, the unit rows of
+``normalized()`` and the deduplicated rows of ``_dedup()``.  None of these
+can go stale: a set's rows are read-only arrays that the set owns, fixed
+at construction.  ``normalized()`` and ``_dedup()`` still return a new set on
+each call, which shares the cached arrays but none of its flags, so a
+flag set on one result (``remove_redundancy`` marks its ``_dedup()``)
+never reaches the next.  A row form equal to the rows it was computed from
+shares their arrays, so sets kept in an artifact hold little more.  Sets
+whose rows are computed from rows already checked (intersections, the
+pieces of ``region_diff``, ``remove_redundancy`` output and the cached
+row forms) are built without ``_rows``' conversions and checks.
+
+Operations whose result provably shares a fact carry it over instead of
+paying LPs for it again:
 
 - ``intersect`` is bounded when either operand is known to be bounded;
 - ``convex_hull`` is bounded and nonempty, being the hull of finitely
@@ -36,15 +48,21 @@ artifact's bytes.
 
 Vertex enumeration solves every dim-subset of half-space rows, which is
 exact and affordable in the dimensions this package targets (<= 4; the
-bundled case study uses 3).  In these dimensions vertices, and the
-points a hull was taken of, answer most yes/no questions of the set
-recursion at less cost than an LP.  Each shortcut below decides only
-outside a margin band around the LP's own threshold and leaves the band
-to the LP, so every decision stays the LP's:
+bundled case study uses 3).  The subsets come from index tables built
+once per shape and kept in a small bounded cache; a large enumeration
+builds and solves them a batch at a time instead, with the same points.
+
+In these dimensions vertices, and the points a hull was taken of, answer
+most yes/no questions of the set recursion at less cost than an LP.
+Each shortcut below decides only outside a margin band around the LP's
+own threshold and leaves the band to the LP, so every decision stays
+the LP's:
 
 - ``region_diff`` decides from vertices whether a piece is significant,
   whether a member meets a piece (slab tests batched over all members),
-  whether a member's row cuts it, and which of its rows are redundant;
+  whether a member's row cuts it (a row that only touches it is cleared
+  by a normal-cone bound), and which of its rows are redundant; what
+  these tests read of a piece is computed once per piece;
 - ``remove_redundancy`` keeps rows by ray certificates from an interior
   point, from the facets of its vertices or its hull points, and drops
   rows slack at every vertex;
@@ -55,8 +73,10 @@ to the LP, so every decision stays the LP's:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -77,6 +97,11 @@ _MERGE_VOLUME_TOL = 1e-9
 # Cap on half-space rows fed to d-subset vertex enumeration.
 _VERTEX_ROW_CAP = 160
 
+# Row subsets solved per batch by vertex enumeration.  Index tables of at
+# most this many subsets are cached per shape; larger enumerations build
+# their subsets a batch at a time and keep none.
+_VERTEX_BATCH = 4096
+
 
 class GeometryError(ValueError):
     """Invalid geometric operation (dimension mismatch, empty input, ...)."""
@@ -91,8 +116,11 @@ class RegionBudgetError(GeometryError):
 
 
 def _rows(A, b, dim):
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float).ravel()
+    """Checked copies of the rows.  The set owns its rows, so no caller can
+    write to the arrays its caches were computed from, and the caller's
+    own arrays stay writable."""
+    A = np.atleast_2d(np.array(A, dtype=float))
+    b = np.array(b, dtype=float).ravel()
     if A.size == 0:
         A = A.reshape(0, dim)
     if A.shape[1] != dim or A.shape[0] != b.size:
@@ -103,10 +131,18 @@ def _rows(A, b, dim):
 
 
 class HPolytope:
-    """Closed convex polyhedron {x : A x <= b} in R^dim."""
+    """Closed convex polyhedron {x : A x <= b} in R^dim.
+
+    A and b are read-only.  Everything derived from them alone is cached
+    on first use and never recomputed: the row scale of the membership
+    tolerance, the unit rows of ``normalized()``, the rows of ``_dedup()``,
+    the vertices and the support values.  The facts in ``_empty``,
+    ``_bounded``, ``_irredundant``, ``_cheb`` and ``_inner`` may be set by
+    the operation that built the set, when it knows them to hold.
+    """
 
     __slots__ = ("A", "b", "dim", "_empty", "_bounded", "_irredundant", "_cheb", "_inner", "_verts",
-                 "_points", "_support", "_scale")
+                 "_points", "_support", "_scale", "_unit", "_dedup_rows")
 
     def __init__(self, A, b, dim: int | None = None):
         if dim is None:
@@ -116,8 +152,20 @@ class HPolytope:
             dim = A0.shape[1]
         if dim <= 0:
             raise GeometryError("dim must be positive")
-        self.A, self.b = _rows(A, b, dim)
-        self.dim = int(dim)
+        self._set_rows(*_rows(A, b, dim), int(dim))
+
+    @classmethod
+    def _derived(cls, A: np.ndarray, b: np.ndarray, dim: int) -> "HPolytope":
+        """A set on rows computed from rows that were already validated:
+        float arrays of shapes (r, dim) and (r,), finite, and owned by no
+        caller that writes to them.  Skips ``_rows``' conversions and
+        checks, which cost more than the small sets of the recursion."""
+        out = cls.__new__(cls)
+        out._set_rows(A, b, dim)
+        return out
+
+    def _set_rows(self, A: np.ndarray, b: np.ndarray, dim: int) -> None:
+        self.A, self.b, self.dim = A, b, dim
         self.A.setflags(write=False)
         self.b.setflags(write=False)
         self._empty: bool | None = None
@@ -129,6 +177,8 @@ class HPolytope:
         self._points: np.ndarray | None = None
         self._support: dict[bytes, float] = {}
         self._scale: np.ndarray | None = None
+        self._unit: tuple[np.ndarray, np.ndarray] | None = None
+        self._dedup_rows: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -164,8 +214,7 @@ class HPolytope:
             raise GeometryError("point dimension mismatch")
         if self.A.shape[0] == 0:
             return True
-        slack = self.A @ x - self.b
-        return bool(np.all(slack <= tol * self._row_scale()))
+        return bool((_slack(self.A, self.b, x) <= tol * self._row_scale()).all())
 
     def _row_scale(self) -> np.ndarray:
         """max(1, ||a_i||) per row, the scale of the membership tolerance.
@@ -240,38 +289,55 @@ class HPolytope:
     def intersect(self, other: "HPolytope") -> "HPolytope":
         if other.dim != self.dim:
             raise GeometryError("dimension mismatch")
-        out = HPolytope(np.vstack([self.A, other.A]), np.concatenate([self.b, other.b]), self.dim)
+        out = HPolytope._derived(np.vstack([self.A, other.A]), np.concatenate([self.b, other.b]), self.dim)
         if self._bounded or other._bounded:
             out._bounded = True
         return out
 
     def normalized(self) -> "HPolytope":
         """Unit row normals; vacuous rows dropped, infeasible zero rows kept."""
-        norms = np.linalg.norm(self.A, axis=1)
-        keep_zero_infeasible = np.any((norms < 1e-12) & (self.b < -FEAS_TOL))
-        if keep_zero_infeasible:
-            return HPolytope.empty(self.dim)
-        mask = norms >= 1e-12
-        A = self.A[mask] / norms[mask, None]
-        b = self.b[mask] / norms[mask]
-        if A.shape[0] == 0:
-            return HPolytope(np.zeros((0, self.dim)), np.zeros(0), self.dim)
-        return HPolytope(A, b, self.dim)
+        return HPolytope._derived(*self._unit_rows(), self.dim)
+
+    def _unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``normalized()``, computed once per set.  Rows whose
+        norms are all exactly 1 are shared with the set itself."""
+        if self._unit is None:
+            norms = np.linalg.norm(self.A, axis=1)
+            if ((norms < 1e-12) & (self.b < -FEAS_TOL)).any():
+                self._unit = (np.zeros((1, self.dim)), np.array([-1.0]))
+            elif (norms == 1.0).all():
+                self._unit = (self.A, self.b)
+            else:
+                mask = norms >= 1e-12
+                self._unit = (self.A[mask] / norms[mask, None], self.b[mask] / norms[mask])
+            for rows in self._unit:
+                rows.setflags(write=False)
+        return self._unit
 
     def _dedup(self) -> "HPolytope":
         """Drop duplicate rows, keeping the tightest offset per normal."""
-        P = self.normalized()
-        if P.A.shape[0] <= 1:
-            return P
-        key = np.round(P.A / 1e-9) * 1e-9
-        # Sorted on the normal's key, then on the offset: each run of equal
-        # keys starts with its tightest row.
-        order = np.lexsort(np.column_stack([key, P.b]).T[::-1])
-        A, b = P.A[order], P.b[order]
-        key = key[order]
-        first = np.ones(len(b), dtype=bool)
-        first[1:] = np.any(key[1:] != key[:-1], axis=1)
-        return HPolytope(A[first], b[first], self.dim)
+        return HPolytope._derived(*self._deduplicated_rows(), self.dim)
+
+    def _deduplicated_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``_dedup()``, computed once per set: the unit rows
+        sorted on the normal's key, then on the offset, and the first row
+        of each run of equal keys, its tightest.  Rows already in that
+        order with no duplicate are shared with ``_unit_rows``."""
+        if self._dedup_rows is None:
+            A, b = self._unit_rows()
+            if len(b) > 1:
+                key = np.round(A / 1e-9) * 1e-9
+                order = np.lexsort(np.column_stack([key, b]).T[::-1])
+                key = key[order]
+                first = np.ones(len(b), dtype=bool)
+                first[1:] = (key[1:] != key[:-1]).any(axis=1)
+                keep = order[first]
+                if len(keep) < len(b) or (keep[1:] < keep[:-1]).any():
+                    A, b = A[keep], b[keep]
+                    A.setflags(write=False)
+                    b.setflags(write=False)
+            self._dedup_rows = (A, b)
+        return self._dedup_rows
 
     def remove_redundancy(self) -> "HPolytope":
         """Minimal-row representation: every remaining row is irredundant.
@@ -326,8 +392,7 @@ class HPolytope:
         else:
             if self.is_empty():
                 return HPolytope.empty(self.dim)
-            P = self._dedup()
-            A, b = P.A, P.b
+            A, b = self._deduplicated_rows()
             keep = np.ones(len(b), dtype=bool)
             certified = np.zeros(len(b), dtype=bool)
             drop = np.zeros(len(b), dtype=bool)
@@ -355,7 +420,7 @@ class HPolytope:
                 res = lp_solve(-A[i], Atest, btest)
                 redundant = res.status == OPTIMAL and -res.value <= b[i] + FEAS_TOL
                 keep[i] = not redundant
-            out = HPolytope(A[keep], b[keep], self.dim)
+            out = HPolytope._derived(A[keep], b[keep], self.dim)
         out._empty = False
         out._bounded = self._bounded
         out._irredundant = True
@@ -373,8 +438,7 @@ class HPolytope:
             raise GeometryError("vertices of an empty set")
         if not self.is_bounded():
             raise UnboundedSetError("vertices of an unbounded set")
-        P = self._dedup()
-        verts = _enumerate_vertices(P.A, P.b)
+        verts = _enumerate_vertices(*self._deduplicated_rows())
         verts.setflags(write=False)
         self._verts = verts
         return verts
@@ -434,7 +498,7 @@ class PolyUnion:
             if m.A.shape[0] == 0:
                 out[:] = True
                 break
-            out |= np.all(X @ m.A.T - m.b <= tol * m._row_scale(), axis=1)
+            out |= (_slack(m.A, m.b, X) <= tol * m._row_scale()).all(axis=1)
         return out
 
     def to_dict(self) -> dict:
@@ -464,6 +528,24 @@ def _boxed(A: np.ndarray) -> bool:
     return bool(seen.all())
 
 
+def _slack(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A x - b for one point x, shape (rows,), or for each row x of a stack
+    X, shape (points, rows).
+
+    The products are summed one column of A at a time, so every entry is
+    the same sequence of rounded operations whatever the number of points:
+    ``contains`` and ``contains_many`` give a point the same slack.  A
+    matrix product need not, since BLAS rounds a batch apart from a single
+    point (one in about 2,000 band-edge points then differed)."""
+    cols = A.T
+    terms = X.tolist() if X.ndim == 1 else X.T[:, :, None]
+    S = terms[0] * cols[0]
+    for j in range(1, len(cols)):
+        S += terms[j] * cols[j]
+    S -= b
+    return S
+
+
 def _center(P: HPolytope) -> np.ndarray | None:
     """P's cached Chebyshev center, else its recorded interior point, else
     None; never solves an LP."""
@@ -473,34 +555,31 @@ def _center(P: HPolytope) -> np.ndarray | None:
 
 
 def _ray_support(A: np.ndarray, b: np.ndarray, c: np.ndarray, D: np.ndarray,
-                 skip_own: bool = False) -> np.ndarray:
+                 skip_own: bool = False, slack: np.ndarray | None = None) -> np.ndarray:
     """Lower bounds on max d'x over {x : A x <= b}, one per row d of D.
 
     Each bound is d'x at the point where the ray c + t d, t >= 0, first
     meets a row (+inf if it never does).  That point lies in the set, so
     the maximum is at least the bound.  c is one origin for every ray, or
-    one origin per row of D.  With skip_own the ray along D[k] ignores
-    row k, which bounds the sets without each row (D = A).  A ray's bound
-    is -inf unless its origin satisfies every row.
+    one origin per row of D; for one origin, slack may give b - A c, so
+    that a caller shooting several batches from c computes it once.  With
+    skip_own the ray along D[k] ignores row k, which bounds the sets
+    without each row (D = A).  A ray's bound is -inf unless its origin
+    satisfies every row.
     """
-    C = np.broadcast_to(c, D.shape)
-    slack = b[:, None] - A @ C.T         # slack[j, k] = b_j - a_j'c_k
+    if c.ndim == 1:
+        gap = (b - A @ c if slack is None else slack)[:, None]    # gap[j, 0] = b_j - a_j'c
+        start = D @ c
+    else:
+        gap = b[:, None] - A @ c.T                                 # gap[j, k] = b_j - a_j'c_k
+        start = np.einsum("ij,ij->i", D, c)
     rate = A @ D.T                       # rate[j, k] = a_j'd_k
     if skip_own:
         np.fill_diagonal(rate, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reach = np.where(rate > 0.0, slack / rate, np.inf).min(axis=0, initial=np.inf)
-    bound = np.einsum("ij,ij->i", D, C) + reach * np.einsum("ij,ij->i", D, D)
-    bound[~np.all(slack >= 0.0, axis=0)] = -np.inf
-    return bound
-
-
-def _vertex_residual(V: np.ndarray, A: np.ndarray, b: np.ndarray) -> float:
-    """Largest violation of the rows (A, b) by the points V, at least 0.
-
-    Vertex enumeration accepts a solution that misses a row by up to
-    1e-6 (1 + max|b|), so a vertex can lie this far outside its set."""
-    return float(np.max(V @ A.T - b, initial=0.0))
+    ratio = np.divide(gap, rate, out=np.full(rate.shape, np.inf), where=rate > 0.0)
+    reach = ratio.min(axis=0, initial=np.inf)
+    bound = start + reach * np.einsum("ij,ij->i", D, D)
+    return np.where((gap >= 0.0).all(axis=0), bound, -np.inf)
 
 
 def _vertex_redundancy(A: np.ndarray, b: np.ndarray, V: np.ndarray,
@@ -509,7 +588,9 @@ def _vertex_redundancy(A: np.ndarray, b: np.ndarray, V: np.ndarray,
 
     V are the vertices of {x : A x <= b} (unit rows) and origin a point
     inside it, or None.  With delta = 10 FEAS_TOL plus the residual of V
-    against the rows, row i is active at vertex v when a_i'v >= b_i -
+    against the rows (the largest violation of a row by a vertex, at least
+    0: vertex enumeration accepts a point that misses a row by up to
+    1e-6 (1 + max|b|)), row i is active at vertex v when a_i'v >= b_i -
     delta (1 + |b_i|).  A row active at no vertex is in drop.  An active
     row is in keep when the ray along a_i from the centroid of its active
     vertices, nudged 1e-3 of the way toward origin, passes b_i +
@@ -517,8 +598,9 @@ def _vertex_redundancy(A: np.ndarray, b: np.ndarray, V: np.ndarray,
     strictly inside every row: the centroid itself lies on row i, and a
     rounding error there fails _ray_support's origin test.
     """
-    delta = 10 * FEAS_TOL + _vertex_residual(V, A, b)
-    active = V @ A.T >= b - delta * (1.0 + np.abs(b))      # (vertices, rows)
+    VA = V @ A.T                                           # (vertices, rows)
+    delta = 10 * FEAS_TOL + float(np.max(VA - b, initial=0.0))
+    active = VA >= b - delta * (1.0 + np.abs(b))
     count = active.sum(axis=0)
     drop = count == 0
     keep = np.zeros(len(b), dtype=bool)
@@ -543,33 +625,63 @@ def _dedup_points(pts: np.ndarray, tol: float = 1e-7) -> np.ndarray:
     order = np.lexsort(key.T)
     key = key[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(key[1:] != key[:-1], axis=1)
+    first[1:] = (key[1:] != key[:-1]).any(axis=1)
     return pts[np.sort(order[first])]
+
+
+@functools.lru_cache(maxsize=32)
+def _subset_table(r: int, d: int) -> np.ndarray:
+    """The d-subsets of range(r) in lexicographic order, shape
+    (C(r, d), d), read-only.  Callers ask only for tables of at most
+    _VERTEX_BATCH subsets, so the 32 cached hold at most 4 MB in 4-D."""
+    table = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(r), d)),
+                        dtype=np.intp, count=math.comb(r, d) * d).reshape(-1, d)
+    table.setflags(write=False)
+    return table
+
+
+def _subset_batches(r: int, d: int):
+    """The d-subsets of range(r) in lexicographic order, as index tables
+    of at most _VERTEX_BATCH rows each."""
+    if math.comb(r, d) <= _VERTEX_BATCH:
+        yield _subset_table(r, d)
+        return
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(r), d))
+    while True:
+        batch = np.fromiter(itertools.islice(subsets, _VERTEX_BATCH * d), dtype=np.intp)
+        if not len(batch):
+            return
+        yield batch.reshape(-1, d)
 
 
 def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The points where dim of the rows (A, b) meet and every row holds,
     up to 1e-6 (1 + max|b|), deduplicated: the vertices of a bounded,
     nonempty set given by its deduplicated rows.  Raises GeometryError
-    past the row cap or when no such point exists."""
+    past the row cap or when no such point exists.
+
+    The row subsets are solved in batches (``_subset_batches``), which
+    bounds the memory of a large enumeration: at the row cap in 3-D one
+    batch would otherwise hold 16 MB of indices and 48 MB of matrices.
+    Each subset's point and feasibility are computed on their own, so
+    the points and their order do not depend on the batching."""
     r, d = A.shape
     if r > _VERTEX_ROW_CAP:
         raise GeometryError(f"vertex enumeration row cap exceeded ({r} rows)")
-    combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(r), d)),
-                         dtype=np.intp, count=math.comb(r, d) * d).reshape(-1, d)
-    mats = A[combos]                      # (k, d, d)
-    dets = np.abs(np.linalg.det(mats))
-    ok = dets > 1e-8
-    pts = []
-    if np.any(ok):
-        sols = np.linalg.solve(mats[ok], b[combos[ok]][..., None])[..., 0]
-        scale = 1.0 + np.abs(b).max(initial=1.0)
-        feas = np.all(sols @ A.T - b <= 1e-6 * scale, axis=1)
-        finite = np.all(np.isfinite(sols), axis=1)
-        pts = sols[feas & finite]
+    scale = 1.0 + np.abs(b).max(initial=1.0)
+    found = []
+    for combos in _subset_batches(r, d):
+        mats = A[combos]                      # (k, d, d)
+        ok = np.abs(np.linalg.det(mats)) > 1e-8
+        if ok.any():
+            sols = np.linalg.solve(mats[ok], b[combos[ok]][..., None])[..., 0]
+            feas = (_slack(A, b, sols) <= 1e-6 * scale).all(axis=1)
+            finite = np.isfinite(sols).all(axis=1)
+            found.append(sols[feas & finite])
+    pts = np.concatenate(found) if found else np.zeros((0, d))
     if len(pts) == 0:
         raise GeometryError("no vertices found (degenerate numerics)")
-    return _dedup_points(np.asarray(pts))
+    return _dedup_points(pts)
 
 
 def _point_cloud_volume(pts: np.ndarray) -> float:
@@ -748,8 +860,7 @@ def _vertices_or_none(P: HPolytope) -> np.ndarray | None:
         return None
     try:
         if P._empty is None:
-            D = P._dedup()
-            return _enumerate_vertices(D.A, D.b)
+            return _enumerate_vertices(*P._deduplicated_rows())
         return P.vertices()
     except GeometryError:
         return None
@@ -778,7 +889,7 @@ def _significance(P: HPolytope, V: np.ndarray, min_r: float) -> bool | None:
         P._empty = False
         P._inner = c
         return True
-    if np.any(P.b - (V @ P.A.T).min(axis=0) < 2.0 * (min_r - 10 * FEAS_TOL)):
+    if (P.b - (V @ P.A.T).min(axis=0) < 2.0 * (min_r - 10 * FEAS_TOL)).any():
         return False
     return None
 
@@ -794,7 +905,7 @@ def _separated(P: HPolytope, Q: HPolytope) -> bool:
     if V is None:
         return False
     margin = FEAS_TOL * np.linalg.norm(P.A, axis=1)
-    return bool(np.any(np.all(V @ P.A.T - P.b > margin, axis=0)))
+    return bool((V @ P.A.T - P.b > margin).all(axis=0).any())
 
 
 def _stacked(members: list[tuple]) -> tuple:
@@ -833,12 +944,17 @@ def _apart(R: HPolytope, VR: np.ndarray, stack: tuple, min_r: float) -> np.ndarr
         out[has_rows] = np.logical_or.reduceat(b - (VR @ A.T).min(axis=0) < thin, row_starts)
     if len(W):
         low = np.minimum.reduceat(W @ R.A.T, vert_starts, axis=0)     # (members, rows of R)
-        out[has_verts] |= np.any(R.b - low < thin, axis=1)
+        out[has_verts] |= (R.b - low < thin).any(axis=1)
     return out
 
 
+# Index pairs (i < j) of _meet_verdict's candidate points, which number at
+# most five, by the number of points.
+_PAIRS = tuple(np.triu_indices(n, 1) for n in range(6))
+
+
 def _meet_verdict(R: HPolytope, VR: np.ndarray, Qn: HPolytope, VQ: np.ndarray | None,
-                  min_r: float) -> bool | None:
+                  c: np.ndarray, min_r: float) -> bool | None:
     """True when R & Q holds a ball of radius above min_r by the test
     below, else None; for a member that ``_apart`` has not ruled out.
 
@@ -854,30 +970,81 @@ def _meet_verdict(R: HPolytope, VR: np.ndarray, Qn: HPolytope, VQ: np.ndarray | 
 
     Returns None otherwise; the Chebyshev LP on R & Q must decide.
     """
-    points = [_center(R)]
-    shared = [VR[np.all(VR @ Qn.A.T <= Qn.b, axis=1)]]
+    points = [c]
+    shared = [VR[(VR @ Qn.A.T <= Qn.b).all(axis=1)]]
     if VQ is not None:
         points.append(VQ.mean(axis=0))
-        shared.append(VQ[np.all(VQ @ R.A.T <= R.b, axis=1)])
+        shared.append(VQ[(VQ @ R.A.T <= R.b).all(axis=1)])
     points += [S.mean(axis=0) for S in shared if len(S)]
     shared = np.vstack(shared)
     if len(shared):
         points.append(shared.mean(axis=0))
     pts = np.array(points)
-    i, j = np.triu_indices(len(pts), 1)
-    C = np.vstack([pts] + [pts[i] + t * (pts[j] - pts[i]) for t in (0.25, 0.5, 0.75)])
+    i, j = _PAIRS[len(pts)]
+    base = pts[i]
+    step = pts[j] - base
+    C = np.vstack([pts, base + 0.25 * step, base + 0.5 * step, base + 0.75 * step])
     depth = np.minimum((R.b - C @ R.A.T).min(axis=1, initial=np.inf),
                        (Qn.b - C @ Qn.A.T).min(axis=1, initial=np.inf))
-    if np.any(depth > min_r + 10 * FEAS_TOL):
+    if (depth > min_r + 10 * FEAS_TOL).any():
         return True
     return None
 
 
-def _cut_verdicts(R: HPolytope, V: np.ndarray | None, Qn: HPolytope) -> tuple[np.ndarray, np.ndarray]:
+class _PieceFacts(NamedTuple):
+    """What region_diff's tests read of a piece R, computed once per piece
+    for all the members tested against it: an interior point c
+    (``_center``), the slack b - A c of R's rows at c and, when R's
+    vertices V are known, the residuals V A' - b of the vertices against
+    R's rows and their margin delta = 10 FEAS_TOL plus the largest
+    residual, at least 0 (as in ``_vertex_redundancy``)."""
+
+    c: np.ndarray
+    slack: np.ndarray
+    residuals: np.ndarray | None
+    delta: float | None
+
+    @classmethod
+    def of(cls, R: HPolytope, V: np.ndarray | None) -> "_PieceFacts":
+        c = _center(R)
+        if V is None:
+            return cls(c, R.b - R.A @ c, None, None)
+        residuals = V @ R.A.T - R.b
+        return cls(c, R.b - R.A @ c, residuals, 10 * FEAS_TOL + float(residuals.max(initial=0.0)))
+
+
+def _cone_bound(A: np.ndarray, b: np.ndarray, a: np.ndarray, reach: float) -> float:
+    """An upper bound on a'x over the points x of {x : A x <= b} with
+    |x|_inf <= reach, by weak LP duality, or inf.
+
+    For every dim-subset S of the rows with |det A_S| > 1e-8, lam solves
+    A_S'lam = a and is clipped at 0; with r = a - A_S'lam the rest,
+    a'x = lam'(A_S x) + r'x <= lam'b_S + |r|_1 reach.  The least bound is
+    returned (inf past _VERTEX_BATCH subsets).  Any rows give a valid
+    bound.  When the rows are those active at a vertex v and a lies in
+    their cone, some subset has lam >= 0 (Caratheodory), and its bound is
+    a'v up to rounding.
+    """
+    if math.comb(len(b), len(a)) > _VERTEX_BATCH:
+        return np.inf
+    combos = _subset_table(len(b), len(a))
+    mats = A[combos]                                    # (k, dim, dim)
+    ok = np.abs(np.linalg.det(mats)) > 1e-8
+    if not ok.any():
+        return np.inf
+    combos, mats = combos[ok], mats[ok]
+    rhs = np.broadcast_to(a[:, None], (len(mats), len(a), 1))
+    lam = np.maximum(np.linalg.solve(mats.transpose(0, 2, 1), rhs)[..., 0], 0.0)
+    rest = np.abs(a - np.einsum("ki,kij->kj", lam, mats)).sum(axis=1)
+    return float((np.einsum("ki,ki->k", lam, b[combos]) + rest * reach).min())
+
+
+def _cut_verdicts(R: HPolytope, V: np.ndarray | None, facts: _PieceFacts,
+                  Qn: HPolytope) -> tuple[np.ndarray, np.ndarray]:
     """(cuts, clear) masks over the unit rows (a, beta) of Qn: the rows
     certified to cut R, R.support(a) > beta + FEAS_TOL, and those
-    certified not to.  R has unit rows, an interior point c (``_center``)
-    and vertices V (None if unknown); see region_diff for the tests.
+    certified not to.  R has unit rows, vertices V (None if unknown) and
+    the per-piece ``facts``; see region_diff for the tests.
 
     A row of Qn within 1e-9 of a row (a_j, b_j) of R is also clear when
     b_j + max over V of (a - a_j)'v < beta + FEAS_TOL / 2.  R lies inside
@@ -886,13 +1053,26 @@ def _cut_verdicts(R: HPolytope, V: np.ndarray | None, Qn: HPolytope) -> tuple[np
     Pieces and members share rows often: a piece is cut along rows that
     other members repeat, and there the vertex bound h sits at beta, too
     close to the threshold for the margin delta.
+
+    A row left undecided is clear when a normal-cone bound is below
+    beta + FEAS_TOL / 2: at the vertex v where a'v is largest, a is
+    written as a nonnegative combination of dim rows of R active there,
+    which bounds R.support(a) from above (``_cone_bound``).  The bound
+    needs no vertex to be exact: a weak-duality bound holds for any rows,
+    and the error of the combination enters only scaled by a bound on |x|
+    over R, twice 1 + max|V|.  v only picks the rows that make the bound
+    tight, those with residual at least -FEAS_TOL (1 + |b_j|) there; a row
+    slack by more would loosen it.  Such rows touch R without cutting it,
+    a'v at beta to rounding, where no vertex margin can decide them.
     """
-    c = _center(R)
-    cuts = (Qn.A @ c > Qn.b + FEAS_TOL) | (_ray_support(R.A, R.b, c, Qn.A) > Qn.b + 10 * FEAS_TOL)
+    c = facts.c
+    cuts = (Qn.A @ c > Qn.b + FEAS_TOL) | (_ray_support(R.A, R.b, c, Qn.A, slack=facts.slack)
+                                            > Qn.b + 10 * FEAS_TOL)
     if V is None:
         return cuts, np.zeros_like(cuts)
-    delta = 10 * FEAS_TOL + _vertex_residual(V, R.A, R.b)
-    h = (V @ Qn.A.T).max(axis=0)
+    delta = facts.delta
+    H = V @ Qn.A.T
+    h = H.max(axis=0)
     cuts |= h > Qn.b + FEAS_TOL + delta
     clear = h < Qn.b + FEAS_TOL - delta
     gap = np.abs(Qn.A[:, None, :] - R.A[None, :, :]).max(axis=2)
@@ -900,6 +1080,13 @@ def _cut_verdicts(R: HPolytope, V: np.ndarray | None, Qn: HPolytope) -> tuple[np
     near = gap[np.arange(len(j)), j] <= 1e-9
     bound = R.b[j] + ((Qn.A - R.A[j]) @ V.T).max(axis=1)
     clear |= near & (bound < Qn.b + FEAS_TOL / 2)
+    undecided = np.flatnonzero(~(cuts | clear))
+    if len(undecided):
+        reach = 2.0 * (1.0 + np.abs(V).max())
+        band = -FEAS_TOL * (1.0 + np.abs(R.b))
+        for i in undecided:
+            active = facts.residuals[H[:, i].argmax()] >= band
+            clear[i] = _cone_bound(R.A[active], R.b[active], Qn.A[i], reach) < Qn.b[i] + FEAS_TOL / 2
     return cuts, clear
 
 
@@ -954,9 +1141,13 @@ def region_diff(
       delta and does not when h < beta + FEAS_TOL - delta: R is the hull of
       its vertices, so h is R.support(a) up to the vertices' error, which
       delta bounds.  A row that repeats a row of R, as the rows a piece was
-      cut along often do, is cleared by a bound with a smaller error
-      (``_cut_verdicts``).  R.support(a) is solved only when all these
-      tests fail.
+      cut along often do, is cleared by a bound with a smaller error, and
+      so is a row that touches R at a vertex whose active rows have a in
+      their cone (``_cut_verdicts``).  R.support(a) is solved only when
+      all these tests fail.
+    - What these tests read of R alone (c, R's slack at c and the
+      vertices' residuals) is computed once per piece (``_PieceFacts``),
+      not once per member.
     - Redundancy: each significant piece keeps its vertices for its
       ``remove_redundancy``, which then uses them (see there).
 
@@ -982,6 +1173,7 @@ def region_diff(
         if counter[0] > max_pieces:
             raise RegionBudgetError(f"region_diff exceeded {max_pieces} fragments")
         apart = None if V is None else _apart(R, V, stack, min_r)
+        facts = _PieceFacts.of(R, V)
         # Pick the member that actually cuts R with the fewest rows.
         best = None
         for pos, k in enumerate(members):
@@ -993,12 +1185,12 @@ def region_diff(
             elif apart[k]:
                 continue
             else:
-                meets = _meet_verdict(R, V, Qn, VQ, min_r)
+                meets = _meet_verdict(R, V, Qn, VQ, facts.c, min_r)
             if meets is None:
                 meets = significant(R.intersect(Q))
             if not meets:
                 continue
-            cuts, clear = _cut_verdicts(R, V, Qn)
+            cuts, clear = _cut_verdicts(R, V, facts, Qn)
             cutting = [i for i, (a, beta) in enumerate(zip(Qn.A, Qn.b))
                        if cuts[i] or (not clear[i] and R.support(a) > beta + FEAS_TOL)]
             if not cutting:
@@ -1014,7 +1206,7 @@ def region_diff(
         prefix_b: list[float] = []
         for i in cutting:
             a, beta = Qn.A[i], Qn.b[i]
-            piece = HPolytope(
+            piece = HPolytope._derived(
                 np.vstack([R.A] + prefix_A + [-a.reshape(1, -1)]),
                 np.concatenate([R.b, np.asarray(prefix_b), [-beta]]),
                 R.dim,

@@ -141,10 +141,11 @@ def _outcome(solve, c, A, b):
 
 def _recorded_build_lps(monkeypatch):
     """Every LP that K=4 builds of the 2-D gap/relative-speed system (at the
-    default v_fixed = 20 and at 15) and a K=1 build of the ACC case study
-    solve, spec construction included.  The benchmark's 2-D K=3 build and
-    the ACC K=1 build alone solve too few LPs since region_diff and the
-    merge decide most questions from vertices."""
+    default v_fixed = 20, at 15 and at 25) and a K=1 build of the ACC case
+    study solve, spec construction included.  The benchmark's 2-D K=3
+    build and the ACC K=1 build alone solve too few LPs since region_diff
+    and the merge decide most questions from vertices, and region_diff
+    settles rows that touch a piece by a normal-cone bound."""
     from test_safeset import sys_2d
     from safegov import envs
     from safegov.geometry import lp as lp_module, polytope as polytope_module
@@ -161,7 +162,7 @@ def _recorded_build_lps(monkeypatch):
         mp.setattr(lp_module, "lp_solve", recording)
         mp.setattr(polytope_module, "lp_solve", recording)
         p = envs.AccParams()
-        for (sys, spec), K in [(sys_2d(), 4), (sys_2d(v_fixed=15.0), 4),
+        for (sys, spec), K in [(sys_2d(), 4), (sys_2d(v_fixed=15.0), 4), (sys_2d(v_fixed=25.0), 4),
                                ((envs.linear_system(p), envs.constraint_spec(p)), 1)]:
             build_safe_artifact(compute_unrecoverable(sys, spec, K=K), sys, spec)
     return seen

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -76,14 +77,20 @@ def test_membership_row_scale_cache_keeps_the_verdicts():
     """contains and contains_many reuse a cached max(1, ||a_i||); their
     verdicts must equal the formula recomputed from the rows, on rows
     scaled far below and above 1, vacuous zero rows, and points placed
-    on, just inside and just outside the tolerance band of each row."""
+    on, just inside and just outside the tolerance band of each row.
+    Both predicates must also agree with each other on every point: a
+    state is safe to the batched test exactly when it is to classify()."""
 
-    def uncached(A, b, x, tol):
-        return bool(np.all(A @ x - b <= tol * np.maximum(1.0, np.linalg.norm(A, axis=1))))
+    def slack(A, b, X):
+        # Summed one column at a time, as both predicates do; a matrix
+        # product rounds a batch of points apart from a single one.
+        S = np.zeros((len(X), len(b)))
+        for j in range(A.shape[1]):
+            S = S + np.outer(X[:, j], A[:, j])
+        return S - b
 
     def uncached_many(A, b, X, tol):
-        # The batched product rounds apart from A @ x near the band's edge.
-        return np.all(X @ A.T - b <= tol * np.maximum(1.0, np.linalg.norm(A, axis=1)), axis=1)
+        return np.all(slack(A, b, X) <= tol * np.maximum(1.0, np.linalg.norm(A, axis=1)), axis=1)
 
     rng = np.random.default_rng(12)
     for trial in range(60):
@@ -108,13 +115,16 @@ def test_membership_row_scale_cache_keeps_the_verdicts():
                 points += [on] + [on + s * step for s in (-2.0, -1.001, 0.5, 0.999, 1.001, 2.0)]
         X = np.array(points)
         for tol in (FEAS_TOL, 1e-6, 0.0):
+            batched = U.contains_many(X, tol).tolist()
+            assert [U.contains(x, tol) for x in X] == batched, (trial, tol)
             for P in sets:
-                want = [uncached(P.A, P.b, x, tol) for x in X]
+                assert PolyUnion([P], dim).contains_many(X, tol).tolist() == [P.contains(x, tol) for x in X]
+            for P in sets:
+                want = uncached_many(P.A, P.b, X, tol).tolist()
                 assert [P.contains(x, tol) for x in X] == want
                 assert [P.contains(x, tol) for x in X] == want       # from the cache
             want = np.any([uncached_many(m.A, m.b, X, tol) for m in U.members], axis=0)
-            assert U.contains_many(X, tol).tolist() == want.tolist()
-            assert [U.contains(x, tol) for x in X] == [any(uncached(m.A, m.b, x, tol) for m in U.members) for x in X]
+            assert batched == want.tolist()
 
 
 def test_subset_basics():
@@ -618,6 +628,137 @@ def test_dedup_keeps_the_tightest_row_per_normal():
         assert got.A.tobytes() == A_ref.tobytes() and got.b.tobytes() == b_ref.tobytes()
 
 
+def _fresh_unit_rows(P):
+    """normalized()'s rows computed from scratch, as before they were
+    memoized on the set."""
+    norms = np.linalg.norm(P.A, axis=1)
+    if np.any((norms < 1e-12) & (P.b < -FEAS_TOL)):
+        return np.zeros((1, P.dim)), np.array([-1.0])
+    mask = norms >= 1e-12
+    return P.A[mask] / norms[mask, None], P.b[mask] / norms[mask]
+
+
+def _fresh_dedup_rows(P):
+    A, b = _fresh_unit_rows(P)
+    if len(b) <= 1:
+        return A, b
+    key = np.round(A / 1e-9) * 1e-9
+    order = np.lexsort(np.column_stack([key, b]).T[::-1])
+    A, b, key = A[order], b[order], key[order]
+    first = np.ones(len(b), dtype=bool)
+    first[1:] = np.any(key[1:] != key[:-1], axis=1)
+    return A[first], b[first]
+
+
+def _memo_cases(rng):
+    """Random 1-D to 4-D row sets with zero rows, an infeasible zero row,
+    duplicated and rescaled rows, rows that differ by 1e-10, rows of norm
+    exactly 1 and no rows at all."""
+    yield HPolytope(np.zeros((0, 2)), np.zeros(0), 2)
+    for trial in range(80):
+        dim = 1 + trial % 4
+        A = rng.normal(size=(int(rng.integers(1, 9)), dim))
+        if trial % 5 == 0:
+            A /= np.linalg.norm(A, axis=1)[:, None]
+        b = rng.normal(size=len(A))
+        extra_A, extra_b = [A], [b]
+        if trial % 3 == 0:
+            extra_A.append(np.zeros((2, dim)))
+            extra_b.append(np.array([1.0, 0.0]))                          # vacuous zero rows
+        if trial % 7 == 0:
+            extra_A.append(np.zeros((1, dim)))
+            extra_b.append(np.array([-1.0]))                              # infeasible zero row
+        idx = rng.integers(0, len(A), size=3)
+        extra_A.append(A[idx] * rng.uniform(0.5, 2.0, size=(3, 1)))
+        extra_b.append(b[idx] + rng.choice([0.0, 0.1, -0.1], size=3))    # duplicates
+        extra_A.append(A[idx] + 1e-10 * rng.choice([-1.0, 1.0], size=(3, dim)))
+        extra_b.append(b[idx] + 1e-10)                                   # near-duplicates
+        A, b = np.vstack(extra_A), np.concatenate(extra_b)
+        order = rng.permutation(len(b))
+        yield HPolytope(A[order], b[order], dim)
+
+
+def test_memoized_row_forms_match_a_fresh_computation():
+    """normalized() and _dedup() rows are computed once per set.  Every
+    call returns rows byte-equal to a fresh computation, in a fresh
+    wrapper: flags set on one result (as remove_redundancy sets them on
+    its _dedup()) never show on the next."""
+    rng = np.random.default_rng(61)
+    for trial, P in enumerate(_memo_cases(rng)):
+        for _ in range(2):
+            for got, want in ((P.normalized(), _fresh_unit_rows(P)), (P._dedup(), _fresh_dedup_rows(P))):
+                assert got.A.shape == want[0].shape and got.b.shape == want[1].shape, trial
+                assert got.A.tobytes() == want[0].tobytes() and got.b.tobytes() == want[1].tobytes(), trial
+                assert not got.A.flags.writeable and not got.b.flags.writeable
+                assert got._empty is None and got._bounded is None and not got._irredundant, trial
+                assert got._cheb is None and got._inner is None and got._verts is None, trial
+                got._empty, got._bounded, got._irredundant = True, True, True
+                got._cheb, got._inner = (np.zeros(P.dim), 1.0), np.zeros(P.dim)
+        if not P.is_empty():
+            P.remove_redundancy()
+        D = P._dedup()
+        assert D._empty is None and not D._irredundant and D._cheb is None, trial
+
+
+def test_sets_own_their_rows():
+    """A set copies the rows it is built from: the caller's arrays stay
+    writable, and a write to them reaches neither the set's rows nor the
+    row forms cached from them."""
+    A = np.vstack([np.eye(2), -np.eye(2)]) * 2.0
+    b = np.ones(4)
+    P = HPolytope(A, b)
+    before = P._dedup().A.copy(), P.normalized().b.copy(), P.vertices().copy()
+    A[0, 0], b[1] = 7.0, 3.0
+    assert P.A[0, 0] == 2.0 and P.b[1] == 1.0
+    assert not P.A.flags.writeable and not P.b.flags.writeable
+    after = P._dedup().A, P.normalized().b, P.vertices()
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+
+def test_vertex_enumeration_in_batches_keeps_the_points():
+    """A set with more row subsets than one batch is enumerated a batch at
+    a time, caches no index table, and yields the same points in the same
+    order as one batch over every subset.  Small sets reuse a cached
+    table."""
+    from safegov.geometry import polytope as polytope_module
+    from safegov.geometry.polytope import _VERTEX_BATCH, _enumerate_vertices, _subset_table
+
+    def one_batch(A, b):
+        # The enumeration as one batch over all C(r, d) subsets.
+        r, d = A.shape
+        combos = np.array(list(itertools.combinations(range(r), d)), dtype=np.intp).reshape(-1, d)
+        mats = A[combos]
+        ok = np.abs(np.linalg.det(mats)) > 1e-8
+        sols = np.linalg.solve(mats[ok], b[combos[ok]][..., None])[..., 0]
+        S = np.zeros((len(sols), r))
+        for j in range(d):
+            S = S + np.outer(sols[:, j], A[:, j])
+        scale = 1.0 + np.abs(b).max(initial=1.0)
+        feas = np.all(S - b <= 1e-6 * scale, axis=1) & np.all(np.isfinite(sols), axis=1)
+        return polytope_module._dedup_points(sols[feas])
+
+    rng = np.random.default_rng(67)
+    normals = rng.normal(size=(60, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    big = HPolytope(normals, np.ones(60), 3)                  # 60 tangent planes of the unit ball
+    assert math.comb(60, 3) > 8 * _VERTEX_BATCH
+    _subset_table.cache_clear()
+    V = big.vertices()
+    assert _subset_table.cache_info().currsize == 0
+    A, b = big._dedup().A, big._dedup().b
+    assert V.tobytes() == one_batch(A, b).tobytes()
+    assert len(V) > 60 and big.contains(V.mean(axis=0))
+    for dim in (2, 3, 4):
+        P = random_bounded_polytope(rng, dim, n_points=dim + 4)
+        D = P._dedup()
+        assert math.comb(len(D.b), dim) <= _VERTEX_BATCH
+        assert _enumerate_vertices(D.A, D.b).tobytes() == one_batch(D.A, D.b).tobytes()
+        hits = _subset_table.cache_info().hits
+        _enumerate_vertices(D.A, D.b)
+        assert _subset_table.cache_info().hits == hits + 1
+    assert _subset_table.cache_info().currsize == 3
+
+
 def _count_lps(monkeypatch):
     from safegov.geometry import lp as lp_module, polytope as polytope_module
 
@@ -799,7 +940,7 @@ def test_ray_shortcuts_keep_region_diff_bytes(monkeypatch):
     fast = run()
     fast_lps = calls[0]
     monkeypatch.setattr(polytope_module, "_ray_support",
-                        lambda A, b, c, D, skip_own=False: np.full(len(D), -np.inf))
+                        lambda A, b, c, D, skip_own=False, slack=None: np.full(len(D), -np.inf))
     calls[0] = 0
     assert run() == fast
     assert fast_lps < 0.9 * calls[0]
@@ -933,7 +1074,8 @@ def test_vertex_certificates_match_the_lps():
     The certificates must also decide most verdicts, and the facet rays
     must keep every row of a random hull."""
     from safegov.geometry.polytope import (
-        VOLUME_TOL, _apart, _cut_verdicts, _meet_verdict, _min_radius_for, _stacked, _vertex_redundancy)
+        VOLUME_TOL, _apart, _center, _cut_verdicts, _meet_verdict, _min_radius_for, _PieceFacts, _stacked,
+        _vertex_redundancy)
 
     rng = np.random.default_rng(29)
     decided = {"meet": [0, 0], "cut": [0, 0], "keep": [0, 0]}    # [undecided, decided]
@@ -954,7 +1096,7 @@ def test_vertex_certificates_match_the_lps():
             if _apart(R, VR, _stacked([(Q, Qn, VQ)]), min_r)[0]:
                 verdict = False
             else:
-                verdict = _meet_verdict(R, VR, Qn, VQ, min_r)
+                verdict = _meet_verdict(R, VR, Qn, VQ, _center(R), min_r)
             meets = R.intersect(Q).chebyshev()[1] > min_r
             decided["meet"][verdict is not None] += 1
             assert verdict in (None, meets), (dim, trial)
@@ -965,7 +1107,7 @@ def test_vertex_certificates_match_the_lps():
             for A, b in [(Qn.A, Qn.b),
                          (Qn.A, np.array([R.support(a) for a in Qn.A]) + _offsets(rng, len(Qn.b))),
                          (tilted, R.b + _offsets(rng, len(R.b)))]:
-                cuts, clear = _cut_verdicts(R, VR, HPolytope(A, b, dim))
+                cuts, clear = _cut_verdicts(R, VR, _PieceFacts.of(R, VR), HPolytope(A, b, dim))
                 lp = np.array([HPolytope(R.A, R.b, dim).support(a) > beta + FEAS_TOL for a, beta in zip(A, b)])
                 assert not np.any(cuts & ~lp) and not np.any(clear & lp), (dim, trial)
                 decided["cut"][0] += int(np.sum(~cuts & ~clear))
@@ -988,6 +1130,51 @@ def test_vertex_certificates_match_the_lps():
             keep, drop = _vertex_redundancy(D.A, D.b, P.vertices(), P.chebyshev()[0])
             assert keep.all() and not drop.any()
     assert all(yes > 2 * no for no, yes in decided.values()), decided
+
+
+def test_normal_cone_bound_matches_the_support_lp():
+    """Rows that touch a piece at a vertex are settled by the normal-cone
+    bound where the vertex margin cannot decide them, and every verdict is
+    the support LP's.  The rows pass through a vertex v of the piece, at
+    offsets from -0.5 to 20 FEAS_TOL: normals inside the normal cone at v
+    (a nonnegative mix of the rows active there), on its boundary (one
+    active row, tilted by 1e-9), and outside it (a random direction, or a
+    cone normal pushed out).  The pieces are random hulls and awkward
+    sets with near-vertex and duplicated rows."""
+    from safegov.geometry.polytope import _cut_verdicts, _PieceFacts
+
+    rng = np.random.default_rng(71)
+    settled = touching = 0
+    for dim in (2, 3, 4):
+        for trial in range(25):
+            R, VR = _as_piece(random_bounded_polytope(rng, dim, n_points=10) if trial % 3
+                              else _awkward_polytope(rng, dim))
+            piece = _PieceFacts.of(R, VR)
+            lp_set = HPolytope(R.A, R.b, dim)
+            rows, offsets, inside = [], [], []
+            for v in VR[rng.permutation(len(VR))[:4]]:
+                active = np.flatnonzero(np.abs(R.A @ v - R.b) < 1e-9)
+                mix = rng.uniform(0.1, 1.0, size=len(active)) @ R.A[active]
+                one = R.A[rng.choice(active)] + 1e-9 * rng.normal(size=dim)
+                out = mix / np.linalg.norm(mix) + rng.normal(size=dim)
+                for a, cone in ((mix, True), (one, False), (rng.normal(size=dim), False), (out, False)):
+                    a = a / np.linalg.norm(a)
+                    for off in np.array([0.0, 0.0, 0.4, -0.5, 2.0, 20.0]) * FEAS_TOL:
+                        rows.append(a)
+                        offsets.append(a @ v + off)
+                        inside.append(cone and off == 0.0)
+            A, b, inside = np.array(rows), np.array(offsets), np.array(inside)
+            cuts, clear = _cut_verdicts(R, VR, piece, HPolytope(A, b, dim))
+            lp = np.array([lp_set.support(a) > beta + FEAS_TOL for a, beta in zip(A, b)])
+            assert not np.any(cuts & ~lp) and not np.any(clear & lp), (dim, trial)
+            if trial % 3:
+                touching += int(inside.sum())
+                settled += int((clear & inside).sum())
+    # Inside the cone at v, a'v = beta is the support up to rounding: the
+    # vertex margin leaves all of these rows to the LP, the cone bound few.
+    # The awkward pieces are left out of this count: their near-vertex
+    # rows make slivers, and an enumerated vertex can lie outside them.
+    assert settled > 0.95 * touching, (settled, touching)
 
 
 def test_vertex_certificates_keep_region_diff_bytes(monkeypatch):

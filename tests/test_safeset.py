@@ -215,7 +215,9 @@ def test_2d_build_lp_count(monkeypatch):
     started rays from hull points and from the vertices of sets known
     bounded, and is_bounded certified boxes without LPs; 89 after.  It was
     89 before the merge took a vertex of one member inside the other as
-    proof that their intersection is nonempty; 75 after."""
+    proof that their intersection is nonempty; 75 after.  It was 75
+    before region_diff cleared rows that touch a piece without cutting it
+    by a normal-cone bound; 62 after."""
     from safegov.geometry import lp as lp_module, polytope as polytope_module
 
     sys, spec = sys_2d()
@@ -230,7 +232,7 @@ def test_2d_build_lp_count(monkeypatch):
     monkeypatch.setattr(polytope_module, "lp_solve", counted)
     sets = compute_unrecoverable(sys, spec, K=2)
     build_safe_artifact(sets, sys, spec)
-    assert calls[0] == 75
+    assert calls[0] == 62
 
 
 # SHA-256 of jsonutil.dumps of the 2-D K=2 artifact, then of X_0, X_1, X_2.
