@@ -762,15 +762,17 @@ def _hull(points) -> HPolytope:
 
 
 def subset(P: HPolytope, Q: HPolytope, tol: float = FEAS_TOL) -> bool:
-    """P <= Q, decided by support of P along every row of Q."""
+    """P <= Q, decided by support of P along every unit row of Q.
+
+    The unit rows describe the same set as Q, so Q's own emptiness, settled
+    once and kept on Q, stands for theirs."""
     if P.dim != Q.dim:
         raise GeometryError("dimension mismatch")
     if P.is_empty():
         return True
-    Qn = Q.normalized()
-    if Qn.is_empty():
+    if Q.is_empty():
         return False
-    for a, beta in zip(Qn.A, Qn.b):
+    for a, beta in zip(*Q._unit_rows()):
         try:
             h = P.support(a)
         except UnboundedSetError:

@@ -12,15 +12,27 @@ such point is a candidate; the admissible one with the least objective is
 the optimum.  For a scalar action the candidates are the rows' break
 points b_i / a_i, which makes this the closed-form interval projection.
 
-A problem evaluates each candidate once: the candidates in ascending
-objective order and, block by block, their U-row excesses and their least
-group slack are kept on the MIQPProblem, and a solve only compares them
-with its tolerance.  When no candidate is admissible, govern() retries at
-a tenfold tolerance, which re-tests those margins and computes nothing
-anew, and then falls back to the action in U with the least worst face
-violation, ties to the least objective.  That fallback is a closed form
-over the break points of a piecewise linear function, so it needs a
-scalar action.
+A problem evaluates each candidate once: the nominal action's margins,
+the candidates in ascending objective order and, block by block, their
+U-row excesses and their least group slack are kept on the MIQPProblem,
+and a solve only compares them with its tolerance.  The face rows are
+read group-major: slab r holds row r of every group, padded where a group
+is shorter than the longest (_FaceRows), so a group's largest slack is an
+elementwise max over the slabs.  For a scalar action each slack
+alpha_i u - beta_i is one product, so it is formed on the slabs directly;
+with more inputs the product alpha u - beta is formed on the stacked rows
+and gathered into them.  Either way the layout moves no bit.
+
+When no candidate is admissible, govern() retries at a tenfold tolerance,
+which only re-compares the kept margins, and then falls back to the
+action in U with the least worst face violation, ties to the least
+objective.  That fallback is a closed form over the break points of a
+piecewise linear function, so it needs a scalar action.  Its data that
+depend on U and the face rows alone are prepared once per artifact, and
+the worst violations at the rows' zeros, which are candidates, are read
+from the kept least slacks.  The reason tag of GovernorResult counts the
+fallbacks; the governor logs only one warning per artifact that is not a
+fixpoint of the recursion.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ import itertools
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -157,9 +170,10 @@ class MIQPProblem:
     an int array with one entry more than there are groups, starting at 0
     and ending at the row count.  A group with no rows can never be met.
 
-    The arrays are not changed after the first solve: it keeps the row
-    scale of U and the candidate evaluation (_sorted_candidates,
-    _block_margins) on the problem.
+    The arrays are not changed after the first solve: it keeps the
+    layout of U and the face rows (_FaceRows, shared by every problem of
+    an artifact), the nominal action's margins and the candidate
+    evaluation (_sorted_candidates, _block_margins) on the problem.
     """
 
     S: np.ndarray
@@ -169,15 +183,23 @@ class MIQPProblem:
     alpha: np.ndarray
     beta: np.ndarray
     starts: np.ndarray
-    _u_scale: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _evaluation: tuple[np.ndarray, dict] | None = field(default=None, init=False, repr=False, compare=False)
+    _rows: _FaceRows | None = field(default=None, init=False, repr=False, compare=False)
+    _nominal: tuple[np.ndarray, float] | None = field(default=None, init=False, repr=False, compare=False)
+    _beta_slabs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _evaluation: tuple[np.ndarray, np.ndarray, dict] | None = field(default=None, init=False, repr=False,
+                                                                     compare=False)
+
+    @property
+    def rows(self) -> _FaceRows:
+        """What a solve reads of U and the face rows alone."""
+        if self._rows is None:
+            self._rows = _FaceRows(self.U_A, self.U_b, self.alpha, self.starts)
+        return self._rows
 
     @property
     def u_scale(self) -> np.ndarray:
         """Per-row scale max(1, |row|) of U's tolerance."""
-        if self._u_scale is None:
-            self._u_scale = _row_scale(self.U_A)
-        return self._u_scale
+        return self.rows.u_scale
 
     @property
     def m(self) -> int:
@@ -193,11 +215,27 @@ class MIQPProblem:
     def group_max(self, slack: np.ndarray) -> np.ndarray:
         """Largest row slack per group along the last axis; -inf for a group
         with no rows."""
-        out = np.full(slack.shape[:-1] + (self.n_groups,), -np.inf)
-        if slack.size:
-            full = self.starts[:-1] < self.starts[1:]
-            out[..., full] = np.maximum.reduceat(slack, self.starts[:-1][full], axis=-1)
-        return out
+        padded = np.empty(slack.shape[:-1] + (slack.shape[-1] + 1,))
+        padded[..., :-1] = slack
+        padded[..., -1] = -np.inf
+        return padded[..., self.rows.slabs].max(axis=-2)
+
+    def least_slack(self, U: np.ndarray) -> np.ndarray:
+        """Least group max slack of each row u of U (k, m): u meets some row
+        of every group within eps exactly when it is >= -eps; inf with no
+        groups.
+
+        For a scalar action each slack is the one product alpha_i u minus
+        beta_i, so it is formed on the slabs directly, as an (R, groups, k)
+        array whose group maxima are an elementwise max along axis 0.
+        Otherwise the stacked product U alpha' - beta is gathered into them.
+        """
+        if self.m != 1:
+            return self.group_max(U @ self.alpha.T - self.beta).min(axis=-1, initial=np.inf)
+        if self._beta_slabs is None:
+            self._beta_slabs = np.append(self.beta, np.inf)[self.rows.slabs][..., None]
+        slack = self.rows.alpha_slabs * U[:, 0] - self._beta_slabs
+        return slack.max(axis=0).min(axis=0, initial=np.inf)
 
 
 @dataclass
@@ -209,7 +247,8 @@ class GovernorResult:
     up to and including the one returned (all of them when none is
     admissible).  reason says why a "fallback" fell back: "relaxed_tol"
     when the retry at a tenfold tolerance found the action, "min_violation"
-    when the least-violation action is used; it is "" otherwise.
+    when the least-violation action is used; it is "" otherwise.  The
+    reason is the only record of a fallback: govern() logs none.
     """
 
     u_safe: np.ndarray | None
@@ -236,23 +275,104 @@ def _row_scale(A: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.linalg.norm(A, axis=1)) if A.size else np.zeros(0)
 
 
+@dataclass(frozen=True)
+class _Crossings:
+    """The crossings _min_violation_action tests, of the lines
+    beta_i - alpha_i u of rows I with those of rows K, as an (I, K) matrix
+    u = (beta_I - beta_K) / den whose entries `pair` marks.
+
+    I lists the falling rows (alpha_i > 0), then the rising ones
+    (alpha_i < -1e-12); K lists the rising and flat rows.  A falling row
+    pairs with every row of K and a rising one with the flat ones, so the
+    marked entries in row-major order are the falling-by-rising-or-flat
+    crossings, then the rising-by-flat ones.  Over U a falling line is
+    lowest at hi and a rising one at lo; edge holds that bound per row.
+    """
+
+    I: np.ndarray
+    K: np.ndarray
+    alpha_I: np.ndarray    # (|I|,)
+    edge: np.ndarray       # (|I|,)
+    den: np.ndarray        # alpha_I - alpha_K, 1 where not marked, (|I|, |K|)
+    pair: np.ndarray       # bool, (|I|, |K|)
+
+
+class _FaceRows:
+    """What a solve reads of U and the face rows alone, not of the state:
+    prepared once per artifact by _prepared, or on first use for a problem
+    built directly.
+
+    slabs is an (R, groups) index into the rows, R the size of the largest
+    group and at least 1: slab r holds row r of every group.  A shorter
+    group is padded with its first row, which leaves its max unchanged and
+    its slack finite wherever the row's is; a group with no rows is padded
+    with the index one past the last row, which stands for a row
+    alpha = 0, beta = +inf, whose slack is -inf.  For a scalar action,
+    alpha_slabs holds alpha so laid out, (R, groups, 1), and keep and
+    a_keep the rows of [U_A; alpha] with a break point and their
+    coefficients.
+    """
+
+    def __init__(self, U_A: np.ndarray, U_b: np.ndarray, alpha: np.ndarray, starts: np.ndarray):
+        self.U_A, self.U_b, self.alpha = U_A, U_b, alpha
+        self.u_scale = _row_scale(U_A)
+        sizes = np.diff(starts)
+        self.has_empty_group = bool(np.any(sizes == 0))
+        depth = np.arange(max(1, sizes.max(initial=0)))[:, None]
+        first = np.where(sizes > 0, starts[:-1], alpha.shape[0])
+        self.slabs = np.where(depth < sizes, starts[:-1] + depth, first)
+        if alpha.shape[1] == 1:
+            self.alpha_slabs = np.append(alpha[:, 0], 0.0)[self.slabs][..., None]
+            a = np.concatenate([U_A[:, 0], alpha[:, 0]])
+            self.keep = np.abs(a) > 1e-12
+            self.a_keep = a[self.keep]
+
+    @cached_property
+    def closed_form(self) -> tuple[float, float, int, _Crossings]:
+        """U's bounds lo and hi, the number of U rows that are candidates
+        (they precede the face rows' zeros in _candidates), and the row
+        crossings.  Scalar actions only."""
+        a_u, b_u = self.U_A[:, 0], self.U_b
+        lo = np.max(b_u[a_u < 0] / a_u[a_u < 0], initial=-np.inf)
+        hi = np.min(b_u[a_u > 0] / a_u[a_u > 0], initial=np.inf)
+        alpha = self.alpha[:, 0]
+        fall, rise = alpha > 1e-12, alpha < -1e-12
+        flat = ~(fall | rise)
+        I = np.concatenate([np.flatnonzero(fall), np.flatnonzero(rise)])
+        K = np.flatnonzero(~fall)
+        pair = fall[I][:, None] | flat[K]
+        den = np.where(pair, alpha[I][:, None] - alpha[K], 1.0)
+        edge = np.where(fall[I], hi, lo)
+        n_u = int(np.count_nonzero(self.keep[:a_u.size]))
+        return lo, hi, n_u, _Crossings(I, K, alpha[I], edge, den, pair)
+
+
 def _prepared(artifact: SafeSetArtifact, sys: LinearSystem):
-    """Stacked per-row data for the artifact's inflated members (cached)."""
+    """Stacked per-row data for the artifact's inflated members (cached).
+
+    The first call for an artifact that is not a fixpoint of the recursion
+    logs a warning: its safe set need not be invariant, so govern() may
+    have to fall back."""
     cache = getattr(artifact, "_governor_cache", None)
     if cache is not None and cache["sys"] is sys:
         return cache
+    if cache is None and not artifact.fixpoint_reached:
+        logger.warning("governing with an artifact that is not a fixpoint (k_used=%d): "
+                       "its safe set need not be invariant", artifact.k_used)
     members = artifact.inflated_unsafe.members
     G_all = np.vstack([mbr.A for mbr in members]) if members else np.zeros((0, sys.n))
     g_all = np.concatenate([mbr.b for mbr in members]) if members else np.zeros(0)
+    starts = np.cumsum([0] + [mbr.A.shape[0] for mbr in members])
+    GB = G_all @ sys.B
     cache = {
         "sys": sys,
         "g": g_all,
-        "starts": np.cumsum([0] + [mbr.A.shape[0] for mbr in members]),
+        "starts": starts,
         "GA": G_all @ sys.A,
-        "GB": G_all @ sys.B,
+        "GB": GB,
         "U_A": artifact.spec.U.A,
         "U_b": artifact.spec.U.b,
-        "u_scale": _row_scale(artifact.spec.U.A),
+        "rows": _FaceRows(artifact.spec.U.A, artifact.spec.U.b, GB, starts),
     }
     artifact._governor_cache = cache
     return cache
@@ -275,7 +395,7 @@ def build_miqp(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Gove
     pre = _prepared(artifact, sys)
     prob = MIQPProblem(S=cfg.S, u_nom=u_nom, U_A=pre["U_A"], U_b=pre["U_b"],
                        alpha=pre["GB"], beta=pre["g"] - pre["GA"] @ x, starts=pre["starts"])
-    prob._u_scale = pre["u_scale"]
+    prob._rows = pre["rows"]
     return prob
 
 
@@ -292,26 +412,32 @@ def solve_miqp(prob: MIQPProblem, eps_feas: float = FEAS_TOL) -> GovernorResult:
     the least objective is the optimum.  Ties go to the first candidate in
     a stable sort by objective.  Deterministic for fixed inputs.
 
-    The candidates and their margins depend on the problem alone, so the
-    first solve that needs them computes them and keeps them on prob; a
-    later solve of the same problem at another eps_feas, such as govern()'s
-    relaxed retry, re-tests the kept margins against its tolerance and
-    computes only the blocks no earlier solve reached.  It gives the
-    result a solve from scratch would.
+    The nominal action's margins, the candidates and their margins depend
+    on the problem alone, so the first solve that needs them computes them
+    and keeps them on prob; a later solve of the same problem at another
+    eps_feas, such as govern()'s relaxed retry, re-compares the kept
+    margins with its tolerance and computes only the blocks no earlier
+    solve reached.  It gives the result a solve from scratch would.
     """
     t0 = time.perf_counter()
     t = prob.u_nom
     u_tol = eps_feas * prob.u_scale
 
     # Fast path: nominal action already admissible and group-feasible.
-    nom_ok = prob.U_A.size == 0 or np.all(prob.U_A @ t - prob.U_b <= u_tol)
-    if nom_ok and np.all(prob.group_max(prob.slacks(t)) >= -eps_feas):
+    if prob._nominal is None:
+        if prob.m == 1:
+            least = prob.least_slack(t[None])[0]
+        else:    # the products alpha u_nom as slacks() forms them
+            least = prob.group_max(prob.slacks(t)).min(initial=np.inf)
+        prob._nominal = (prob.U_A @ t - prob.U_b, least)
+    u_excess, least_slack = prob._nominal
+    if (u_excess <= u_tol).all() and least_slack >= -eps_feas:
         return GovernorResult(t.copy(), False, 0.0, 0, time.perf_counter() - t0, STATUS_OPTIMAL)
 
     C = _sorted_candidates(prob)
     for lo in range(0, len(C), CANDIDATE_BLOCK):
         u_excess, least_slack = _block_margins(prob, lo)
-        ok = np.all(u_excess <= u_tol, axis=1) & (least_slack >= -eps_feas)
+        ok = (u_excess <= u_tol).all(axis=1) & (least_slack >= -eps_feas)
         if ok.any():
             k = lo + int(np.argmax(ok))
             u = C[k]
@@ -323,11 +449,12 @@ def solve_miqp(prob: MIQPProblem, eps_feas: float = FEAS_TOL) -> GovernorResult:
 
 def _sorted_candidates(prob: MIQPProblem) -> np.ndarray:
     """The candidates in a stable ascending objective order, one per row;
-    computed on the first call and kept on prob."""
+    computed on the first call and kept on prob with the order itself."""
     if prob._evaluation is None:
         cands = _candidates(prob)
         d = cands - prob.u_nom
-        prob._evaluation = (cands[np.argsort(((d @ prob.S) * d).sum(axis=1), kind="stable")], {})
+        order = np.argsort(((d @ prob.S) * d).sum(axis=1), kind="stable")
+        prob._evaluation = (cands[order], order, {})
     return prob._evaluation[0]
 
 
@@ -339,11 +466,10 @@ def _block_margins(prob: MIQPProblem, lo: int) -> tuple[np.ndarray, np.ndarray]:
     A candidate meets every group within eps exactly when its least group
     max slack is >= -eps, so the per-group maxima need not be kept.
     """
-    C, margins = _sorted_candidates(prob), prob._evaluation[1]
+    C, margins = _sorted_candidates(prob), prob._evaluation[2]
     if lo not in margins:
         B = C[lo:lo + CANDIDATE_BLOCK]
-        least_slack = prob.group_max(B @ prob.alpha.T - prob.beta).min(axis=1, initial=np.inf)
-        margins[lo] = (B @ prob.U_A.T - prob.U_b, least_slack)
+        margins[lo] = (B @ prob.U_A.T - prob.U_b, prob.least_slack(B))
     return margins[lo]
 
 
@@ -356,12 +482,10 @@ def _candidates(prob: MIQPProblem) -> np.ndarray:
     scalar action both reduce to the break points b_i / a_i.
     """
     m = prob.m
-    R = np.vstack([prob.U_A, prob.alpha])
     h = np.concatenate([prob.U_b, prob.beta])
     if m == 1:
-        a = R[:, 0]
-        keep = np.abs(a) > 1e-12
-        return (h[keep] / a[keep])[:, None]
+        return (h[prob.rows.keep] / prob.rows.a_keep)[:, None]
+    R = np.vstack([prob.U_A, prob.alpha])
     out = []
     for k in range(1, min(m, h.size) + 1):
         I = np.array(list(itertools.combinations(range(h.size), k)))
@@ -389,33 +513,47 @@ def _min_violation_action(prob: MIQPProblem) -> np.ndarray | None:
     rising one with a flat one.  At a local minimum of f the active line turns from falling or flat
     to rising or flat, so crossings of lines with the same slope sign are not
     needed.  A crossing whose level beta_i - alpha_i u exceeds the least f
-    over the bound and clip candidates cannot beat them and is dropped.
+    over the bound and clip candidates cannot beat them and is dropped, and
+    so is each crossing outside U.  A row whose line stays above that level
+    over all of U, tested at the bound where it is lowest, takes part in no
+    crossing: as rounding is monotone, the level computed at any crossing
+    in U is at least the one at that bound.
+
+    f(u) is max(0, -least group max slack at u).  The zeros are the face
+    rows' candidates of solve_miqp, so f there comes from the least slacks
+    kept on prob (computed here when no solve kept them).  U's bounds and
+    the row pairs and denominators of the crossings depend on the artifact
+    alone and come from _FaceRows.closed_form.
     """
     if prob.m != 1:
         raise GovernorError(f"the least-violation fallback needs a scalar action, not {prob.m} inputs")
-    if np.any(np.diff(prob.starts) == 0):
+    if prob.rows.has_empty_group:
         return None
-    a_u, b_u = prob.U_A[:, 0], prob.U_b
-    lo = np.max(b_u[a_u < 0] / a_u[a_u < 0], initial=-np.inf)
-    hi = np.min(b_u[a_u > 0] / a_u[a_u > 0], initial=np.inf)
-    alpha, beta = prob.alpha[:, 0], prob.beta
+    lo, hi, n_u, c = prob.rows.closed_form
+    beta = prob.beta
 
     def worst(u):
-        g = prob.group_max(u[:, None] * alpha - beta)
-        return np.maximum(0.0, -g.min(axis=1, initial=np.inf))
+        return np.maximum(0.0, -prob.least_slack(u[:, None]))
+
+    C_sorted = _sorted_candidates(prob)
+    least = np.concatenate([_block_margins(prob, k)[1] for k in range(0, len(C_sorted), CANDIDATE_BLOCK)])
+    order = prob._evaluation[1]
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)
+    at = at[n_u:]    # sorted positions of the face rows' zeros, in row order
 
     base = np.array([lo, hi, min(max(prob.u_nom[0], lo), hi)])
-    cap = worst(base).min() + VIOLATION_TIE
-    fall, rise = alpha > 1e-12, alpha < -1e-12
-    flat = ~(fall | rise)
-    cands = [base, beta[fall | rise] / alpha[fall | rise]]
-    for i, k in ((fall, rise | flat), (rise, flat)):
-        ai, bi = alpha[i][:, None], beta[i][:, None]
-        u = (bi - beta[k]) / (ai - alpha[k])
-        cands.append(u[bi - ai * u <= cap])
-    C = np.concatenate(cands)
-    C = C[(C >= lo) & (C <= hi)]
-    f = worst(C)
+    f_base = worst(base)
+    cap = f_base.min() + VIOLATION_TIE
+    b_I = beta[c.I]
+    reach = b_I - c.alpha_I * c.edge <= cap
+    a_i, b_i = c.alpha_I[reach][:, None], b_I[reach][:, None]
+    u = (b_i - beta[c.K]) / c.den[reach]
+    cross = u[c.pair[reach] & (b_i - a_i * u <= cap) & (u >= lo) & (u <= hi)]
+    C = np.concatenate([base, C_sorted[at, 0], cross])
+    f = np.concatenate([f_base, np.maximum(0.0, -least[at]), worst(cross)])
+    keep = (C >= lo) & (C <= hi)
+    C, f = C[keep], f[keep]
     C = C[f <= f.min() + VIOLATION_TIE]
     best = np.argmin(np.abs(C - prob.u_nom[0]))
     return C[best:best + 1]
@@ -426,12 +564,14 @@ def govern(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Governor
 
     On a numerically infeasible program (possible despite the safe-set
     margin) the row tolerances are relaxed tenfold and the solve retried
-    on the same problem, which re-tests the first solve's candidate
-    margins; a success there is a "fallback" with reason "relaxed_tol".
+    on the same problem, which only re-compares the nominal action's and
+    the candidates' margins the first solve kept; a success there is a
+    "fallback" with reason "relaxed_tol".
     If that also fails, _min_violation_action picks the action in U with
     the least worst face violation, ties to the least objective, and flags
     it with status "fallback" and reason "min_violation".  That last step
-    needs a scalar action; with more inputs it raises GovernorError.
+    needs a scalar action; with more inputs it raises GovernorError.  No
+    fallback is logged: the reason tag is its record.
     """
     t0 = time.perf_counter()
     prob = build_miqp(x, u_nom, artifact, sys, cfg)
@@ -448,6 +588,5 @@ def govern(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Governor
                 u, u is not None and bool(np.linalg.norm(u - t) > FEAS_TOL),
                 obj, res.nodes_explored, 0.0, STATUS_FALLBACK, "min_violation",
             )
-            logger.warning("governor fallback engaged at state %s", np.asarray(x).tolist())
     res.solve_time = time.perf_counter() - t0
     return res

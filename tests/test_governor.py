@@ -1,4 +1,7 @@
+import collections
 import dataclasses
+import functools
+import hashlib
 import itertools
 import logging
 
@@ -278,20 +281,27 @@ def fallback_chain_artifact(hi):
     return art, sys
 
 
-@pytest.mark.parametrize("hi, n_warnings", [(1 + 5e-7, 0), (2.0, 1)])
-def test_govern_fallback_chain(caplog, hi, n_warnings):
+@pytest.mark.parametrize("hi, reason", [(1 + 5e-7, "relaxed_tol"), (2.0, "min_violation")])
+def test_govern_fallback_chain(caplog, hi, reason):
     # From x = 0, U reaches z >= hi within 10 * FEAS_TOL when hi = 1 + 5e-7
-    # (relaxed retry) and never when hi = 2 (least violation, one warning).
-    # Either way the answer is u = 1.
-    art, sys = fallback_chain_artifact(hi)
-    with caplog.at_level(logging.WARNING, logger="safegov.governor"):
-        res = govern([0.0], [0.0], art, sys, GovernorConfig(S=np.array([[1.0]])))
-    assert res.status == "fallback"
-    assert res.reason == ("min_violation" if n_warnings else "relaxed_tol")
-    assert res.u_safe[0] == pytest.approx(1.0, abs=1e-9)
-    assert res.modified
-    engaged = [r for r in caplog.records if "fallback engaged" in r.getMessage()]
-    assert len(engaged) == len(caplog.records) == n_warnings
+    # (relaxed retry) and never when hi = 2 (least violation).  Either way
+    # the answer is u = 1, and the reason tag is the fallback's only record.
+    # An artifact that is not a fixpoint is warned about once, at its first
+    # call, even when later calls pass another system object; a fixpoint
+    # artifact is not warned about.
+    chain, sys = fallback_chain_artifact(hi)
+    arts = [chain, fallback_chain_artifact(hi)[0], dataclasses.replace(chain, fixpoint_reached=True)]
+    cfg = GovernorConfig(S=np.array([[1.0]]))
+    with caplog.at_level(logging.DEBUG, logger="safegov.governor"):
+        for art in arts:
+            for system in (sys, sys, LinearSystem(sys.A, sys.B, sys.E)):
+                res = govern([0.0], [0.0], art, system, cfg)
+                assert (res.status, res.reason) == ("fallback", reason)
+                assert res.u_safe[0] == pytest.approx(1.0, abs=1e-9)
+                assert res.modified
+    not_fixpoint = ("governing with an artifact that is not a fixpoint (k_used=0): "
+                    "its safe set need not be invariant")
+    assert [r.getMessage() for r in caplog.records] == [not_fixpoint] * 2
 
 
 @pytest.mark.parametrize("hi, reason", [(1 + 5e-7, "relaxed_tol"), (2.0, "min_violation")])
@@ -308,40 +318,90 @@ def test_govern_evaluates_candidates_once(monkeypatch, hi, reason):
 
 
 def same_result(a, b) -> bool:
-    """Equal status, modified flag and node count; byte-equal action and
-    objective."""
-    if (a.u_safe is None) != (b.u_safe is None):
-        return False
-    return (a.status == b.status and a.modified == b.modified and a.nodes_explored == b.nodes_explored
-            and (a.u_safe is None or a.u_safe.tobytes() == b.u_safe.tobytes())
-            and np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes())
+    """Equal status, reason, modified flag and node count; byte-equal
+    action and objective."""
+    return result_bytes(a) == result_bytes(b)
+
+
+def result_bytes(res) -> bytes:
+    """Status, reason, modified flag, node count, action bytes and
+    objective bytes of a result."""
+    u = b"none" if res.u_safe is None else res.u_safe.tobytes()
+    head = f"{res.status}|{res.reason}|{res.modified}|{res.nodes_explored}|".encode()
+    return head + u + b"|" + np.float64(res.objective).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def acc_artifact(K):
+    env = AccEnv()
+    spec = constraint_spec(env.params)
+    return build_safe_artifact(compute_unrecoverable(env.system, spec, K=K), env.system, spec), env
+
+
+def acc_inputs(art, env, n, seed):
+    """n uniform box states inside the safe region, each with a uniform
+    nominal action from U."""
+    rng = np.random.default_rng(seed)
+    X = np.zeros((0, 3))
+    while len(X) < n:
+        Y = rng.uniform(BOX_LO, BOX_HI, size=(4096, 3))
+        X = np.vstack([X, Y[art.safe.contains_many(Y)]])
+    return X[:n], rng.uniform(env.params.u_min, env.params.u_max, size=n)
 
 
 def test_govern_matches_reference_bitwise_on_every_path():
-    # Seeded uniform safe states and actions on the ACC K = 0 artifact
-    # take the fast path, the branch and the least-violation fallback;
-    # states just short of the fallback chain's member, at 10^-9 to 10^-5
-    # below x = 0, take the branch, the relaxed retry and the least violation.
-    env = AccEnv()
-    spec = constraint_spec(env.params)
-    acc = build_safe_artifact(compute_unrecoverable(env.system, spec, K=0), env.system, spec)
+    # Seeded uniform safe states and actions on the ACC K = 0 and K = 1
+    # artifacts take the fast path, the branch and the least-violation
+    # fallback, the K = 1 ones at least 100 times; states just short of the
+    # fallback chain's member, at 10^-9 to 10^-5 below x = 0, take the
+    # branch, the relaxed retry and the least violation.
+    cases = []
+    for K, n, seed in ((0, 300, 31), (1, 1600, 37)):
+        art, env = acc_artifact(K)
+        cases += [(art, env.system, np.eye(1), x, [u]) for x, u in zip(*acc_inputs(art, env, n, seed))]
     rng = np.random.default_rng(31)
-    X = rng.uniform(BOX_LO, BOX_HI, size=(600, 3))
-    X = X[acc.safe.contains_many(X)]
-    U = rng.uniform(env.params.u_min, env.params.u_max, size=len(X))
-    cases = [(acc, env.system, np.eye(1), x, [u]) for x, u in zip(X, U)]
     chain, sys = fallback_chain_artifact(1.0)
     cases += [(chain, sys, np.array([[2.0]]), [-10.0 ** rng.uniform(-9, -5)], [rng.uniform(-1, 1)])
               for _ in range(60)]
 
-    paths = set()
+    paths = collections.Counter()
     for art, sys, S, x, u in cases:
         cfg = GovernorConfig(S=S)
         res = govern(x, u, art, sys, cfg)
         ref = governor_reference.govern(x, u, art, sys, cfg)
         assert same_result(res, ref), (x, u, res, ref)
-        paths.add(res.reason or ("fast" if res.nodes_explored == 0 else "branch"))
-    assert paths == {"fast", "branch", "relaxed_tol", "min_violation"}
+        paths[art.k_used, res.reason or ("fast" if res.nodes_explored == 0 else "branch")] += 1
+    assert {p for _, p in paths} == {"fast", "branch", "relaxed_tol", "min_violation"}
+    assert paths[1, "min_violation"] >= 100
+
+
+# SHA-256 over result_bytes of 3,000 govern() calls on seeded uniform safe
+# states and actions of the ACC K = 1 artifact (255 of them fall back
+# to the least violation), recorded before the governor kept its face rows
+# group-major; and over solve_miqp on random m = 1, 2, 3 problems at the
+# strict and the relaxed tolerance.
+GOVERN_ACC_K1_SHA256 = "476d8eaebac9293e57769a796f070edcb0d95c3e362de5fb13e161eb368acfcd"
+SOLVE_MIQP_RANDOM_SHA256 = "abb63ce0be62053935773fb2ab9ac0f47512811565d521ba2adc9a18976bb4cb"
+
+
+def test_govern_results_pinned():
+    art, env = acc_artifact(1)
+    cfg = GovernorConfig(S=np.eye(1))
+    digest = hashlib.sha256()
+    for x, u in zip(*acc_inputs(art, env, 3000, 53)):
+        digest.update(result_bytes(govern(x, [u], art, env.system, cfg)))
+    assert digest.hexdigest() == GOVERN_ACC_K1_SHA256
+
+
+def test_solve_miqp_results_pinned():
+    rng = np.random.default_rng(59)
+    digest = hashlib.sha256()
+    for m in (1, 2, 3):
+        for prob in [random_miqp(rng, m=m) for _ in range(100)] + [nested_boxes_miqp(rng, m, 8, 1.4)
+                                                                  for _ in range(10 if m < 3 else 2)]:
+            for eps in (FEAS_TOL, 10 * FEAS_TOL):
+                digest.update(result_bytes(solve_miqp(prob, eps_feas=eps)))
+    assert digest.hexdigest() == SOLVE_MIQP_RANDOM_SHA256
 
 
 def nested_boxes_miqp(rng, m, n_groups, spread):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -139,33 +141,53 @@ def _outcome(solve, c, A, b):
     return res.status, x, value
 
 
-def _recorded_build_lps(monkeypatch):
-    """Every LP that K=4 builds of the 2-D gap/relative-speed system (at the
-    default v_fixed = 20, at 15 and at 25) and a K=1 build of the ACC case
-    study solve, spec construction included.  The benchmark's 2-D K=3
-    build and the ACC K=1 build alone solve too few LPs since region_diff
-    and the merge decide most questions from vertices, and region_diff
-    settles rows that touch a piece by a normal-cone bound."""
+# Every LP that K = 4 builds of the 2-D gap/relative-speed system (at the
+# default v_fixed = 20, at 15 and at 25) and a K = 1 build of the ACC case
+# study solved, spec construction included, recorded once so that the corpus
+# does not shrink as the builds come to solve fewer LPs.  Rebuild it with
+# `PYTHONPATH=src:tests python tests/test_lp.py`.
+BUILD_LPS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "build_lps.npz")
+
+
+def record_build_lps(path=BUILD_LPS):
+    """Run the builds above with lp_solve wrapped and save each LP's
+    (c, A, b), concatenated, with its column and row counts."""
     from test_safeset import sys_2d
     from safegov import envs
-    from safegov.geometry import lp as lp_module, polytope as polytope_module
+    from safegov.geometry import polytope as polytope_module
     from safegov.safeset import build_safe_artifact, compute_unrecoverable
 
     seen = []
     real = lp_module.lp_solve
 
     def recording(c, A, b):
-        seen.append((np.array(c, dtype=float), np.array(A, dtype=float), np.array(b, dtype=float)))
+        seen.append((np.array(c, dtype=float), np.array(A, dtype=float).reshape(-1, np.size(c)),
+                     np.array(b, dtype=float)))
         return real(c, A, b)
 
-    with monkeypatch.context() as mp:
-        mp.setattr(lp_module, "lp_solve", recording)
-        mp.setattr(polytope_module, "lp_solve", recording)
+    lp_module.lp_solve = polytope_module.lp_solve = recording
+    try:
         p = envs.AccParams()
         for (sys, spec), K in [(sys_2d(), 4), (sys_2d(v_fixed=15.0), 4), (sys_2d(v_fixed=25.0), 4),
                                ((envs.linear_system(p), envs.constraint_spec(p)), 1)]:
             build_safe_artifact(compute_unrecoverable(sys, spec, K=K), sys, spec)
-    return seen
+    finally:
+        lp_module.lp_solve = polytope_module.lp_solve = real
+    np.savez_compressed(path, c=np.concatenate([c for c, _, _ in seen]),
+                        A=np.concatenate([A.ravel() for _, A, _ in seen]),
+                        b=np.concatenate([b for _, _, b in seen]),
+                        cols=np.array([c.size for c, _, _ in seen]), rows=np.array([b.size for _, _, b in seen]))
+
+
+def _recorded_build_lps():
+    """The (c, A, b) of every LP in BUILD_LPS."""
+    with np.load(BUILD_LPS) as f:
+        c, A, b, cols, rows = (f[k] for k in ("c", "A", "b", "cols", "rows"))
+    c_at = np.concatenate([[0], np.cumsum(cols)])
+    b_at = np.concatenate([[0], np.cumsum(rows)])
+    A_at = np.concatenate([[0], np.cumsum(cols * rows)])
+    return [(c[c_at[i]:c_at[i + 1]], A[A_at[i]:A_at[i + 1]].reshape(rows[i], cols[i]), b[b_at[i]:b_at[i + 1]])
+            for i in range(cols.size)]
 
 
 def _memo_order(cases, block=6):
@@ -187,7 +209,7 @@ def test_bitwise_equal_to_reference_solver(monkeypatch):
     same status, and the same bytes of point and value.  Each constraint
     set is asked with its own objective and two more, interleaved so that
     phase-1 memo hits, misses and evictions all meet the reference."""
-    recorded = _recorded_build_lps(monkeypatch)
+    recorded = _recorded_build_lps()
     assert len(recorded) > 1000
     rng = np.random.default_rng(11)
     cases = [(c, rng.normal(size=c.size), rng.normal(size=c.size), A, b)
@@ -233,3 +255,7 @@ def test_memo_hit_leaves_the_stored_state():
     assert _outcome(lp_solve, np.ones(1), A_inf, b_inf)[0] == INFEASIBLE
     assert _outcome(lp_solve, np.array([1.0, 0.0]), zero, np.array([1.0, 0.0, 2.0]))[0] == UNBOUNDED
     assert _outcome(lp_solve, np.zeros(2), zero, np.array([1.0, -1.0, 2.0]))[0] == INFEASIBLE
+
+
+if __name__ == "__main__":
+    record_build_lps()

@@ -133,6 +133,18 @@ def test_subset_basics():
     assert subset(box([0], [1]), box([0], [1]))
 
 
+def test_second_subset_of_boxes_solves_no_lp(monkeypatch):
+    # The first call settles both emptinesses and P's supports along Q's
+    # rows; the second finds all of them kept on the sets.
+    P, Q = box([0, 0], [1, 1]), box([-1, 0], [2, 2])
+    calls = _count_lps(monkeypatch)
+    assert subset(P, Q)
+    assert calls[0] > 0
+    calls[0] = 0
+    assert subset(P, Q)
+    assert calls[0] == 0
+
+
 def test_subset_partial_order_on_random_triples():
     rng = np.random.default_rng(3)
     for _ in range(20):
