@@ -4,35 +4,30 @@ state robustly avoids the unrecoverable set.
 The one-step constraint "A x + B u stays outside every member of the
 inflated unsafe union" is a disjunction per member: at least one face of
 the member must be violated.  Choosing one face per member makes this a
-small mixed-integer QP, which is solved exactly by enumerating candidate
-points.  The optimum is the S-weighted projection of the nominal action
-onto U cut by one chosen face per member, so it is a KKT point of at most
-m linearly independent rows taken from U's rows and the face rows.  Every
-such point is a candidate; the admissible one with the least objective is
-the optimum.  For a scalar action the candidates are the rows' break
-points b_i / a_i, which makes this the closed-form interval projection.
+small mixed-integer QP.  The action is scalar, as in every system here
+(build_miqp rejects more inputs), so the QP is the S-weighted projection
+of the nominal action onto U less one open forbidden interval per member.
+When the nominal action is not admissible, the optimum is an end of one of
+these intervals or of U: a break point b_i / a_i of a row of U or of a
+face.  The admissible break point with the least objective is the optimum.
 
-A problem evaluates each candidate once: the nominal action's margins,
-the candidates in ascending objective order and, block by block, their
-U-row excesses and their least group slack are kept on the MIQPProblem,
-and a solve only compares them with its tolerance.  The face rows are
-read group-major: slab r holds row r of every group, padded where a group
-is shorter than the longest (_FaceRows), so a group's largest slack is an
-elementwise max over the slabs.  For a scalar action each slack
-alpha_i u - beta_i is one product, so it is formed on the slabs directly;
-with more inputs the product alpha u - beta is formed on the stacked rows
-and gathered into them.  Either way the layout moves no bit.
+A problem evaluates its break points once, in one batch: the nominal
+action's margins and the break points in ascending objective order, with
+their U-row excesses and their least group slack, are kept on the
+MIQPProblem, and a solve only compares them with its tolerance.  The face
+rows are read group-major: slab r holds row r of every group, padded where
+a group is shorter than the longest (_FaceRows), so a group's largest
+slack alpha_i u - beta_i is an elementwise max over the slabs.
 
-When no candidate is admissible, govern() retries at a tenfold tolerance,
-which only re-compares the kept margins, and then falls back to the
-action in U with the least worst face violation, ties to the least
+When no break point is admissible, govern() retries at a tenfold
+tolerance, which only re-compares the kept margins, and then falls back to
+the action in U with the least worst face violation, ties to the least
 objective.  That fallback is a closed form over the break points of a
-piecewise linear function, so it needs a scalar action.  Its data that
-depend on U and the face rows alone are prepared once per artifact, and
-the worst violations at the rows' zeros, which are candidates, are read
-from the kept least slacks.  The reason tag of GovernorResult counts the
-fallbacks; the governor logs only one warning per artifact that is not a
-fixpoint of the recursion.
+piecewise linear function.  Its data that depend on U and the face rows
+alone are prepared once per artifact, and the worst violations at the
+break points are read from the kept least slacks.  The reason tag of
+GovernorResult counts the fallbacks; the governor logs only one warning per
+artifact that is not a fixpoint of the recursion.
 """
 
 from __future__ import annotations
@@ -63,10 +58,6 @@ STATUS_FALLBACK = "fallback"
 class GovernorError(RuntimeError):
     pass
 
-
-# Candidates tested per admissibility block.  A solve that finds its action
-# in the first block computes no margins for the rest.
-CANDIDATE_BLOCK = 64
 
 # Worst violations within this of the least tie in the fallback; it absorbs
 # the rounding of beta_i - alpha_i u at a break point.
@@ -162,18 +153,20 @@ def qp_solve(S, u_nom, G, h, eps_feas: float = FEAS_TOL) -> QPResult:
 
 @dataclass
 class MIQPProblem:
-    """min (u - u_nom)' S (u - u_nom) over U_A u <= U_b, with one disjunction
-    per group: some row i of the group must satisfy alpha_i' u >= beta_i.
+    """min S (u - u_nom)^2 over U_A u <= U_b for a scalar action u, with one
+    disjunction per group: some row i of the group must satisfy
+    alpha_i u >= beta_i.  S is (1, 1), u_nom (1,) and U_A (U rows, 1); a
+    problem with more inputs raises GovernorError at its first solve.
 
     The rows of all groups are stacked.  Group j owns rows
-    starts[j]:starts[j + 1] of alpha (rows, m) and beta (rows,); starts is
+    starts[j]:starts[j + 1] of alpha (rows, 1) and beta (rows,); starts is
     an int array with one entry more than there are groups, starting at 0
     and ending at the row count.  A group with no rows can never be met.
 
     The arrays are not changed after the first solve: it keeps the
     layout of U and the face rows (_FaceRows, shared by every problem of
-    an artifact), the nominal action's margins and the candidate
-    evaluation (_sorted_candidates, _block_margins) on the problem.
+    an artifact), the nominal action's margins and the evaluation of the
+    break points on the problem.
     """
 
     S: np.ndarray
@@ -186,8 +179,8 @@ class MIQPProblem:
     _rows: _FaceRows | None = field(default=None, init=False, repr=False, compare=False)
     _nominal: tuple[np.ndarray, float] | None = field(default=None, init=False, repr=False, compare=False)
     _beta_slabs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _evaluation: tuple[np.ndarray, np.ndarray, dict] | None = field(default=None, init=False, repr=False,
-                                                                     compare=False)
+    _evaluation: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False,
+                                                                           compare=False)
 
     @property
     def rows(self) -> _FaceRows:
@@ -202,39 +195,27 @@ class MIQPProblem:
         return self.rows.u_scale
 
     @property
-    def m(self) -> int:
-        return self.u_nom.size
-
-    @property
     def n_groups(self) -> int:
         return len(self.starts) - 1
 
-    def slacks(self, u: np.ndarray) -> np.ndarray:
-        return self.alpha @ u - self.beta
+    @property
+    def evaluation(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The break points in a stable ascending objective order (k,),
+        their U-row excesses (k, U rows) and their least slacks (k,);
+        computed by _evaluate on first use and kept."""
+        if self._evaluation is None:
+            self._evaluation = _evaluate(self)
+        return self._evaluation
 
-    def group_max(self, slack: np.ndarray) -> np.ndarray:
-        """Largest row slack per group along the last axis; -inf for a group
-        with no rows."""
-        padded = np.empty(slack.shape[:-1] + (slack.shape[-1] + 1,))
-        padded[..., :-1] = slack
-        padded[..., -1] = -np.inf
-        return padded[..., self.rows.slabs].max(axis=-2)
-
-    def least_slack(self, U: np.ndarray) -> np.ndarray:
-        """Least group max slack of each row u of U (k, m): u meets some row
-        of every group within eps exactly when it is >= -eps; inf with no
-        groups.
-
-        For a scalar action each slack is the one product alpha_i u minus
-        beta_i, so it is formed on the slabs directly, as an (R, groups, k)
-        array whose group maxima are an elementwise max along axis 0.
-        Otherwise the stacked product U alpha' - beta is gathered into them.
-        """
-        if self.m != 1:
-            return self.group_max(U @ self.alpha.T - self.beta).min(axis=-1, initial=np.inf)
+    def least_slack(self, u: np.ndarray) -> np.ndarray:
+        """Least group max slack alpha_i u - beta_i of each action of u (k,):
+        it meets some row of every group within eps exactly when this is
+        >= -eps; inf with no groups.  The slacks are formed on the slabs, as
+        an (R, groups, k) array whose group maxima are an elementwise max
+        along axis 0."""
         if self._beta_slabs is None:
             self._beta_slabs = np.append(self.beta, np.inf)[self.rows.slabs][..., None]
-        slack = self.rows.alpha_slabs * U[:, 0] - self._beta_slabs
+        slack = self.rows.alpha_slabs * u - self._beta_slabs
         return slack.max(axis=0).min(axis=0, initial=np.inf)
 
 
@@ -243,7 +224,7 @@ class GovernorResult:
     """Outcome of one governor solve.
 
     nodes_explored is 0 when the nominal action is admissible as it is;
-    otherwise it counts the candidates tried in ascending objective order,
+    otherwise it counts the break points tried in ascending objective order,
     up to and including the one returned (all of them when none is
     admissible).  reason says why a "fallback" fell back: "relaxed_tol"
     when the retry at a tenfold tolerance found the action, "min_violation"
@@ -307,13 +288,14 @@ class _FaceRows:
     group is padded with its first row, which leaves its max unchanged and
     its slack finite wherever the row's is; a group with no rows is padded
     with the index one past the last row, which stands for a row
-    alpha = 0, beta = +inf, whose slack is -inf.  For a scalar action,
-    alpha_slabs holds alpha so laid out, (R, groups, 1), and keep and
-    a_keep the rows of [U_A; alpha] with a break point and their
-    coefficients.
+    alpha = 0, beta = +inf, whose slack is -inf.  alpha_slabs holds alpha
+    so laid out, (R, groups, 1), and keep and a_keep the rows of
+    [U_A; alpha] with a break point and their coefficients.
     """
 
     def __init__(self, U_A: np.ndarray, U_b: np.ndarray, alpha: np.ndarray, starts: np.ndarray):
+        if U_A.shape[1] != 1:
+            raise GovernorError(f"the governor needs a scalar action, not {U_A.shape[1]} inputs")
         self.U_A, self.U_b, self.alpha = U_A, U_b, alpha
         self.u_scale = _row_scale(U_A)
         sizes = np.diff(starts)
@@ -321,17 +303,14 @@ class _FaceRows:
         depth = np.arange(max(1, sizes.max(initial=0)))[:, None]
         first = np.where(sizes > 0, starts[:-1], alpha.shape[0])
         self.slabs = np.where(depth < sizes, starts[:-1] + depth, first)
-        if alpha.shape[1] == 1:
-            self.alpha_slabs = np.append(alpha[:, 0], 0.0)[self.slabs][..., None]
-            a = np.concatenate([U_A[:, 0], alpha[:, 0]])
-            self.keep = np.abs(a) > 1e-12
-            self.a_keep = a[self.keep]
+        self.alpha_slabs = np.append(alpha[:, 0], 0.0)[self.slabs][..., None]
+        a = np.concatenate([U_A[:, 0], alpha[:, 0]])
+        self.keep = np.abs(a) > 1e-12
+        self.a_keep = a[self.keep]
 
     @cached_property
-    def closed_form(self) -> tuple[float, float, int, _Crossings]:
-        """U's bounds lo and hi, the number of U rows that are candidates
-        (they precede the face rows' zeros in _candidates), and the row
-        crossings.  Scalar actions only."""
+    def closed_form(self) -> tuple[float, float, _Crossings]:
+        """U's bounds lo and hi and the row crossings."""
         a_u, b_u = self.U_A[:, 0], self.U_b
         lo = np.max(b_u[a_u < 0] / a_u[a_u < 0], initial=-np.inf)
         hi = np.min(b_u[a_u > 0] / a_u[a_u > 0], initial=np.inf)
@@ -343,20 +322,26 @@ class _FaceRows:
         pair = fall[I][:, None] | flat[K]
         den = np.where(pair, alpha[I][:, None] - alpha[K], 1.0)
         edge = np.where(fall[I], hi, lo)
-        n_u = int(np.count_nonzero(self.keep[:a_u.size]))
-        return lo, hi, n_u, _Crossings(I, K, alpha[I], edge, den, pair)
+        return lo, hi, _Crossings(I, K, alpha[I], edge, den, pair)
 
 
 def _prepared(artifact: SafeSetArtifact, sys: LinearSystem):
     """Stacked per-row data for the artifact's inflated members (cached).
 
-    The first call for an artifact that is not a fixpoint of the recursion
-    logs a warning: its safe set need not be invariant, so govern() may
-    have to fall back."""
+    The cache is kept while the system's A and B equal the ones it was
+    built from, compared by identity first; after an equal but distinct
+    system it holds that system's arrays, so its next call compares by
+    identity.  The first call for an artifact that is not a fixpoint of
+    the recursion logs a warning: its safe set need not be invariant, so
+    govern() may have to fall back."""
     cache = getattr(artifact, "_governor_cache", None)
-    if cache is not None and cache["sys"] is sys:
-        return cache
-    if cache is None and not artifact.fixpoint_reached:
+    if cache is not None:
+        if cache["A"] is sys.A and cache["B"] is sys.B:
+            return cache
+        if np.array_equal(cache["A"], sys.A) and np.array_equal(cache["B"], sys.B):
+            cache["A"], cache["B"] = sys.A, sys.B
+            return cache
+    elif not artifact.fixpoint_reached:
         logger.warning("governing with an artifact that is not a fixpoint (k_used=%d): "
                        "its safe set need not be invariant", artifact.k_used)
     members = artifact.inflated_unsafe.members
@@ -365,7 +350,8 @@ def _prepared(artifact: SafeSetArtifact, sys: LinearSystem):
     starts = np.cumsum([0] + [mbr.A.shape[0] for mbr in members])
     GB = G_all @ sys.B
     cache = {
-        "sys": sys,
+        "A": sys.A,
+        "B": sys.B,
         "g": g_all,
         "starts": starts,
         "GA": G_all @ sys.A,
@@ -384,14 +370,16 @@ def build_miqp(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Gove
     Per inflated member j with rows (G_ij, g_ij), the next nominal state
     A x + B u must violate at least one row: G_ij (A x + B u) >= g_ij.
     The state term folds into the offsets, leaving rows on u alone:
-    alpha = G B and beta = g - G A x.
+    alpha = G B and beta = g - G A x.  The system must have one input.
     """
+    if sys.m != 1:
+        raise GovernorError(f"the governor needs a scalar action, not {sys.m} inputs")
     x = np.asarray(x, dtype=float).ravel()
     u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
-    if u_nom.size != sys.m:
-        raise GovernorError(f"u_nom has {u_nom.size} entries; the system has {sys.m} inputs")
-    if cfg.S.shape != (sys.m, sys.m):
-        raise GovernorError(f"S has shape {cfg.S.shape}; the system has {sys.m} inputs")
+    if u_nom.size != 1:
+        raise GovernorError(f"u_nom has {u_nom.size} entries; the action is scalar")
+    if cfg.S.shape != (1, 1):
+        raise GovernorError(f"S has shape {cfg.S.shape}; the action is scalar")
     pre = _prepared(artifact, sys)
     prob = MIQPProblem(S=cfg.S, u_nom=u_nom, U_A=pre["U_A"], U_b=pre["U_b"],
                        alpha=pre["GB"], beta=pre["g"] - pre["GA"] @ x, starts=pre["starts"])
@@ -400,24 +388,24 @@ def build_miqp(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Gove
 
 
 def solve_miqp(prob: MIQPProblem, eps_feas: float = FEAS_TOL) -> GovernorResult:
-    """Exact solve by enumerating KKT candidates.
+    """Exact solve over the break points.
 
     If u_nom is not admissible, the optimum is the S-projection of u_nom
-    onto U cut by one chosen face per group.  That projection lies on the
-    affine set of at most m linearly independent rows taken from U's rows
-    and the face rows alpha_i'u = beta_i, so it is among the candidates
-    below.  A candidate is admissible when it lies in U and meets some row
-    of every group, each within eps_feas; every admissible candidate is
-    feasible for the disjunctive program, so the admissible candidate with
-    the least objective is the optimum.  Ties go to the first candidate in
-    a stable sort by objective.  Deterministic for fixed inputs.
+    onto U cut by one chosen face per group.  That set is an interval, so
+    the projection is one of its ends, a break point b_i / a_i of a row
+    of [U_A; alpha] u = [U_b; beta].  A break point is admissible when it
+    lies in U and meets some row of every group, each within eps_feas;
+    every admissible break point is feasible for the disjunctive program,
+    so the admissible one with the least objective is the optimum.  Ties
+    go to the first in a stable sort by objective.  Deterministic for
+    fixed inputs.
 
-    The nominal action's margins, the candidates and their margins depend
-    on the problem alone, so the first solve that needs them computes them
-    and keeps them on prob; a later solve of the same problem at another
-    eps_feas, such as govern()'s relaxed retry, re-compares the kept
-    margins with its tolerance and computes only the blocks no earlier
-    solve reached.  It gives the result a solve from scratch would.
+    The nominal action's margins and the evaluation of the break points
+    depend on the problem alone, so the first solve that needs them
+    computes them and keeps them on prob; a later solve of the same problem
+    at another eps_feas, such as govern()'s relaxed retry, only re-compares
+    them with its tolerance.  It gives the result a solve from scratch
+    would.
     """
     t0 = time.perf_counter()
     t = prob.u_nom
@@ -425,123 +413,77 @@ def solve_miqp(prob: MIQPProblem, eps_feas: float = FEAS_TOL) -> GovernorResult:
 
     # Fast path: nominal action already admissible and group-feasible.
     if prob._nominal is None:
-        if prob.m == 1:
-            least = prob.least_slack(t[None])[0]
-        else:    # the products alpha u_nom as slacks() forms them
-            least = prob.group_max(prob.slacks(t)).min(initial=np.inf)
-        prob._nominal = (prob.U_A @ t - prob.U_b, least)
+        prob._nominal = (prob.U_A @ t - prob.U_b, prob.least_slack(t)[0])
     u_excess, least_slack = prob._nominal
     if (u_excess <= u_tol).all() and least_slack >= -eps_feas:
         return GovernorResult(t.copy(), False, 0.0, 0, time.perf_counter() - t0, STATUS_OPTIMAL)
 
-    C = _sorted_candidates(prob)
-    for lo in range(0, len(C), CANDIDATE_BLOCK):
-        u_excess, least_slack = _block_margins(prob, lo)
-        ok = (u_excess <= u_tol).all(axis=1) & (least_slack >= -eps_feas)
-        if ok.any():
-            k = lo + int(np.argmax(ok))
-            u = C[k]
-            obj = float((u - t) @ prob.S @ (u - t))
-            modified = bool(np.linalg.norm(u - t) > eps_feas)
-            return GovernorResult(u, modified, obj, k + 1, time.perf_counter() - t0, STATUS_OPTIMAL)
-    return GovernorResult(None, False, float("inf"), len(C), time.perf_counter() - t0, STATUS_INFEASIBLE)
+    C, u_excess, least_slack = prob.evaluation
+    ok = (u_excess <= u_tol).all(axis=1) & (least_slack >= -eps_feas)
+    if ok.any():
+        k = int(np.argmax(ok))
+        u = C[k:k + 1]
+        obj = float((u - t) @ prob.S @ (u - t))
+        modified = bool(np.linalg.norm(u - t) > eps_feas)
+        return GovernorResult(u, modified, obj, k + 1, time.perf_counter() - t0, STATUS_OPTIMAL)
+    return GovernorResult(None, False, float("inf"), C.size, time.perf_counter() - t0, STATUS_INFEASIBLE)
 
 
-def _sorted_candidates(prob: MIQPProblem) -> np.ndarray:
-    """The candidates in a stable ascending objective order, one per row;
-    computed on the first call and kept on prob with the order itself."""
-    if prob._evaluation is None:
-        cands = _candidates(prob)
-        d = cands - prob.u_nom
-        order = np.argsort(((d @ prob.S) * d).sum(axis=1), kind="stable")
-        prob._evaluation = (cands[order], order, {})
-    return prob._evaluation[0]
+def _evaluate(prob: MIQPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The break points b_i / a_i of the rows of [U_A; alpha] u = [U_b; beta]
+    with |a_i| > 1e-12, in a stable ascending objective order, with their
+    U-row excesses and their least group max slack, from one least_slack
+    call.
 
-
-def _block_margins(prob: MIQPProblem, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """U-row excesses C U_A' - U_b and least group max slack of the sorted
-    candidates lo .. lo + CANDIDATE_BLOCK; computed on the first call for
-    the block and kept on prob.
-
-    A candidate meets every group within eps exactly when its least group
-    max slack is >= -eps, so the per-group maxima need not be kept.
+    A break point meets every group within eps exactly when its least slack
+    is >= -eps, so the per-group maxima need not be kept.
     """
-    C, margins = _sorted_candidates(prob), prob._evaluation[2]
-    if lo not in margins:
-        B = C[lo:lo + CANDIDATE_BLOCK]
-        margins[lo] = (B @ prob.U_A.T - prob.U_b, prob.least_slack(B))
-    return margins[lo]
-
-
-def _candidates(prob: MIQPProblem) -> np.ndarray:
-    """KKT points of every linearly independent set of at most m rows of
-    [U_A; alpha] u = [U_b; beta], one per row of the result.
-
-    A set of k < m rows gives the S-weighted projection of u_nom onto its
-    affine set; a set of k = m rows gives its vertex A_I^-1 b_I.  For a
-    scalar action both reduce to the break points b_i / a_i.
-    """
-    m = prob.m
     h = np.concatenate([prob.U_b, prob.beta])
-    if m == 1:
-        return (h[prob.rows.keep] / prob.rows.a_keep)[:, None]
-    R = np.vstack([prob.U_A, prob.alpha])
-    out = []
-    for k in range(1, min(m, h.size) + 1):
-        I = np.array(list(itertools.combinations(range(h.size), k)))
-        I = I[np.linalg.matrix_rank(R[I], tol=1e-10) == k]
-        A = R[I]
-        K = np.zeros((len(I), m + k, m + k))
-        K[:, :m, :m] = 2.0 * prob.S
-        K[:, :m, m:] = A.transpose(0, 2, 1)
-        K[:, m:, :m] = A
-        rhs = np.concatenate([np.broadcast_to(2.0 * prob.S @ prob.u_nom, (len(I), m)), h[I]], axis=1)
-        out.append(np.linalg.solve(K, rhs[..., None])[:, :m, 0])
-    return np.vstack(out) if out else np.zeros((0, m))
+    C = h[prob.rows.keep] / prob.rows.a_keep
+    d = C - prob.u_nom
+    C = C[np.argsort(d * prob.S[0, 0] * d, kind="stable")]
+    return C, C[:, None] * prob.U_A[:, 0] - prob.U_b, prob.least_slack(C)
 
 
 def _min_violation_action(prob: MIQPProblem) -> np.ndarray | None:
     """Action in U with the least worst violation, ties (within
-    VIOLATION_TIE) to the least objective, which for a scalar action is the
-    nearest to u_nom; None when some group has no rows.  Scalar actions only.
+    VIOLATION_TIE) to the least objective, which is the nearest to u_nom;
+    None when some group has no rows.
 
     The worst violation f(u) = max_j min_{i in j} (beta_i - alpha_i u)+ is
     piecewise linear in u, so its least-objective minimiser over U is one of
     these candidates: the U bounds, the nominal action clipped to U, each
     row's zero beta_i / alpha_i, and each crossing of a falling row line
     beta_i - alpha_i u (alpha_i > 0) with a rising or flat one, or of a
-    rising one with a flat one.  At a local minimum of f the active line turns from falling or flat
-    to rising or flat, so crossings of lines with the same slope sign are not
-    needed.  A crossing whose level beta_i - alpha_i u exceeds the least f
-    over the bound and clip candidates cannot beat them and is dropped, and
-    so is each crossing outside U.  A row whose line stays above that level
-    over all of U, tested at the bound where it is lowest, takes part in no
-    crossing: as rounding is monotone, the level computed at any crossing
-    in U is at least the one at that bound.
+    rising one with a flat one.  At a local minimum of f the active line
+    turns from falling or flat to rising or flat, so crossings of lines with
+    the same slope sign are not needed.  A crossing whose level
+    beta_i - alpha_i u exceeds the least f over the bound and clip
+    candidates cannot beat them and is dropped, and so is each crossing
+    outside U.  A row whose line stays above that level over all of U,
+    tested at the bound where it is lowest, takes part in no crossing: as
+    rounding is monotone, the level computed at any crossing in U is at
+    least the one at that bound.
 
-    f(u) is max(0, -least group max slack at u).  The zeros are the face
-    rows' candidates of solve_miqp, so f there comes from the least slacks
-    kept on prob (computed here when no solve kept them).  U's bounds and
+    f(u) is max(0, -least group max slack at u).  The zeros are
+    solve_miqp's break points, so f there comes from the least slacks kept
+    on prob (computed here when no solve kept them).  They come in
+    ascending objective order, where zeros equally near u_nom keep their
+    row order, and include U's rows' zeros, which lie outside U or repeat
+    a U bound the candidates list first; so the nearest pick is the one a
+    list of the face rows' zeros in row order would give.  U's bounds and
     the row pairs and denominators of the crossings depend on the artifact
     alone and come from _FaceRows.closed_form.
     """
-    if prob.m != 1:
-        raise GovernorError(f"the least-violation fallback needs a scalar action, not {prob.m} inputs")
     if prob.rows.has_empty_group:
         return None
-    lo, hi, n_u, c = prob.rows.closed_form
+    lo, hi, c = prob.rows.closed_form
     beta = prob.beta
 
     def worst(u):
-        return np.maximum(0.0, -prob.least_slack(u[:, None]))
+        return np.maximum(0.0, -prob.least_slack(u))
 
-    C_sorted = _sorted_candidates(prob)
-    least = np.concatenate([_block_margins(prob, k)[1] for k in range(0, len(C_sorted), CANDIDATE_BLOCK)])
-    order = prob._evaluation[1]
-    at = np.empty_like(order)
-    at[order] = np.arange(order.size)
-    at = at[n_u:]    # sorted positions of the face rows' zeros, in row order
-
+    zeros, _, least = prob.evaluation
     base = np.array([lo, hi, min(max(prob.u_nom[0], lo), hi)])
     f_base = worst(base)
     cap = f_base.min() + VIOLATION_TIE
@@ -550,8 +492,8 @@ def _min_violation_action(prob: MIQPProblem) -> np.ndarray | None:
     a_i, b_i = c.alpha_I[reach][:, None], b_I[reach][:, None]
     u = (b_i - beta[c.K]) / c.den[reach]
     cross = u[c.pair[reach] & (b_i - a_i * u <= cap) & (u >= lo) & (u <= hi)]
-    C = np.concatenate([base, C_sorted[at, 0], cross])
-    f = np.concatenate([f_base, np.maximum(0.0, -least[at]), worst(cross)])
+    C = np.concatenate([base, zeros, cross])
+    f = np.concatenate([f_base, np.maximum(0.0, -least), worst(cross)])
     keep = (C >= lo) & (C <= hi)
     C, f = C[keep], f[keep]
     C = C[f <= f.min() + VIOLATION_TIE]
@@ -565,13 +507,13 @@ def govern(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Governor
     On a numerically infeasible program (possible despite the safe-set
     margin) the row tolerances are relaxed tenfold and the solve retried
     on the same problem, which only re-compares the nominal action's and
-    the candidates' margins the first solve kept; a success there is a
+    the break points' margins the first solve kept; a success there is a
     "fallback" with reason "relaxed_tol".
     If that also fails, _min_violation_action picks the action in U with
     the least worst face violation, ties to the least objective, and flags
-    it with status "fallback" and reason "min_violation".  That last step
-    needs a scalar action; with more inputs it raises GovernorError.  No
-    fallback is logged: the reason tag is its record.
+    it with status "fallback" and reason "min_violation".  No fallback is
+    logged: the reason tag is its record.  A system with more than one
+    input raises GovernorError.
     """
     t0 = time.perf_counter()
     prob = build_miqp(x, u_nom, artifact, sys, cfg)

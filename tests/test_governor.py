@@ -151,6 +151,23 @@ def test_miqp_no_groups_equals_qp():
     assert res.status == "optimal"
     assert res.u_safe[0] == pytest.approx(3.0, abs=1e-9)
     assert res.modified
+    # With no groups the governor's program is the QP over U alone.
+    rng = np.random.default_rng(61)
+    statuses = collections.Counter()
+    for _ in range(300):
+        U_A = rng.normal(size=(int(rng.integers(1, 5)), 1))
+        prob = stacked_miqp(np.array([[rng.uniform(0.5, 2.0)]]), rng.normal(size=1) * 2,
+                            U_A, rng.normal(size=U_A.shape[0]), [])
+        res = solve_miqp(prob)
+        ref = qp_solve(prob.S, prob.u_nom, prob.U_A, prob.U_b)
+        statuses[ref.status, res.nodes_explored > 0] += 1
+        if ref.status == QP_OPTIMAL:
+            assert res.status == "optimal"
+            assert res.u_safe == pytest.approx(ref.u, abs=1e-9)
+            assert res.objective == pytest.approx(ref.value, abs=1e-9)
+        else:
+            assert (ref.status, res.status) == (QP_INFEASIBLE, "infeasible")
+    assert set(statuses) == {(QP_OPTIMAL, False), (QP_OPTIMAL, True), (QP_INFEASIBLE, True)}
 
 
 def test_miqp_unsafe_interval_next_state():
@@ -187,10 +204,16 @@ def random_miqp(rng, m=None):
 
 
 def test_miqp_matches_enumeration_on_random_instances():
+    # The draws with two or three inputs are rejected; they stay in the
+    # stream so that the scalar instances are the same.
     rng = np.random.default_rng(101)
     n_feasible = 0
     for _ in range(150):
         prob = random_miqp(rng)
+        if prob.u_nom.size != 1:
+            with pytest.raises(GovernorError, match="scalar"):
+                solve_miqp(prob)
+            continue
         res = solve_miqp(prob)
         ref = enumerate_miqp(prob)
         if ref is None:
@@ -203,14 +226,13 @@ def test_miqp_matches_enumeration_on_random_instances():
 
 
 def test_miqp_determinism():
-    rng = np.random.default_rng(7)
-    prob = random_miqp(rng, m=2)
+    # A solve of an equal fresh problem and a second solve of the same one,
+    # which reads the kept evaluation, give the same bytes.
+    prob = nested_boxes_miqp(np.random.default_rng(7), 1, 8, 1.4)
     r1 = solve_miqp(prob)
-    r2 = solve_miqp(prob)
-    assert r1.status == r2.status
-    assert r1.nodes_explored == r2.nodes_explored
-    if r1.u_safe is not None:
-        assert np.array_equal(r1.u_safe, r2.u_safe)
+    assert r1.nodes_explored > 0
+    assert same_result(r1, solve_miqp(prob))
+    assert same_result(r1, solve_miqp(dataclasses.replace(prob)))
 
 
 def test_miqp_empty_group_is_never_met():
@@ -221,7 +243,9 @@ def test_miqp_empty_group_is_never_met():
                         U_A=np.array([[1.0], [-1.0]]), U_b=np.array([3.0, 3.0]), groups=groups)
     u = np.array([0.5])
     per_group = [(a @ u - b).max(initial=-np.inf) for a, b in groups]
-    assert np.array_equal(prob.group_max(prob.slacks(u)), per_group)
+    assert prob.least_slack(u)[0] == min(per_group) == -np.inf
+    met = stacked_miqp(prob.S, prob.u_nom, prob.U_A, prob.U_b, groups[::2])
+    assert met.least_slack(u)[0] == min(per_group[::2]) > -np.inf
     assert enumerate_miqp(prob) is None
     assert solve_miqp(prob).status == "infeasible"
     assert _min_violation_action(prob) is None
@@ -294,7 +318,7 @@ def test_govern_fallback_chain(caplog, hi, reason):
     cfg = GovernorConfig(S=np.array([[1.0]]))
     with caplog.at_level(logging.DEBUG, logger="safegov.governor"):
         for art in arts:
-            for system in (sys, sys, LinearSystem(sys.A, sys.B, sys.E)):
+            for system in (sys, sys, LinearSystem(sys.A.copy(), sys.B.copy(), sys.E)):
                 res = govern([0.0], [0.0], art, system, cfg)
                 assert (res.status, res.reason) == ("fallback", reason)
                 assert res.u_safe[0] == pytest.approx(1.0, abs=1e-9)
@@ -306,15 +330,32 @@ def test_govern_fallback_chain(caplog, hi, reason):
 
 @pytest.mark.parametrize("hi, reason", [(1 + 5e-7, "relaxed_tol"), (2.0, "min_violation")])
 def test_govern_evaluates_candidates_once(monkeypatch, hi, reason):
-    # Both fallbacks solve the problem twice; the retry re-tests the first
-    # solve's candidates and builds none.
+    # Both fallbacks solve the problem twice; the retry and the least
+    # violation read the break points the first solve evaluated.
     art, sys = fallback_chain_artifact(hi)
-    built = []
-    candidates = governor._candidates
-    monkeypatch.setattr(governor, "_candidates", lambda prob: built.append(prob) or candidates(prob))
+    evaluated = []
+    evaluate = governor._evaluate
+    monkeypatch.setattr(governor, "_evaluate", lambda prob: evaluated.append(prob) or evaluate(prob))
     res = govern([0.0], [0.0], art, sys, GovernorConfig(S=np.array([[1.0]])))
     assert (res.status, res.reason) == ("fallback", reason)
-    assert len(built) == 1
+    assert len(evaluated) == 1
+
+
+def test_prepared_rows_keyed_on_the_system_matrices():
+    # The row data depend on A and B alone: an equal but distinct system
+    # keeps them, and a system with another B rebuilds them.  With B = 1
+    # the member is never left; with B = 2 it is left at u = 1.
+    art, sys = fallback_chain_artifact(2.0)
+    cfg = GovernorConfig(S=np.array([[1.0]]))
+    runs = [(sys, "min_violation"), (LinearSystem(sys.A.copy(), sys.B.copy(), sys.E), "min_violation"),
+            (sys, "min_violation"), (LinearSystem(sys.A, 2 * sys.B, sys.E), "")]
+    caches = []
+    for system, reason in runs:
+        res = govern([0.0], [0.0], art, system, cfg)
+        assert res.reason == reason
+        assert res.u_safe[0] == pytest.approx(1.0, abs=1e-9)
+        caches.append(art._governor_cache)
+    assert caches[0] is caches[1] is caches[2] is not caches[3]
 
 
 def same_result(a, b) -> bool:
@@ -378,10 +419,11 @@ def test_govern_matches_reference_bitwise_on_every_path():
 # SHA-256 over result_bytes of 3,000 govern() calls on seeded uniform safe
 # states and actions of the ACC K = 1 artifact (255 of them fall back
 # to the least violation), recorded before the governor kept its face rows
-# group-major; and over solve_miqp on random m = 1, 2, 3 problems at the
-# strict and the relaxed tolerance.
+# group-major; and over solve_miqp on the random scalar problems at the
+# strict and the relaxed tolerance, recorded while the governor still
+# solved problems with more inputs.
 GOVERN_ACC_K1_SHA256 = "476d8eaebac9293e57769a796f070edcb0d95c3e362de5fb13e161eb368acfcd"
-SOLVE_MIQP_RANDOM_SHA256 = "abb63ce0be62053935773fb2ab9ac0f47512811565d521ba2adc9a18976bb4cb"
+SOLVE_MIQP_RANDOM_SHA256 = "f820974a3c32737dc0bc140bd00fe04205bd895d5b371a504836a9cc4fb08019"
 
 
 def test_govern_results_pinned():
@@ -394,20 +436,27 @@ def test_govern_results_pinned():
 
 
 def test_solve_miqp_results_pinned():
+    # The problems with two and three inputs are drawn as when they were
+    # solved, and are rejected.
     rng = np.random.default_rng(59)
     digest = hashlib.sha256()
     for m in (1, 2, 3):
         for prob in [random_miqp(rng, m=m) for _ in range(100)] + [nested_boxes_miqp(rng, m, 8, 1.4)
                                                                   for _ in range(10 if m < 3 else 2)]:
             for eps in (FEAS_TOL, 10 * FEAS_TOL):
-                digest.update(result_bytes(solve_miqp(prob, eps_feas=eps)))
+                if m == 1:
+                    digest.update(result_bytes(solve_miqp(prob, eps_feas=eps)))
+                    continue
+                with pytest.raises(GovernorError, match="scalar"):
+                    solve_miqp(prob, eps_feas=eps)
     assert digest.hexdigest() == SOLVE_MIQP_RANDOM_SHA256
 
 
 def nested_boxes_miqp(rng, m, n_groups, spread):
     """u in U = [-1, 1]^m must leave n_groups boxes that contain u_nom, one
     group of 2m rows each, so the action, if there is one, lies past the
-    first CANDIDATE_BLOCK candidates in objective order."""
+    reference's first block of governor_reference.CANDIDATE_BLOCK
+    candidates in objective order."""
     L = rng.normal(size=(m, m))
     u_nom = rng.uniform(-0.5, 0.5, size=m)
     rows = np.vstack([np.eye(m), -np.eye(m)])
@@ -417,10 +466,11 @@ def nested_boxes_miqp(rng, m, n_groups, spread):
     return stacked_miqp(L @ L.T + 0.3 * np.eye(m), u_nom, rows, np.ones(2 * m), groups)
 
 
-@pytest.mark.parametrize("m, n_groups, spread", [(1, 34, 1.2), (2, 10, 1.6)])
+@pytest.mark.parametrize("m, n_groups, spread", [(1, 34, 1.2)])
 def test_solve_miqp_matches_reference_bitwise_on_random_instances(m, n_groups, spread):
     # The second solve of each problem, at the relaxed tolerance, re-tests
-    # the margins the first one kept.
+    # the margins the first one kept.  The reference tests its candidates
+    # in blocks; answers in and past its first block are both hit.
     rng = np.random.default_rng(47 + m)
     probs = [random_miqp(rng, m=m) for _ in range(200)]
     probs += [nested_boxes_miqp(rng, m, n_groups, spread) for _ in range(30)]
@@ -430,8 +480,9 @@ def test_solve_miqp_matches_reference_bitwise_on_random_instances(m, n_groups, s
             res = solve_miqp(prob, eps_feas=eps)
             ref = governor_reference.solve_miqp(prob, eps_feas=eps)
             assert same_result(res, ref), (prob, eps, res, ref)
-            paths.add((res.status, min(res.nodes_explored, 1) + (res.nodes_explored > governor.CANDIDATE_BLOCK)))
-    # 0: fast path; 1: answer in the first block; 2: past it.
+            block = governor_reference.CANDIDATE_BLOCK
+            paths.add((res.status, min(res.nodes_explored, 1) + (res.nodes_explored > block)))
+    # 0: fast path; 1: answer in the reference's first block; 2: past it.
     assert paths == {("optimal", 0), ("optimal", 1), ("optimal", 2), ("infeasible", 1), ("infeasible", 2)}
 
 
@@ -449,6 +500,19 @@ def test_min_violation_exact_over_many_assignments():
     assert u == pytest.approx([-0.5], abs=1e-12)
     res = solve_miqp(prob)
     assert res.status == "optimal" and res.u_safe[0] == pytest.approx(-0.5, abs=1e-9)
+
+
+def test_min_violation_ties_follow_row_order():
+    # One group, u >= 0.5 or u <= -0.5: from u_nom = 0 both zeros are
+    # nearest with no violation, and the first row's zero is taken, as in
+    # the reference.
+    rows = [(np.array([[1.0]]), 0.5), (np.array([[-1.0]]), 0.5)]
+    for order, want in ((rows, 0.5), (rows[::-1], -0.5)):
+        group = (np.vstack([a for a, _ in order]), np.array([b for _, b in order]))
+        prob = stacked_miqp(np.eye(1), np.array([0.0]), np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), [group])
+        u = _min_violation_action(prob)
+        assert u.tobytes() == governor_reference.min_violation_action(prob).tobytes()
+        assert u[0] == want
 
 
 def worst_violation(prob, u):
@@ -497,9 +561,11 @@ def test_min_violation_matches_per_assignment_lp():
     assert n_positive > 100
 
 
-def test_min_violation_needs_scalar_action():
-    # z = x + u with U = [-1, 1]^2; from x = 0 the member [-10, 2]^2 cannot
-    # be left, so govern() reaches the fallback, which is scalar-only.
+def test_governor_needs_scalar_action(caplog):
+    # z = x + u with U = [-1, 1]^2: build_miqp and govern() reject the two
+    # inputs up front, from a state where [-10, 2]^2 cannot be left as from
+    # one where u = 0 is admissible, with a two-entry action as with a
+    # scalar one, before the artifact is prepared or warned about.
     sys = LinearSystem(np.eye(2), np.eye(2), np.eye(2))
     box = HPolytope.from_bounds([-10, -10], [10, 10])
     spec = ConstraintSpec(X0=PolyUnion([HPolytope.from_bounds([-10, -10], [-9, -9])]),
@@ -508,8 +574,14 @@ def test_min_violation_needs_scalar_action():
     member = PolyUnion([HPolytope.from_bounds([-10, -10], [2, 2])])
     art = SafeSetArtifact(system=sys, spec=spec, k_used=0, safe=PolyUnion.empty(2),
                           inflated_unsafe=member, unrecoverable=member, fixpoint_reached=False)
-    with pytest.raises(GovernorError, match="scalar"):
-        govern([0.0, 0.0], [0.0, 0.0], art, sys, GovernorConfig(S=np.eye(2)))
+    with caplog.at_level(logging.DEBUG, logger="safegov.governor"):
+        for x in ([0.0, 0.0], [5.0, 5.0]):
+            for u, S in (([0.0, 0.0], np.eye(2)), ([0.0], np.eye(1))):
+                for step in (build_miqp, govern):
+                    with pytest.raises(GovernorError, match="scalar action"):
+                        step(x, u, art, sys, GovernorConfig(S=S))
+    assert not caplog.records
+    assert not hasattr(art, "_governor_cache")
 
 
 def test_govern_build_structure():
