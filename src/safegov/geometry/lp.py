@@ -15,20 +15,12 @@ arithmetic, so the code keeps the numpy calls per LP few:
   every column on its own, so the other columns keep their values bit for
   bit, and phase 2 never prices an artificial column;
 - phase 1 (zero rows, row scaling, flips, the artificial simplex, the
-  drive-out and the row drop) depends on (A, b) alone, never on c.  The
-  geometry layer asks several questions of one set in a row (emptiness,
-  boundedness, support along several directions), so ``lp_solve`` keeps
-  the phase-1 end states of the last four constraint sets, keyed on the
-  exact shape and bytes of (A, b).  A repeated set copies its stored
-  tableau and basis and runs phase 2 only.  The stored state is the one
-  a fresh phase 1 would compute, and phase 2 works on a copy, so every
-  result is bitwise the one a solve from scratch gives.
+  drive-out and the row drop) depends on (A, b) alone, never on c, and
+  runs in ``_phase1``; ``lp_solve`` prices c out over its end state.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +104,7 @@ def _phase1(A: np.ndarray, b: np.ndarray) -> tuple | None:
     tableau and basis that phase 2 starts from: artificial columns gone,
     leftover artificials driven out or their rows dropped.  The tableau
     and basis are None when no row is left after the zero rows, whose
-    offsets alone decide them.  Both arrays are read-only.
+    offsets alone decide them.
     """
     n = A.shape[1]
     # A zero row is decided by its offset alone.  Left in, row scaling
@@ -173,18 +165,7 @@ def _phase1(A: np.ndarray, b: np.ndarray) -> tuple | None:
         rows = np.concatenate([keep.nonzero()[0], [m]])
         T = T[rows]
         basis = basis[keep]
-    T.setflags(write=False)
-    basis.setflags(write=False)
     return T, basis
-
-
-# End states of phase 1 for the last _MEMO_SIZE constraint sets, keyed on
-# the shape and bytes of (A, b), least recently used first.  The lock makes
-# each lookup and each insertion one step for concurrent callers.
-_MEMO_SIZE = 4
-_memo: OrderedDict[tuple, tuple | None] = OrderedDict()
-_memo_lock = threading.Lock()
-_MISS = object()
 
 
 def lp_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult:
@@ -203,23 +184,10 @@ def lp_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult:
         A = A.reshape(0, n)
     if A.shape[1] != n or b.size != A.shape[0]:
         raise ValueError("lp_solve: inconsistent shapes")
-    if not np.isfinite(c).all():
+    if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("lp_solve: non-finite input")
 
-    # A memo hit has the bytes of an input that passed the finiteness test.
-    key = (A.shape, A.tobytes(), b.tobytes())
-    with _memo_lock:
-        state = _memo.get(key, _MISS)
-        if state is not _MISS:
-            _memo.move_to_end(key)
-    if state is _MISS:
-        if not (np.isfinite(A).all() and np.isfinite(b).all()):
-            raise ValueError("lp_solve: non-finite input")
-        state = _phase1(A, b)
-        with _memo_lock:
-            _memo[key] = state
-            if len(_memo) > _MEMO_SIZE:
-                _memo.popitem(last=False)
+    state = _phase1(A, b)
     if state is None:
         return LpResult(INFEASIBLE)
     T, basis = state
@@ -227,7 +195,6 @@ def lp_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult:
         if np.all(np.abs(c) <= _RC_TOL):
             return LpResult(OPTIMAL, np.zeros(n), 0.0)
         return LpResult(UNBOUNDED)
-    T, basis = T.copy(), basis.copy()
     m = basis.size
 
     # Phase 2: real objective over [x+, x-, s].  Basis columns are exact

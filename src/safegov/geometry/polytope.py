@@ -6,36 +6,33 @@ evaluated up to FEAS_TOL.  Types are immutable after construction and all
 operations are pure functions, so values can be shared freely.
 
 An HPolytope caches what it learns about itself: emptiness, boundedness,
-irredundancy, its Chebyshev ball, a point inside it, its vertices and the
-support values it has been asked for (a memo per set, keyed on the
-direction's bytes, so it never outlives the set).  It also computes each
-form of its rows once: the membership row scale, the unit rows of
-``normalized()`` and the deduplicated rows of ``_dedup()``.  None of these
-can go stale: a set's rows are read-only arrays that the set owns, fixed
-at construction.  ``normalized()`` and ``_dedup()`` still return a new set on
-each call, which shares the cached arrays but none of its flags, so a
-flag set on one result (``remove_redundancy`` marks its ``_dedup()``)
-never reaches the next.  A row form equal to the rows it was computed from
-shares their arrays, so sets kept in an artifact hold little more.  Sets
-whose rows are computed from rows already checked (intersections, the
-pieces of ``region_diff``, ``remove_redundancy`` output and the cached
-row forms) are built without ``_rows``' conversions and checks.
+irredundancy, its Chebyshev ball, its vertices and the support values it
+has been asked for (a memo per set, keyed on the direction's bytes, so it
+never outlives the set).  It also computes each form of its rows once:
+the membership row scale, the unit rows of ``normalized()`` and the
+deduplicated rows of ``_dedup()``.  None of these can go stale: a set's
+rows are read-only arrays that the set owns, fixed at construction.
+``normalized()`` and ``_dedup()`` still return a new set on each call,
+which shares the cached arrays but none of its flags, so a flag set on
+one result (``remove_redundancy`` marks its ``_dedup()``) never reaches
+the next.  A row form equal to the rows it was computed from shares their
+arrays, so sets kept in an artifact hold little more.  Sets whose rows
+are computed from rows already checked (intersections, the pieces of
+``region_diff``, ``remove_redundancy`` output and the cached row forms)
+are built without ``_rows``' conversions and checks.
 
 Operations whose result provably shares a fact carry it over instead of
 paying LPs for it again:
 
 - ``intersect`` is bounded when either operand is known to be bounded;
 - ``convex_hull`` is bounded and nonempty, being the hull of finitely
-  many points; it records the centroid of its points as an interior
-  point and keeps the points themselves for ``remove_redundancy``;
+  many points; it keeps the points for ``remove_redundancy``;
 - ``inverse_affine_map`` (invertible map) keeps its input's boundedness
   and irredundancy;
-- ``remove_redundancy`` describes the same set, so it keeps boundedness,
-  the Chebyshev ball and the interior point; it is known to be nonempty
-  and irredundant;
+- ``remove_redundancy`` describes the same set, so it keeps boundedness
+  and the Chebyshev ball; it is known to be nonempty and irredundant;
 - each piece ``region_diff`` splits off a set R is bounded when R is; a
-  piece shown significant by its vertices is nonempty and records their
-  centroid as its interior point;
+  piece shown significant by its vertices is nonempty;
 - ``chebyshev`` settles emptiness as well when the ball's radius is
   above 10 FEAS_TOL;
 - ``is_bounded`` needs no LP when the rows hold a positive multiple of
@@ -54,6 +51,8 @@ builds and solves them a batch at a time instead, with the same points.
 
 In these dimensions vertices, and the points a hull was taken of, answer
 most yes/no questions of the set recursion at less cost than an LP.
+They are the only witnesses that spare an LP: a question they leave
+open, or one about a set whose vertices are not at hand, goes to its LP.
 Each shortcut below decides only outside a margin band around the LP's
 own threshold and leaves the band to the LP, so every decision stays
 the LP's:
@@ -63,9 +62,8 @@ the LP's:
   whether a member's row cuts it (a row that only touches it is cleared
   by a normal-cone bound), and which of its rows are redundant; what
   these tests read of a piece is computed once per piece;
-- ``remove_redundancy`` keeps rows by ray certificates from an interior
-  point, from the facets of its vertices or its hull points, and drops
-  rows slack at every vertex;
+- ``remove_redundancy`` keeps rows by rays from the facets of its
+  vertices or its hull points, and drops rows slack at every vertex;
 - ``merge_convex_members`` marks a pair apart when its vertices are
   separated by a row or its hull outgrows both volumes together by more
   than the tolerance, before any intersection is formed.
@@ -76,8 +74,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple
-
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
@@ -137,12 +133,12 @@ class HPolytope:
     on first use and never recomputed: the row scale of the membership
     tolerance, the unit rows of ``normalized()``, the rows of ``_dedup()``,
     the vertices and the support values.  The facts in ``_empty``,
-    ``_bounded``, ``_irredundant``, ``_cheb`` and ``_inner`` may be set by
-    the operation that built the set, when it knows them to hold.
+    ``_bounded``, ``_irredundant`` and ``_cheb`` may be set by the
+    operation that built the set, when it knows them to hold.
     """
 
-    __slots__ = ("A", "b", "dim", "_empty", "_bounded", "_irredundant", "_cheb", "_inner", "_verts",
-                 "_points", "_support", "_scale", "_unit", "_dedup_rows")
+    __slots__ = ("A", "b", "dim", "_empty", "_bounded", "_irredundant", "_cheb", "_verts", "_points",
+                 "_support", "_scale", "_unit", "_dedup_rows")
 
     def __init__(self, A, b, dim: int | None = None):
         if dim is None:
@@ -172,7 +168,6 @@ class HPolytope:
         self._bounded: bool | None = None
         self._irredundant = False
         self._cheb: tuple[np.ndarray | None, float] | None = None
-        self._inner: np.ndarray | None = None
         self._verts: np.ndarray | None = None
         self._points: np.ndarray | None = None
         self._support: dict[bytes, float] = {}
@@ -349,30 +344,22 @@ class HPolytope:
         shortcuts spare LPs:
 
         - a set already known irredundant returns its deduplicated rows;
-        - with a point c known inside every row, row i is kept without its
-          LP when the ray from c along a_i passes row i by more than
-          10 FEAS_TOL before it meets any other row (Clarkson's
-          ray-shooting test).  Any interior point serves as c: the cached
-          Chebyshev center when there is one, otherwise the interior point
-          recorded by ``convex_hull`` or ``region_diff``.  A c that fails a row
-          after rounding certifies nothing.  c is inside every row, so the
-          ray's point at a_i'x = b_i + 10 FEAS_TOL meets every other row
-          and the relaxed row a_i'x <= b_i + 1: it is feasible for row i's LP,
-          whose rows are a subset of these.  The LP's maximum is then
-          above b_i + FEAS_TOL by far more than its rounding, so the LP
-          would keep row i too;
         - when the set's vertices are at hand, two vertex certificates
-          come first; see ``_vertex_redundancy``.  A row inactive at every
+          decide rows; see ``_vertex_redundancy``.  A row inactive at every
           vertex by more than a margin is dropped: the set is the hull of
           its vertices, so the row is slack on all of it, and a row slack
           on the whole set can go without changing the set.  An active row
           is kept when a ray along a_i from the centroid of its active
-          vertices, nudged toward c, passes it by more than 10 FEAS_TOL;
-          this is the ray test above, started on row i's own facet, where
-          a ray from c may be blocked early.  The vertices are at hand
-          when they are cached (``region_diff`` takes them for its
-          pieces), and are taken, with their centroid as c, for a set
-          already known bounded that has no interior point recorded (its
+          vertices, nudged toward the centroid of all of them, passes it by
+          more than 10 FEAS_TOL before it meets any other row (Clarkson's
+          ray-shooting test, started on row i's own facet).  The ray's
+          point at a_i'x = b_i + 10 FEAS_TOL meets every other row and the
+          relaxed row a_i'x <= b_i + 1: it is feasible for row i's LP,
+          whose rows are a subset of these.  The LP's maximum is then above
+          b_i + FEAS_TOL by far more than its rounding, so the LP would
+          keep row i too.  The vertices are at hand when they are cached
+          (``region_diff`` takes them for its pieces), and are enumerated
+          for a set already known bounded that is not a hull (its
           emptiness is settled first, and boundedness is never tested
           for this);
         - a ``convex_hull`` output without cached vertices uses the points
@@ -383,9 +370,10 @@ class HPolytope:
           points' word, since a joggled (qhull ``QJ``) hull is the hull of
           its points only up to the joggle.
 
-        Rows none of these tests decide get their LP.  The result is marked
-        irredundant and nonempty; it keeps self's boundedness flag,
-        Chebyshev ball and interior point, but not its vertices.
+        Rows none of these tests decide get their LP, as do all rows of a
+        set with neither vertices nor hull points at hand.  The result is
+        marked irredundant and nonempty; it keeps self's boundedness flag
+        and Chebyshev ball, but not its vertices.
         """
         if self._irredundant:
             out = self._dedup()
@@ -394,21 +382,14 @@ class HPolytope:
                 return HPolytope.empty(self.dim)
             A, b = self._deduplicated_rows()
             keep = np.ones(len(b), dtype=bool)
-            certified = np.zeros(len(b), dtype=bool)
-            drop = np.zeros(len(b), dtype=bool)
-            origin = _center(self)
+            certified = drop = np.zeros(len(b), dtype=bool)
             V = self._verts
-            if V is None and origin is None and self._bounded is True:
+            if V is None and self._points is None and self._bounded is True:
                 V = _vertices_or_none(self)
-                if V is not None:
-                    origin = V.mean(axis=0)
-            if origin is not None:
-                certified = _ray_support(A, b, origin, A, skip_own=True) > b + 10 * FEAS_TOL
             if V is not None:
-                facet, drop = _vertex_redundancy(A, b, V, origin)
-                certified |= facet
+                certified, drop = _vertex_redundancy(A, b, V)
             elif self._points is not None:
-                certified |= _vertex_redundancy(A, b, self._points, origin)[0]
+                certified = _vertex_redundancy(A, b, self._points)[0]
             for i in np.flatnonzero(~certified):
                 keep[i] = False
                 if drop[i]:
@@ -425,7 +406,6 @@ class HPolytope:
         out._bounded = self._bounded
         out._irredundant = True
         out._cheb = self._cheb
-        out._inner = self._inner
         return out
 
     # -- vertex enumeration -------------------------------------------
@@ -546,68 +526,49 @@ def _slack(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
     return S
 
 
-def _center(P: HPolytope) -> np.ndarray | None:
-    """P's cached Chebyshev center, else its recorded interior point, else
-    None; never solves an LP."""
-    if P._cheb is not None and P._cheb[0] is not None:
-        return P._cheb[0]
-    return P._inner
+def _ray_support(A: np.ndarray, b: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Lower bounds on max a_k'x over {x : A x <= b} without row k, one per
+    row a_k of A.
 
-
-def _ray_support(A: np.ndarray, b: np.ndarray, c: np.ndarray, D: np.ndarray,
-                 skip_own: bool = False, slack: np.ndarray | None = None) -> np.ndarray:
-    """Lower bounds on max d'x over {x : A x <= b}, one per row d of D.
-
-    Each bound is d'x at the point where the ray c + t d, t >= 0, first
-    meets a row (+inf if it never does).  That point lies in the set, so
-    the maximum is at least the bound.  c is one origin for every ray, or
-    one origin per row of D; for one origin, slack may give b - A c, so
-    that a caller shooting several batches from c computes it once.  With
-    skip_own the ray along D[k] ignores row k, which bounds the sets
-    without each row (D = A).  A ray's bound is -inf unless its origin
-    satisfies every row.
+    Each bound is a_k'x at the point where the ray C[k] + t a_k, t >= 0,
+    first meets a row other than row k (+inf if it never does).  That point
+    lies in the set without row k, so the maximum is at least the bound.
+    A ray's bound is -inf unless its origin C[k] satisfies every row.
     """
-    if c.ndim == 1:
-        gap = (b - A @ c if slack is None else slack)[:, None]    # gap[j, 0] = b_j - a_j'c
-        start = D @ c
-    else:
-        gap = b[:, None] - A @ c.T                                 # gap[j, k] = b_j - a_j'c_k
-        start = np.einsum("ij,ij->i", D, c)
-    rate = A @ D.T                       # rate[j, k] = a_j'd_k
-    if skip_own:
-        np.fill_diagonal(rate, 0.0)
+    gap = b[:, None] - A @ C.T                  # gap[j, k] = b_j - a_j'C[k]
+    rate = A @ A.T                              # rate[j, k] = a_j'a_k
+    np.fill_diagonal(rate, 0.0)
     ratio = np.divide(gap, rate, out=np.full(rate.shape, np.inf), where=rate > 0.0)
     reach = ratio.min(axis=0, initial=np.inf)
-    bound = start + reach * np.einsum("ij,ij->i", D, D)
+    bound = np.einsum("ij,ij->i", A, C) + reach * np.einsum("ij,ij->i", A, A)
     return np.where((gap >= 0.0).all(axis=0), bound, -np.inf)
 
 
-def _vertex_redundancy(A: np.ndarray, b: np.ndarray, V: np.ndarray,
-                       origin: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _vertex_redundancy(A: np.ndarray, b: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(keep, drop) row masks of remove_redundancy's vertex certificates.
 
-    V are the vertices of {x : A x <= b} (unit rows) and origin a point
-    inside it, or None.  With delta = 10 FEAS_TOL plus the residual of V
-    against the rows (the largest violation of a row by a vertex, at least
-    0: vertex enumeration accepts a point that misses a row by up to
-    1e-6 (1 + max|b|)), row i is active at vertex v when a_i'v >= b_i -
-    delta (1 + |b_i|).  A row active at no vertex is in drop.  An active
-    row is in keep when the ray along a_i from the centroid of its active
-    vertices, nudged 1e-3 of the way toward origin, passes b_i +
+    V are the vertices of {x : A x <= b} (unit rows), or points whose hull
+    it is.  With delta = 10 FEAS_TOL plus the residual of V against the
+    rows (the largest violation of a row by a point, at least 0: vertex
+    enumeration accepts a point that misses a row by up to 1e-6 (1 +
+    max|b|)), row i is active at point v when a_i'v >= b_i - delta (1 +
+    |b_i|).  A row active at no point is in drop.  An active row is in keep
+    when the ray along a_i from the centroid of its active points, nudged
+    1e-3 of the way toward the centroid of all of V, passes b_i +
     10 FEAS_TOL before it meets another row.  The nudge puts the origin
     strictly inside every row: the centroid itself lies on row i, and a
     rounding error there fails _ray_support's origin test.
     """
-    VA = V @ A.T                                           # (vertices, rows)
+    VA = V @ A.T                                           # (points, rows)
     delta = 10 * FEAS_TOL + float(np.max(VA - b, initial=0.0))
     active = VA >= b - delta * (1.0 + np.abs(b))
     count = active.sum(axis=0)
     drop = count == 0
     keep = np.zeros(len(b), dtype=bool)
-    if origin is not None and not drop.all():
+    if not drop.all():
         centroid = (active.T @ V) / np.maximum(count, 1)[:, None]
-        start = centroid + 1e-3 * (origin - centroid)
-        keep = (_ray_support(A, b, start, A, skip_own=True) > b + 10 * FEAS_TOL) & ~drop
+        start = centroid + 1e-3 * (V.mean(axis=0) - centroid)
+        keep = (_ray_support(A, b, start) > b + 10 * FEAS_TOL) & ~drop
     return keep, drop
 
 
@@ -707,16 +668,14 @@ def convex_hull(points) -> HPolytope:
 
     Lower-dimensional clouds are supported: the flat directions are pinned
     with equality row pairs and the hull is taken inside the affine span.
-    The result is marked bounded and nonempty, and the centroid of the
-    points is recorded as a point inside it (the ray origin of
-    remove_redundancy).  The points are kept too: remove_redundancy starts
-    its facet rays from them; vertices() never reads them.
+    The result is marked bounded and nonempty and keeps the points:
+    remove_redundancy starts its facet rays from them; vertices() never
+    reads them.
     """
     out = _hull(points)
     out._bounded = True
     out._empty = False
     out._points = np.atleast_2d(np.asarray(points, dtype=float))
-    out._inner = out._points.mean(axis=0)
     return out
 
 
@@ -875,8 +834,7 @@ def _significance(P: HPolytope, V: np.ndarray, min_r: float) -> bool | None:
     Returns True when the centroid c of V lies deeper than min_r +
     10 FEAS_TOL in P (depth: the least slack over the unit rows): the ball
     of that radius around c lies in P, so the LP's radius is above min_r
-    by more than its rounding.  P is then marked nonempty and records c
-    as its interior point.
+    by more than its rounding.  P is then marked nonempty.
 
     Returns False when a row (a, beta) and the least a'v over V leave a
     slab narrower than 2 (min_r - 10 FEAS_TOL).  If P is nonempty, V are
@@ -889,7 +847,6 @@ def _significance(P: HPolytope, V: np.ndarray, min_r: float) -> bool | None:
     c = V.mean(axis=0)
     if (P.b - P.A @ c).min() > min_r + 10 * FEAS_TOL:
         P._empty = False
-        P._inner = c
         return True
     if (P.b - (V @ P.A.T).min(axis=0) < 2.0 * (min_r - 10 * FEAS_TOL)).any():
         return False
@@ -960,8 +917,8 @@ def _meet_verdict(R: HPolytope, VR: np.ndarray, Qn: HPolytope, VQ: np.ndarray | 
     """True when R & Q holds a ball of radius above min_r by the test
     below, else None; for a member that ``_apart`` has not ruled out.
 
-    R has unit rows, an interior point c (``_center``) and vertices VR; Qn
-    is Q with unit rows and VQ its vertices (None if unknown).
+    R has unit rows, vertices VR and their centroid c; Qn is Q with unit
+    rows and VQ its vertices (None if unknown).
 
     Returns True when a candidate point lies deeper than min_r +
     10 FEAS_TOL in both sets (depth: the least slack over the unit rows):
@@ -993,28 +950,6 @@ def _meet_verdict(R: HPolytope, VR: np.ndarray, Qn: HPolytope, VQ: np.ndarray | 
     return None
 
 
-class _PieceFacts(NamedTuple):
-    """What region_diff's tests read of a piece R, computed once per piece
-    for all the members tested against it: an interior point c
-    (``_center``), the slack b - A c of R's rows at c and, when R's
-    vertices V are known, the residuals V A' - b of the vertices against
-    R's rows and their margin delta = 10 FEAS_TOL plus the largest
-    residual, at least 0 (as in ``_vertex_redundancy``)."""
-
-    c: np.ndarray
-    slack: np.ndarray
-    residuals: np.ndarray | None
-    delta: float | None
-
-    @classmethod
-    def of(cls, R: HPolytope, V: np.ndarray | None) -> "_PieceFacts":
-        c = _center(R)
-        if V is None:
-            return cls(c, R.b - R.A @ c, None, None)
-        residuals = V @ R.A.T - R.b
-        return cls(c, R.b - R.A @ c, residuals, 10 * FEAS_TOL + float(residuals.max(initial=0.0)))
-
-
 def _cone_bound(A: np.ndarray, b: np.ndarray, a: np.ndarray, reach: float) -> float:
     """An upper bound on a'x over the points x of {x : A x <= b} with
     |x|_inf <= reach, by weak LP duality, or inf.
@@ -1041,20 +976,18 @@ def _cone_bound(A: np.ndarray, b: np.ndarray, a: np.ndarray, reach: float) -> fl
     return float((np.einsum("ki,ki->k", lam, b[combos]) + rest * reach).min())
 
 
-def _cut_verdicts(R: HPolytope, V: np.ndarray | None, facts: _PieceFacts,
+def _cut_verdicts(R: HPolytope, V: np.ndarray, residuals: np.ndarray, delta: float,
                   Qn: HPolytope) -> tuple[np.ndarray, np.ndarray]:
     """(cuts, clear) masks over the unit rows (a, beta) of Qn: the rows
     certified to cut R, R.support(a) > beta + FEAS_TOL, and those
-    certified not to.  R has unit rows, vertices V (None if unknown) and
-    the per-piece ``facts``; see region_diff for the tests.
+    certified not to.  R has unit rows and vertices V, with residuals
+    V A' - b against R's rows and margin delta = 10 FEAS_TOL plus the
+    largest residual, at least 0 (as in ``_vertex_redundancy``).
 
-    A row of Qn within 1e-9 of a row (a_j, b_j) of R is also clear when
-    b_j + max over V of (a - a_j)'v < beta + FEAS_TOL / 2.  R lies inside
-    its own row, so R.support(a) <= b_j + R.support(a - a_j), and the
-    vertices' error enters the second term only scaled by |a - a_j|.
-    Pieces and members share rows often: a piece is cut along rows that
-    other members repeat, and there the vertex bound h sits at beta, too
-    close to the threshold for the margin delta.
+    With h = max a'v over V, the row cuts when h > beta + FEAS_TOL + delta
+    and does not when h < beta + FEAS_TOL - delta: R is the hull of its
+    vertices, so h is R.support(a) up to the vertices' error, which delta
+    bounds.
 
     A row left undecided is clear when a normal-cone bound is below
     beta + FEAS_TOL / 2: at the vertex v where a'v is largest, a is
@@ -1065,29 +998,20 @@ def _cut_verdicts(R: HPolytope, V: np.ndarray | None, facts: _PieceFacts,
     over R, twice 1 + max|V|.  v only picks the rows that make the bound
     tight, those with residual at least -FEAS_TOL (1 + |b_j|) there; a row
     slack by more would loosen it.  Such rows touch R without cutting it,
-    a'v at beta to rounding, where no vertex margin can decide them.
+    a'v at beta to rounding, where no vertex margin can decide them.  A
+    member's row that repeats a row of R, as the rows a piece was cut
+    along often do, is one of them.
     """
-    c = facts.c
-    cuts = (Qn.A @ c > Qn.b + FEAS_TOL) | (_ray_support(R.A, R.b, c, Qn.A, slack=facts.slack)
-                                            > Qn.b + 10 * FEAS_TOL)
-    if V is None:
-        return cuts, np.zeros_like(cuts)
-    delta = facts.delta
     H = V @ Qn.A.T
     h = H.max(axis=0)
-    cuts |= h > Qn.b + FEAS_TOL + delta
+    cuts = h > Qn.b + FEAS_TOL + delta
     clear = h < Qn.b + FEAS_TOL - delta
-    gap = np.abs(Qn.A[:, None, :] - R.A[None, :, :]).max(axis=2)
-    j = gap.argmin(axis=1)
-    near = gap[np.arange(len(j)), j] <= 1e-9
-    bound = R.b[j] + ((Qn.A - R.A[j]) @ V.T).max(axis=1)
-    clear |= near & (bound < Qn.b + FEAS_TOL / 2)
     undecided = np.flatnonzero(~(cuts | clear))
     if len(undecided):
         reach = 2.0 * (1.0 + np.abs(V).max())
         band = -FEAS_TOL * (1.0 + np.abs(R.b))
         for i in undecided:
-            active = facts.residuals[H[:, i].argmax()] >= band
+            active = residuals[H[:, i].argmax()] >= band
             clear[i] = _cone_bound(R.A[active], R.b[active], Qn.A[i], reach) < Qn.b[i] + FEAS_TOL / 2
     return cuts, clear
 
@@ -1119,37 +1043,26 @@ def region_diff(
     This costs no LP: a piece is known bounded when R is, and enumeration
     needs no emptiness test (``_vertices_or_none``).  P itself pays for its
     boundedness once if it is not known.  A piece whose enumeration fails
-    goes without V.  Let delta = 10 FEAS_TOL plus the residual of V against
-    the piece's rows.
+    goes without V and takes the LPs for every question below.
 
     - Significance: a piece whose vertex centroid lies deeper than
-      min_r + 10 FEAS_TOL is significant and keeps that centroid as its
-      interior point; one that a row and its vertices squeeze into a slab
-      narrower than 2 (min_r - 10 FEAS_TOL) is not (``_significance``).
-      Only the rest solve the Chebyshev LP.  Any point inside R by more
-      than min_r serves the tests below as R's center c: the cached
-      Chebyshev center, else the recorded centroid (``_center``).
+      min_r + 10 FEAS_TOL is significant; one that a row and its vertices
+      squeeze into a slab narrower than 2 (min_r - 10 FEAS_TOL) is not
+      (``_significance``).  Only the rest solve the Chebyshev LP.
     - Meet: ``_apart`` rules out, for all members at once, each member
       for which a row of R or of Q leaves the other set's vertices in a
       slab too thin for a ball of radius min_r.  ``_meet_verdict`` rules a
-      surviving member in when a candidate point is deeper than min_r +
-      10 FEAS_TOL in both sets.  Otherwise the Chebyshev LP on R & Q
-      decides.  Without V, the LP is spared only when Q's vertices all lie
-      strictly outside one row of R (``_separated``).
-    - Cut: a row cuts when a'c > beta + FEAS_TOL at c, which lies inside R
-      by more than min_r, or when the ray from c along a reaches a'x >
-      beta + 10 FEAS_TOL before it leaves R (a point of R that far out).
-      With h = max a'v over V, the row cuts when h > beta + FEAS_TOL +
-      delta and does not when h < beta + FEAS_TOL - delta: R is the hull of
-      its vertices, so h is R.support(a) up to the vertices' error, which
-      delta bounds.  A row that repeats a row of R, as the rows a piece was
-      cut along often do, is cleared by a bound with a smaller error, and
-      so is a row that touches R at a vertex whose active rows have a in
-      their cone (``_cut_verdicts``).  R.support(a) is solved only when
-      all these tests fail.
-    - What these tests read of R alone (c, R's slack at c and the
-      vertices' residuals) is computed once per piece (``_PieceFacts``),
-      not once per member.
+      surviving member in when a candidate point, starting from R's
+      vertex centroid, is deeper than min_r + 10 FEAS_TOL in both sets.
+      Otherwise the Chebyshev LP on R & Q decides.
+    - Cut: a row cuts R, or does not, when max a'v over V passes beta +
+      FEAS_TOL, or stays below it, by more than the vertices' error; a
+      row that only touches R at a vertex is cleared by a normal-cone
+      bound (``_cut_verdicts``).  R.support(a) is solved only when these
+      tests fail.
+    - What these tests read of R alone (the vertex centroid and the
+      vertices' residuals and margin) is computed once per piece, not
+      once per member.
     - Redundancy: each significant piece keeps its vertices for its
       ``remove_redundancy``, which then uses them (see there).
 
@@ -1174,25 +1087,27 @@ def region_diff(
         counter[0] += 1
         if counter[0] > max_pieces:
             raise RegionBudgetError(f"region_diff exceeded {max_pieces} fragments")
-        apart = None if V is None else _apart(R, V, stack, min_r)
-        facts = _PieceFacts.of(R, V)
+        if V is not None:
+            # What the tests read of R alone, computed once per piece.
+            apart = _apart(R, V, stack, min_r)
+            c = V.mean(axis=0)
+            residuals = V @ R.A.T - R.b
+            delta = 10 * FEAS_TOL + float(residuals.max(initial=0.0))
         # Pick the member that actually cuts R with the fewest rows.
         best = None
         for pos, k in enumerate(members):
             Q, Qn, VQ = entries[k]
-            meets = None
-            if apart is None:
-                if _separated(R, Q):
-                    continue
-            elif apart[k]:
+            if V is not None and apart[k]:
                 continue
-            else:
-                meets = _meet_verdict(R, V, Qn, VQ, facts.c, min_r)
+            meets = None if V is None else _meet_verdict(R, V, Qn, VQ, c, min_r)
             if meets is None:
                 meets = significant(R.intersect(Q))
             if not meets:
                 continue
-            cuts, clear = _cut_verdicts(R, V, facts, Qn)
+            if V is None:
+                cuts = clear = np.zeros(len(Qn.b), dtype=bool)
+            else:
+                cuts, clear = _cut_verdicts(R, V, residuals, delta, Qn)
             cutting = [i for i, (a, beta) in enumerate(zip(Qn.A, Qn.b))
                        if cuts[i] or (not clear[i] and R.support(a) > beta + FEAS_TOL)]
             if not cutting:
@@ -1266,11 +1181,9 @@ def merge_convex_members(U: PolyUnion) -> PolyUnion:
     gets when it enters the list.
 
     A pair that ``_separated`` shows disjoint (either way round, from
-    cached vertices) is marked apart before its hull volume is computed.
-    Such a pair could pass the volume test only if its gap were within the
-    volume tolerance.  With this shortcut the artifacts and every X_k stay
-    byte-identical for the ACC build at K=1 and K=2 and for the 2-D system
-    at K=2, K=3 and K=4; all five are pinned in tests/test_safeset.py.
+    cached vertices) is marked apart before its hull volume is computed,
+    so disjoint members are never merged, even where their gap holds less
+    than the volume tolerance and would pass the volume test.
 
     A pair whose hull volume exceeds vols[i] + vols[j] + tol is marked
     apart before the intersection is formed, so its emptiness LP and

@@ -66,20 +66,15 @@ VIOLATION_TIE = 1e-12
 
 @dataclass(frozen=True)
 class GovernorConfig:
-    """Weight matrix of the governor's objective (u - u_nom)' S (u - u_nom)."""
+    """Weight matrix of the governor's objective (u - u_nom)' S (u - u_nom):
+    a finite, positive 1x1 matrix, as the action is scalar."""
 
     S: np.ndarray
 
     def __post_init__(self):
         S = np.atleast_2d(np.asarray(self.S, dtype=float))
-        if S.shape[0] != S.shape[1]:
-            raise GovernorError("S must be square")
-        if not np.allclose(S, S.T, atol=1e-12):
-            raise GovernorError("S must be symmetric")
-        try:
-            np.linalg.cholesky(S)
-        except np.linalg.LinAlgError as exc:
-            raise GovernorError("S must be positive definite") from exc
+        if S.shape != (1, 1) or not (np.isfinite(S[0, 0]) and S[0, 0] > 0.0):
+            raise GovernorError(f"S must be a finite, positive 1x1 matrix, not {S.tolist()}")
         S.setflags(write=False)
         object.__setattr__(self, "S", S)
 
@@ -378,8 +373,6 @@ def build_miqp(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Gove
     u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
     if u_nom.size != 1:
         raise GovernorError(f"u_nom has {u_nom.size} entries; the action is scalar")
-    if cfg.S.shape != (1, 1):
-        raise GovernorError(f"S has shape {cfg.S.shape}; the action is scalar")
     pre = _prepared(artifact, sys)
     prob = MIQPProblem(S=cfg.S, u_nom=u_nom, U_A=pre["U_A"], U_b=pre["U_b"],
                        alpha=pre["GB"], beta=pre["g"] - pre["GA"] @ x, starts=pre["starts"])

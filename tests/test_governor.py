@@ -255,11 +255,13 @@ def test_miqp_empty_group_is_never_met():
 
 
 def test_governor_config_validation():
-    with pytest.raises(GovernorError):
-        GovernorConfig(S=np.array([[0.0]]))
-    with pytest.raises(GovernorError):
-        GovernorConfig(S=np.array([[1.0, 2.0], [0.0, 1.0]]))
-    GovernorConfig(S=np.eye(2))
+    # S must be a finite, positive 1x1 matrix, since the action is scalar.
+    for S in ([[0.0]], [[-1.0]], [[np.nan]], [[np.inf]], [[1.0, 2.0], [0.0, 1.0]], np.eye(2),
+              [[1.0, 0.0]], np.zeros((0, 0))):
+        with pytest.raises(GovernorError, match="1x1"):
+            GovernorConfig(S=np.array(S))
+    cfg = GovernorConfig(S=2.0)
+    assert cfg.S.tolist() == [[2.0]] and not cfg.S.flags.writeable
 
 
 def test_govern_minimality_when_nominal_feasible():
@@ -284,12 +286,16 @@ def test_govern_modifies_toward_boundary():
 
 def test_build_miqp_rejects_mis_sized_weight_or_action():
     art, sys, spec, _ = artifact_1d()
+    # A 2x2 weight is rejected where its config is made, so it never
+    # reaches build_miqp; a two-entry action is rejected by build_miqp.
+    with pytest.raises(GovernorError, match="1x1"):
+        GovernorConfig(S=np.eye(2))
+    cfg = GovernorConfig(S=np.array([[1.0]]))
     # x = 8 with u_nom = 0 is admissible as it is; x = 5 with u_nom = -3 is not.
     for x, u in (([8.0], [0.0]), ([5.0], [-3.0])):
-        with pytest.raises(GovernorError):
-            govern(x, u, art, sys, GovernorConfig(S=np.eye(2)))
-        with pytest.raises(GovernorError):
-            govern(x, u + [0.0], art, sys, GovernorConfig(S=np.array([[1.0]])))
+        for step in (build_miqp, govern):
+            with pytest.raises(GovernorError, match="the action is scalar"):
+                step(x, u + [0.0], art, sys, cfg)
 
 
 def fallback_chain_artifact(hi):
@@ -565,7 +571,8 @@ def test_governor_needs_scalar_action(caplog):
     # z = x + u with U = [-1, 1]^2: build_miqp and govern() reject the two
     # inputs up front, from a state where [-10, 2]^2 cannot be left as from
     # one where u = 0 is admissible, with a two-entry action as with a
-    # scalar one, before the artifact is prepared or warned about.
+    # scalar one, before the artifact is prepared or warned about.  S is
+    # 1x1 either way: a config with another S is never made.
     sys = LinearSystem(np.eye(2), np.eye(2), np.eye(2))
     box = HPolytope.from_bounds([-10, -10], [10, 10])
     spec = ConstraintSpec(X0=PolyUnion([HPolytope.from_bounds([-10, -10], [-9, -9])]),
@@ -576,10 +583,10 @@ def test_governor_needs_scalar_action(caplog):
                           inflated_unsafe=member, unrecoverable=member, fixpoint_reached=False)
     with caplog.at_level(logging.DEBUG, logger="safegov.governor"):
         for x in ([0.0, 0.0], [5.0, 5.0]):
-            for u, S in (([0.0, 0.0], np.eye(2)), ([0.0], np.eye(1))):
+            for u in ([0.0, 0.0], [0.0]):
                 for step in (build_miqp, govern):
                     with pytest.raises(GovernorError, match="scalar action"):
-                        step(x, u, art, sys, GovernorConfig(S=S))
+                        step(x, u, art, sys, GovernorConfig(S=np.eye(1)))
     assert not caplog.records
     assert not hasattr(art, "_governor_cache")
 

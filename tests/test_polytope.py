@@ -703,9 +703,9 @@ def test_memoized_row_forms_match_a_fresh_computation():
                 assert got.A.tobytes() == want[0].tobytes() and got.b.tobytes() == want[1].tobytes(), trial
                 assert not got.A.flags.writeable and not got.b.flags.writeable
                 assert got._empty is None and got._bounded is None and not got._irredundant, trial
-                assert got._cheb is None and got._inner is None and got._verts is None, trial
+                assert got._cheb is None and got._verts is None, trial
                 got._empty, got._bounded, got._irredundant = True, True, True
-                got._cheb, got._inner = (np.zeros(P.dim), 1.0), np.zeros(P.dim)
+                got._cheb = (np.zeros(P.dim), 1.0)
         if not P.is_empty():
             P.remove_redundancy()
         D = P._dedup()
@@ -854,29 +854,35 @@ def _cut_corners(dim, deltas):
 
 
 def test_ray_certificate_keeps_the_lp_decisions(monkeypatch):
+    """remove_redundancy on a set known bounded decides rows from its
+    vertices (facet rays keep rows, rows slack at every vertex go).  It
+    returns the same row bytes as the same rows with boundedness unknown,
+    where every row takes its LP, and with fewer LPs.  The sets have rows
+    cutting corners, or passing near a vertex, by up to 20 FEAS_TOL."""
     calls = _count_lps(monkeypatch)
     rng = np.random.default_rng(23)
-    with_ball = without_ball = 0
+    with_vertices = without = 0
     deltas = np.array([0.5, -0.5, 5.0, -5.0, 9.5, 10.5, 20.0, -20.0]) * FEAS_TOL
     cut = [_cut_corners(dim, np.roll(deltas, k)) for dim in (2, 3) for k in range(0, 8, 3)]
     for trial, Q in enumerate(cut + [_awkward_polytope(rng, 2 + t % 2) for t in range(40)]):
-        Q.chebyshev()
+        bare = HPolytope(Q.A, Q.b, Q.dim)
+        assert Q.is_bounded() and not Q.is_empty() and not bare.is_empty()
         calls[0] = 0
         fast = Q.remove_redundancy()
-        with_ball += calls[0]
+        with_vertices += calls[0]
         calls[0] = 0
-        slow = HPolytope(Q.A, Q.b, Q.dim).remove_redundancy()
-        without_ball += calls[0] - 1  # the ball-free copy also pays is_empty
+        slow = bare.remove_redundancy()
+        without += calls[0]
         assert _same_bytes(fast, slow), trial
-    assert with_ball < 0.8 * without_ball
+    assert with_vertices < 0.8 * without
 
 
 def test_hull_centroid_keeps_the_lp_decisions(monkeypatch):
     """remove_redundancy on a convex_hull output shoots its rays from the
-    recorded centroid and from the facets of the hull's points.  It returns
-    the same row bytes as the same rows known nonempty but with no interior
-    point, points or boundedness (every undecided row takes its LP), and on
-    full-dimensional clouds with fewer LPs.
+    facets of the hull's points, nudged toward their centroid.  It returns
+    the same row bytes as the same rows known nonempty but with no points
+    or boundedness (every row takes its LP), and on full-dimensional
+    clouds with fewer LPs.
     The clouds are seeded: full-dimensional ones in 2-D, 3-D and 4-D, a
     planar one in 3-D, and a near-degenerate one (a 3-D grid jittered by
     1e-10, hulled with qhull's joggle option QJ).  On the last, one row LP
@@ -914,28 +920,30 @@ def test_hull_centroid_keeps_the_lp_decisions(monkeypatch):
 
 
 def test_ray_support_bounds():
+    """The ray along each row from its own origin, that row skipped, on
+    the unit square cut by x + y <= 1.5."""
     from safegov.geometry.polytope import _ray_support
 
-    sq = box([0, 0], [1, 1])
-    D = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, -2.0]])
-    assert np.array_equal(_ray_support(sq.A, sq.b, np.array([0.5, 0.25]), D), [1.0, 1.75, 0.0])
-    # From the bottom edge the ray down along the bottom row's normal leaves
-    # at once when that row is skipped; the 0/0 of the bottom row against
-    # the side rows stays quiet.
-    own = _ray_support(sq.A, sq.b, np.array([0.5, 0.0]), sq.A, skip_own=True)
-    assert np.all(own == np.inf)
-    assert np.all(_ray_support(sq.A, sq.b, np.array([1.5, 0.5]), D) == -np.inf)
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    b = np.array([1.0, 1.0, 0.0, 0.0, 1.5])
+    # Rows x <= 1 and y <= 1 meet the cut; x + y meets x <= 1 first.  The
+    # ray along -x never meets another row, nor does the one along -y from
+    # the bottom edge, on the row it skips: the 0/0 there stays quiet.
+    # An origin outside a row (x = 1.5) gives no bound.
+    C = np.array([[0.5, 0.25], [0.5, 0.25], [0.5, 0.25], [1.5, 0.5], [0.5, 0.25]])
+    with np.errstate(all="raise"):
+        assert np.array_equal(_ray_support(A, b, C), [1.25, 1.0, np.inf, -np.inf, 1.75])
+        assert _ray_support(A, b, np.tile([0.5, 0.0], (5, 1)))[3] == np.inf
 
 
 def test_ray_shortcuts_keep_region_diff_bytes(monkeypatch):
-    """region_diff and its remove_redundancy calls give the same bytes
-    with both ray certificates switched off, at a higher LP count."""
+    """region_diff gives the same bytes with the facet rays of its
+    remove_redundancy calls switched off, at a higher LP count."""
     from safegov.geometry import polytope as polytope_module
 
     rng = np.random.default_rng(31)
     # A face of the member just inside the square's right side, by less
-    # than FEAS_TOL: it does not cut, although the ray from the center
-    # passes it.
+    # than FEAS_TOL: it does not cut.
     sliver = box([-1.0, 0.3], [1.0 - 0.5 * FEAS_TOL, 0.7])
     cases = [(box([0, 0], [1, 1]), PolyUnion([sliver]))]
     for trial in range(12):
@@ -951,8 +959,7 @@ def test_ray_shortcuts_keep_region_diff_bytes(monkeypatch):
     calls = _count_lps(monkeypatch)
     fast = run()
     fast_lps = calls[0]
-    monkeypatch.setattr(polytope_module, "_ray_support",
-                        lambda A, b, c, D, skip_own=False, slack=None: np.full(len(D), -np.inf))
+    monkeypatch.setattr(polytope_module, "_ray_support", lambda A, b, C: np.full(len(A), -np.inf))
     calls[0] = 0
     assert run() == fast
     assert fast_lps < 0.9 * calls[0]
@@ -1023,6 +1030,13 @@ def _as_piece(P):
     return R, R.vertices()
 
 
+def _margins(R, V):
+    """The residuals V A' - b of R's vertices against its rows, and their
+    margin delta, as region_diff computes them once per piece."""
+    residuals = V @ R.A.T - R.b
+    return residuals, 10 * FEAS_TOL + float(residuals.max(initial=0.0))
+
+
 def _certificate_cases(rng, dim, min_r):
     """(R, Q) pairs for the vertex certificates.  R is the unit box cut by
     random rows, or a random hull; Q is a random hull, a box touching R
@@ -1086,8 +1100,7 @@ def test_vertex_certificates_match_the_lps():
     The certificates must also decide most verdicts, and the facet rays
     must keep every row of a random hull."""
     from safegov.geometry.polytope import (
-        VOLUME_TOL, _apart, _center, _cut_verdicts, _meet_verdict, _min_radius_for, _PieceFacts, _stacked,
-        _vertex_redundancy)
+        VOLUME_TOL, _apart, _cut_verdicts, _meet_verdict, _min_radius_for, _stacked, _vertex_redundancy)
 
     rng = np.random.default_rng(29)
     decided = {"meet": [0, 0], "cut": [0, 0], "keep": [0, 0]}    # [undecided, decided]
@@ -1108,7 +1121,7 @@ def test_vertex_certificates_match_the_lps():
             if _apart(R, VR, _stacked([(Q, Qn, VQ)]), min_r)[0]:
                 verdict = False
             else:
-                verdict = _meet_verdict(R, VR, Qn, VQ, _center(R), min_r)
+                verdict = _meet_verdict(R, VR, Qn, VQ, VR.mean(axis=0), min_r)
             meets = R.intersect(Q).chebyshev()[1] > min_r
             decided["meet"][verdict is not None] += 1
             assert verdict in (None, meets), (dim, trial)
@@ -1119,7 +1132,7 @@ def test_vertex_certificates_match_the_lps():
             for A, b in [(Qn.A, Qn.b),
                          (Qn.A, np.array([R.support(a) for a in Qn.A]) + _offsets(rng, len(Qn.b))),
                          (tilted, R.b + _offsets(rng, len(R.b)))]:
-                cuts, clear = _cut_verdicts(R, VR, _PieceFacts.of(R, VR), HPolytope(A, b, dim))
+                cuts, clear = _cut_verdicts(R, VR, *_margins(R, VR), HPolytope(A, b, dim))
                 lp = np.array([HPolytope(R.A, R.b, dim).support(a) > beta + FEAS_TOL for a, beta in zip(A, b)])
                 assert not np.any(cuts & ~lp) and not np.any(clear & lp), (dim, trial)
                 decided["cut"][0] += int(np.sum(~cuts & ~clear))
@@ -1128,7 +1141,7 @@ def test_vertex_certificates_match_the_lps():
                                   + [_awkward_polytope(rng, dim) for _ in range(12)]):
             D = P._dedup()
             V = P.vertices()
-            keep, drop = _vertex_redundancy(D.A, D.b, V, P.chebyshev()[0])
+            keep, drop = _vertex_redundancy(D.A, D.b, V)
             lp = _lp_keep_mask(P)
             assert not np.any(keep & ~lp) and not np.any(drop & lp), (dim, trial)
             decided["keep"][0] += int(np.sum(lp & ~keep))
@@ -1139,7 +1152,7 @@ def test_vertex_certificates_match_the_lps():
         for _ in range(10):
             P = random_bounded_polytope(rng, dim, n_points=10)
             D = P._dedup()
-            keep, drop = _vertex_redundancy(D.A, D.b, P.vertices(), P.chebyshev()[0])
+            keep, drop = _vertex_redundancy(D.A, D.b, P.vertices())
             assert keep.all() and not drop.any()
     assert all(yes > 2 * no for no, yes in decided.values()), decided
 
@@ -1153,7 +1166,7 @@ def test_normal_cone_bound_matches_the_support_lp():
     active row, tilted by 1e-9), and outside it (a random direction, or a
     cone normal pushed out).  The pieces are random hulls and awkward
     sets with near-vertex and duplicated rows."""
-    from safegov.geometry.polytope import _cut_verdicts, _PieceFacts
+    from safegov.geometry.polytope import _cut_verdicts
 
     rng = np.random.default_rng(71)
     settled = touching = 0
@@ -1161,7 +1174,7 @@ def test_normal_cone_bound_matches_the_support_lp():
         for trial in range(25):
             R, VR = _as_piece(random_bounded_polytope(rng, dim, n_points=10) if trial % 3
                               else _awkward_polytope(rng, dim))
-            piece = _PieceFacts.of(R, VR)
+            margins = _margins(R, VR)
             lp_set = HPolytope(R.A, R.b, dim)
             rows, offsets, inside = [], [], []
             for v in VR[rng.permutation(len(VR))[:4]]:
@@ -1176,7 +1189,7 @@ def test_normal_cone_bound_matches_the_support_lp():
                         offsets.append(a @ v + off)
                         inside.append(cone and off == 0.0)
             A, b, inside = np.array(rows), np.array(offsets), np.array(inside)
-            cuts, clear = _cut_verdicts(R, VR, piece, HPolytope(A, b, dim))
+            cuts, clear = _cut_verdicts(R, VR, *margins, HPolytope(A, b, dim))
             lp = np.array([lp_set.support(a) > beta + FEAS_TOL for a, beta in zip(A, b)])
             assert not np.any(cuts & ~lp) and not np.any(clear & lp), (dim, trial)
             if trial % 3:
@@ -1253,8 +1266,8 @@ def test_piece_significance_matches_the_lp():
     """Every significance verdict region_diff takes from a piece's vertices
     is the Chebyshev LP's (radius above min_r), on seeded 2-D, 3-D and 4-D
     pieces: slivers, wedges, flat and empty pieces and plain cuts.  A deep
-    verdict leaves the piece marked nonempty with its centroid recorded;
-    the vertices decide most pieces, both ways."""
+    verdict leaves the piece marked nonempty, with the vertex centroid
+    inside it; the vertices decide most pieces, both ways."""
     from safegov.geometry.polytope import VOLUME_TOL, _min_radius_for, _significance, _vertices_or_none
 
     rng = np.random.default_rng(43)
@@ -1272,15 +1285,15 @@ def test_piece_significance_matches_the_lp():
             verdicts[verdict] += 1
             assert verdict in (None, lp), (dim, trial)
             if verdict:
-                assert piece._empty is False and piece.contains(piece._inner)
+                assert piece._empty is False and piece.contains(V.mean(axis=0))
     assert verdicts[True] > verdicts[None] and verdicts[False] > verdicts[None], verdicts
 
 
 def _redundancy_cases(rng, dim):
     """(kind, points or set): hulls of seeded clouds with repeated points
     and points moved onto the plane x_0 = max x_0, grids jittered by 1e-10 and
-    hulled with qhull's joggle option QJ, and sets known bounded but with
-    no interior point: random hulls with redundant, near-vertex and
+    hulled with qhull's joggle option QJ, and sets known bounded that are
+    not hulls: random hulls with redundant, near-vertex and
     near-duplicate rows (normals tilted by 1e-10, offsets moved by up to
     20 FEAS_TOL), and half-spaces clipped to a box, the way ConstraintSpec
     clips X0."""
@@ -1308,8 +1321,8 @@ def _redundancy_cases(rng, dim):
 
 def test_hull_points_and_bounded_vertices_keep_the_lp_decisions(monkeypatch):
     """remove_redundancy's certificates from a hull's points and from the
-    vertices of a set known bounded without an interior point give the
-    LP's verdict on every row they decide, and the same row bytes as the
+    vertices of a set known bounded that is not a hull give the LP's
+    verdict on every row they decide, and the same row bytes as the
     LP alone.  A joggled hull can make a row LP raise LpError; the
     certificates solve a subset of the LPs the LP alone solves, with the
     same rows, so they raise only where the LP alone raises as well.
@@ -1327,7 +1340,7 @@ def test_hull_points_and_bounded_vertices_keep_the_lp_decisions(monkeypatch):
                                     lambda p, qhull_options=None: real_hull(p, qhull_options="QJ"))
             P = convex_hull(case) if kind != "bounded" else case
             monkeypatch.setattr(polytope_module, "ConvexHull", real_hull)
-            assert P._bounded is True and (kind == "bounded") == (P._inner is None)
+            assert P._bounded is True and (kind == "bounded") == (P._points is None)
             bare = HPolytope(P.A, P.b, dim)
             outcomes = []
             for Q in (P, bare):
@@ -1340,9 +1353,9 @@ def test_hull_points_and_bounded_vertices_keep_the_lp_decisions(monkeypatch):
             D = P._dedup()
             if kind == "bounded":
                 V = P.vertices()
-                keep, drop = _vertex_redundancy(D.A, D.b, V, V.mean(axis=0))
+                keep, drop = _vertex_redundancy(D.A, D.b, V)
             else:
-                keep, drop = _vertex_redundancy(D.A, D.b, P._points, P._inner)[0], np.zeros(len(D.b), bool)
+                keep, drop = _vertex_redundancy(D.A, D.b, P._points)[0], np.zeros(len(D.b), bool)
             try:
                 lp = _lp_keep_mask(P)
             except LpError:

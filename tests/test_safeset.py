@@ -218,9 +218,22 @@ def test_2d_build_lp_count(monkeypatch):
     proof that their intersection is nonempty; 75 after.  It was 75
     before region_diff cleared rows that touch a piece without cutting it
     by a normal-cone bound; 62 after."""
+    assert _build_lps(monkeypatch, *sys_2d(), K=2) == 62
+
+
+def test_acc_build_lp_count(monkeypatch):
+    """LPs solved by the ACC K=1 build on the default AccParams (the
+    benchmark's acc_build problem), 93 when first pinned."""
+    from safegov import envs
+
+    p = envs.AccParams()
+    assert _build_lps(monkeypatch, envs.linear_system(p), envs.constraint_spec(p), K=1) == 93
+
+
+def _build_lps(monkeypatch, sys, spec, K):
+    """The LPs solved by compute_unrecoverable to K and build_safe_artifact."""
     from safegov.geometry import lp as lp_module, polytope as polytope_module
 
-    sys, spec = sys_2d()
     calls = [0]
     real = lp_module.lp_solve
 
@@ -230,9 +243,8 @@ def test_2d_build_lp_count(monkeypatch):
 
     monkeypatch.setattr(lp_module, "lp_solve", counted)
     monkeypatch.setattr(polytope_module, "lp_solve", counted)
-    sets = compute_unrecoverable(sys, spec, K=2)
-    build_safe_artifact(sets, sys, spec)
-    assert calls[0] == 62
+    build_safe_artifact(compute_unrecoverable(sys, spec, K=K), sys, spec)
+    return calls[0]
 
 
 # SHA-256 of jsonutil.dumps of the 2-D K=2 artifact, then of X_0, X_1, X_2.
@@ -326,6 +338,19 @@ def test_acc_k2_artifact_bytes_pinned():
 
     p = envs.AccParams()
     assert _build_digests(envs.linear_system(p), envs.constraint_spec(p), K=2) == ARTIFACT_ACC_K2_SHA256
+
+
+def test_builds_without_vertices_keep_their_bytes(monkeypatch):
+    """With no vertices for any region_diff piece or member, and none for
+    remove_redundancy to enumerate, every question goes to its LP: the
+    ACC K=1 and 2-D K=3 builds still give their pinned bytes."""
+    from safegov import envs
+    from safegov.geometry import polytope as polytope_module
+
+    monkeypatch.setattr(polytope_module, "_vertices_or_none", lambda P: None)
+    p = envs.AccParams()
+    assert _build_digests(envs.linear_system(p), envs.constraint_spec(p), K=1) == ARTIFACT_ACC_K1_SHA256
+    assert _build_digests(*sys_2d(), K=3) == ARTIFACT_2D_K3_SHA256
 
 
 def test_2d_reduced_against_dp_oracle_small():
