@@ -64,9 +64,12 @@ the LP's:
   these tests read of a piece is computed once per piece;
 - ``remove_redundancy`` keeps rows by rays from the facets of its
   vertices or its hull points, and drops rows slack at every vertex;
-- ``merge_convex_members`` marks a pair apart when its vertices are
-  separated by a row or its hull outgrows both volumes together by more
-  than the tolerance, before any intersection is formed.
+- ``merge_convex_members`` rules a pair out when a row of one member has
+  every vertex of the other beyond it (``region_diff``'s batched slab
+  test, ``_apart``), and closes a pair whose hull outgrows both volumes
+  together by more than the tolerance before any intersection is formed.
+  An intersection's volume is taken from the points enumerated from its
+  rows, with no emptiness LP.
 """
 
 from __future__ import annotations
@@ -853,26 +856,13 @@ def _significance(P: HPolytope, V: np.ndarray, min_r: float) -> bool | None:
     return None
 
 
-def _separated(P: HPolytope, Q: HPolytope) -> bool:
-    """True when some row of P has every vertex of Q strictly outside it,
-    by more than FEAS_TOL times the row norm, so P and Q do not meet.
-
-    Decided from Q's cached vertices without an LP.  An unbounded Q, or
-    one whose vertex enumeration fails, is never reported separated.
-    """
-    V = _vertices_or_none(Q)
-    if V is None:
-        return False
-    margin = FEAS_TOL * np.linalg.norm(P.A, axis=1)
-    return bool((V @ P.A.T - P.b > margin).all(axis=0).any())
-
-
 def _stacked(members: list[tuple]) -> tuple:
-    """region_diff's members (Q, Qn, VQ), with Qn the unit rows and VQ the
-    vertices (or None), stacked once for ``_apart``: the rows, their
-    offsets, the start of each member's rows, the mask of members with
-    rows, the vertices, the start of each member's vertices and the mask
-    of members with vertices."""
+    """Members (Q, Qn, VQ), with Qn the unit rows and VQ the vertices (or
+    None), stacked once for ``_apart``: the rows, their offsets, the start
+    of each member's rows, the mask of members with rows, the vertices,
+    the start of each member's vertices and the mask of members with
+    vertices.  ``region_diff`` stacks the members it subtracts, and
+    ``merge_convex_members`` the members it may merge."""
     dim = members[0][1].dim
     rows = np.array([len(Qn.b) for _, Qn, _ in members])
     verts = np.array([0 if VQ is None else len(VQ) for _, _, VQ in members])
@@ -884,20 +874,25 @@ def _stacked(members: list[tuple]) -> tuple:
             W, (np.cumsum(verts) - verts)[has_verts], has_verts)
 
 
-def _apart(R: HPolytope, VR: np.ndarray, stack: tuple, min_r: float) -> np.ndarray:
-    """Mask over the stacked members (``_stacked``) that cannot meet R in a
-    ball of radius above min_r; R has unit rows and vertices VR.
+def _apart(R: HPolytope, VR: np.ndarray, stack: tuple, thin: float) -> np.ndarray:
+    """Mask over the stacked members (``_stacked``) that a row of R or of
+    the member squeezes into a slab narrower than thin; R has unit rows
+    and vertices VR.
 
     A member is apart when a row (a, beta) of R or of the member and the
     least a'v over the other set's vertices leave a slab narrower than
-    2 (min_r - 10 FEAS_TOL): R & Q lies in that slab, so its Chebyshev
-    radius is below min_r by more than the LP's rounding.  This covers
-    sets apart and sets touching along a face.  Both tests run on every
-    member at once: one product with the stacked rows and one with the
-    stacked vertices, reduced per member.
+    thin: R & Q lies in that slab.  Both tests run on every member at
+    once: one product with the stacked rows and one with the stacked
+    vertices, reduced per member.
+
+    ``region_diff`` passes thin = 2 (min_r - 10 FEAS_TOL), so that the
+    Chebyshev radius of R & Q is below min_r by more than the LP's
+    rounding; this covers sets apart and sets touching along a face.
+    ``merge_convex_members`` passes thin = -FEAS_TOL: every vertex of one
+    set lies beyond a unit row of the other by more than FEAS_TOL, so the
+    two do not meet.
     """
     A, b, row_starts, has_rows, W, vert_starts, has_verts = stack
-    thin = 2.0 * (min_r - 10 * FEAS_TOL)
     out = np.zeros(len(has_rows), dtype=bool)
     if len(b):
         out[has_rows] = np.logical_or.reduceat(b - (VR @ A.T).min(axis=0) < thin, row_starts)
@@ -1074,6 +1069,7 @@ def region_diff(
     if P.dim != U.dim:
         raise GeometryError("dimension mismatch")
     min_r = _min_radius_for(P.dim, volume_tol)
+    thin = 2.0 * (min_r - 10 * FEAS_TOL)
     out: list[HPolytope] = []
     counter = [0]
 
@@ -1089,7 +1085,7 @@ def region_diff(
             raise RegionBudgetError(f"region_diff exceeded {max_pieces} fragments")
         if V is not None:
             # What the tests read of R alone, computed once per piece.
-            apart = _apart(R, V, stack, min_r)
+            apart = _apart(R, V, stack, thin)
             c = V.mean(axis=0)
             residuals = V @ R.A.T - R.b
             delta = 10 * FEAS_TOL + float(residuals.max(initial=0.0))
@@ -1165,81 +1161,61 @@ def union_subset(U1: PolyUnion, U2: PolyUnion) -> bool:
     return all(subset_of_union(m, U2) for m in U1.members)
 
 
-def _vertex_inside(V: np.ndarray, P: HPolytope) -> bool:
-    """Whether some row of V satisfies every row of P exactly."""
-    return bool(np.any(np.all(V @ P.A.T <= P.b, axis=1)))
-
-
 def merge_convex_members(U: PolyUnion) -> PolyUnion:
     """Pairwise-merge members whose union is convex (hull volume matches).
 
-    Lower-dimensional members are left untouched; the volume test is only
-    meaningful for full-dimensional pieces.  After each merge the pair
-    scan restarts, and the merged member goes to the end of the list.  A
-    pair found not mergeable stays so while both members are unchanged,
-    so the rescans skip it; pairs are keyed on a serial number each member
-    gets when it enters the list.
+    Order: a boolean upper-triangular matrix marks the pairs (i, j), i < j,
+    of the current member list that are still open.  Each step tests the
+    first open pair in row-major order and closes it, so no pair is tested
+    twice.  A merge deletes rows and columns i and j and appends the merged
+    member as the last row and column, open against each survivor that
+    passes the two tests below.
 
-    A pair that ``_separated`` shows disjoint (either way round, from
-    cached vertices) is marked apart before its hull volume is computed,
-    so disjoint members are never merged, even where their gap holds less
-    than the volume tolerance and would pass the volume test.
+    A pair is never opened when either volume is at most _MERGE_VOLUME_TOL
+    (lower-dimensional members are left untouched: the volume test means
+    nothing for them), or when every vertex of one member lies beyond a
+    unit row of the other by more than FEAS_TOL (``_apart`` with thin =
+    -FEAS_TOL, batched over the members).  Disjoint members are thus never
+    merged, even where their gap holds less than the volume tolerance.
 
-    A pair whose hull volume exceeds vols[i] + vols[j] + tol is marked
-    apart before the intersection is formed, so its emptiness LP and
-    vertex enumeration are spared.  This is exact: the volume test
-    compares the hull volume with (vols[i] + vols[j] - vol_int) + tol, and
-    as vol_int >= 0 and rounding is monotone, that sum is at most the
-    bound computed without vol_int.
-
-    A pair whose intersection is formed is nonempty without its LP when a
-    cached vertex of one member meets every row of the other with no
-    tolerance: that vertex is a point of both.  The LP would report the
-    same, so the bytes stay equal.
+    An open pair merges when vol_hull <= vols[i] + vols[j] - vol_int + tol,
+    with vol_hull the volume of the hull of both members' vertices, tol =
+    max(_MERGE_VOLUME_TOL, 1e-9 vol_hull) and vol_int the volume of the
+    points enumerated from the intersection's rows, 0 when there are none.
+    The pair is closed before its intersection is formed when vol_hull >
+    vols[i] + vols[j] + tol.  This bound is exact: vol_int >= 0 and
+    rounding is monotone, so the merge test's right-hand side is at most
+    the bound's.
     """
-    members = list(U.members)
-    vols = [m.volume() for m in members]
-    serials = list(range(len(members)))
-    fresh = itertools.count(len(members))
-    apart: set[tuple[int, int]] = set()
-    changed = True
-    while changed:
-        changed = False
-        n = len(members)
-        for i in range(n):
-            if changed:
-                break
-            for j in range(i + 1, n):
-                if vols[i] <= _MERGE_VOLUME_TOL or vols[j] <= _MERGE_VOLUME_TOL:
-                    continue
-                pair = (serials[i], serials[j])
-                if pair in apart:
-                    continue
-                if _separated(members[i], members[j]) or _separated(members[j], members[i]):
-                    apart.add(pair)
-                    continue
-                vi, vj = members[i].vertices(), members[j].vertices()
-                vol_hull = _point_cloud_volume(np.vstack([vi, vj]))
-                tol = max(_MERGE_VOLUME_TOL, 1e-9 * vol_hull)
-                if vol_hull > vols[i] + vols[j] + tol:
-                    apart.add(pair)
-                    continue
-                vol_int = 0.0
-                inter = members[i].intersect(members[j])
-                if _vertex_inside(vi, members[j]) or _vertex_inside(vj, members[i]):
-                    inter._empty = False
-                if not inter.is_empty():
-                    try:
-                        vol_int = _point_cloud_volume(inter.vertices())
-                    except GeometryError:
-                        vol_int = 0.0
-                if vol_hull <= vols[i] + vols[j] - vol_int + tol:
-                    merged = convex_hull(np.vstack([vi, vj])).remove_redundancy()
-                    keep = [k for k in range(n) if k not in (i, j)]
-                    members = [members[k] for k in keep] + [merged]
-                    vols = [vols[k] for k in keep] + [vol_hull]
-                    serials = [serials[k] for k in keep] + [next(fresh)]
-                    changed = True
-                    break
-                apart.add(pair)
-    return PolyUnion(members, U.dim)
+    if len(U) < 2:
+        return U
+    entries = [(m, m.normalized(), m.vertices()) for m in U.members]
+    vols = [m.volume() for m in U.members]
+    big = np.array(vols) > _MERGE_VOLUME_TOL
+    stack = _stacked(entries)
+    is_open = np.array([~_apart(Qn, VQ, stack, -FEAS_TOL) for _, Qn, VQ in entries])
+    is_open = np.triu(is_open & np.outer(big, big), 1)
+    while is_open.any():
+        i, j = divmod(int(is_open.argmax()), len(entries))
+        is_open[i, j] = False
+        (P, _, vi), (Q, _, vj) = entries[i], entries[j]
+        vol_hull = _point_cloud_volume(np.vstack([vi, vj]))
+        tol = max(_MERGE_VOLUME_TOL, 1e-9 * vol_hull)
+        if vol_hull > vols[i] + vols[j] + tol:
+            continue
+        try:
+            vol_int = _point_cloud_volume(_enumerate_vertices(*P.intersect(Q)._deduplicated_rows()))
+        except GeometryError:
+            vol_int = 0.0
+        if vol_hull > vols[i] + vols[j] - vol_int + tol:
+            continue
+        merged = convex_hull(np.vstack([vi, vj])).remove_redundancy()
+        keep = [k for k in range(len(entries)) if k not in (i, j)]
+        entries = [entries[k] for k in keep] + [(merged, merged.normalized(), merged.vertices())]
+        vols = [vols[k] for k in keep] + [vol_hull]
+        is_open = np.pad(is_open[np.ix_(keep, keep)], (0, 1))
+        live = [k for k in range(len(keep)) if vols[k] > _MERGE_VOLUME_TOL]
+        if live and vol_hull > _MERGE_VOLUME_TOL:
+            _, Mn, VM = entries[-1]
+            is_open[live, -1] = ~_apart(Mn, VM, _stacked([entries[k] for k in live]), -FEAS_TOL)
+    return PolyUnion([m for m, _, _ in entries], U.dim)

@@ -12,13 +12,12 @@ It reads nothing from safegov.governor but its constants, the result type
 and build_miqp, whose problem arrays (alpha, beta, starts, U) it uses.
 """
 
-import itertools
 import time
 
 import numpy as np
 
 from safegov.governor import (
-    FEAS_TOL, STATUS_FALLBACK, STATUS_INFEASIBLE, STATUS_OPTIMAL, GovernorError, GovernorResult,
+    FEAS_TOL, STATUS_FALLBACK, STATUS_INFEASIBLE, STATUS_OPTIMAL, GovernorResult,
     build_miqp,
 )
 
@@ -41,35 +40,20 @@ def group_max(prob, slack: np.ndarray) -> np.ndarray:
 
 
 def candidates(prob) -> np.ndarray:
-    """KKT points of every linearly independent set of at most m rows of
-    [U_A; alpha] u = [U_b; beta], one per row of the result."""
-    m = prob.u_nom.size
+    """The KKT points of a scalar action: h_i / a_i for every row a_i u = h_i
+    of [U_A; alpha] u = [U_b; beta] with |a_i| > 1e-12, one per row of the
+    result."""
     R = np.vstack([prob.U_A, prob.alpha])
     h = np.concatenate([prob.U_b, prob.beta])
-    if m == 1:
-        a = R[:, 0]
-        keep = np.abs(a) > 1e-12
-        return (h[keep] / a[keep])[:, None]
-    out = []
-    for k in range(1, min(m, h.size) + 1):
-        I = np.array(list(itertools.combinations(range(h.size), k)))
-        I = I[np.linalg.matrix_rank(R[I], tol=1e-10) == k]
-        A = R[I]
-        K = np.zeros((len(I), m + k, m + k))
-        K[:, :m, :m] = 2.0 * prob.S
-        K[:, :m, m:] = A.transpose(0, 2, 1)
-        K[:, m:, :m] = A
-        rhs = np.concatenate([np.broadcast_to(2.0 * prob.S @ prob.u_nom, (len(I), m)), h[I]], axis=1)
-        out.append(np.linalg.solve(K, rhs[..., None])[:, :m, 0])
-    return np.vstack(out) if out else np.zeros((0, m))
+    a = R[:, 0]
+    keep = np.abs(a) > 1e-12
+    return (h[keep] / a[keep])[:, None]
 
 
 def min_violation_action(prob) -> np.ndarray | None:
     """Action in U with the least worst violation, ties (within
     VIOLATION_TIE) to the nearest to u_nom; None when some group has no
     rows.  Scalar actions only."""
-    if prob.u_nom.size != 1:
-        raise GovernorError(f"the least-violation fallback needs a scalar action, not {prob.u_nom.size} inputs")
     if np.any(np.diff(prob.starts) == 0):
         return None
     a_u, b_u = prob.U_A[:, 0], prob.U_b

@@ -527,6 +527,18 @@ def test_merge_convex_members():
     # non-convex union stays split
     L = PolyUnion([box([0, 0], [2, 1]), box([0, 0], [1, 2])])
     assert len(merge_convex_members(L)) == 2
+    # Each of these comes back member for member: two 1000 x 1 boxes 2e-7
+    # apart (every vertex of one lies beyond a row of the other by more
+    # than FEAS_TOL, though the gap's 2e-7 is under the volume tolerance of
+    # 1e-9 of the hull volume, so only separation keeps them apart); a
+    # segment inside a box (no volume, never merged); one member; none.
+    segment = HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, -1, 1.5, -0.5])
+    for members in ([box([0, 0], [1000, 1]), box([1000 + 2e-7, 0], [2000 + 2e-7, 1])],
+                    [box([0, 0], [2, 2]), segment], [box([0], [1])], []):
+        U = PolyUnion(members, members[0].dim if members else 2)
+        out = merge_convex_members(U)
+        assert len(out) == len(U)
+        assert all(_same_bytes(m, u) for m, u in zip(out.members, U.members))
 
 
 def test_merge_convex_members_retests_merged_members():
@@ -535,6 +547,11 @@ def test_merge_convex_members_retests_merged_members():
     merged = merge_convex_members(PolyUnion([box([0], [1]), box([2], [3]), box([1], [2])]))
     assert len(merged) == 1
     assert set_equal(merged.members[0], box([0], [3]))
+    # A longer cascade: each merge opens the pair that makes the next.
+    merged = merge_convex_members(PolyUnion([box([4], [5]), box([0], [1]), box([2], [3]),
+                                             box([3], [4]), box([1], [2])]))
+    assert len(merged) == 1
+    assert set_equal(merged.members[0], box([0], [5]))
     # Every pair of distant cells is apart, yet the grid merges to one box.
     cells = [box([i, j], [i + 1, j + 1]) for i in range(4) for j in range(3)]
     merged = merge_convex_members(PolyUnion(cells))
@@ -1118,7 +1135,7 @@ def test_vertex_certificates_match_the_lps():
             R, VR = _as_piece(P)
             Qn = Q.normalized()
             VQ = Q.vertices() if Q.is_bounded() else None
-            if _apart(R, VR, _stacked([(Q, Qn, VQ)]), min_r)[0]:
+            if _apart(R, VR, _stacked([(Q, Qn, VQ)]), 2.0 * (min_r - 10 * FEAS_TOL))[0]:
                 verdict = False
             else:
                 verdict = _meet_verdict(R, VR, Qn, VQ, VR.mean(axis=0), min_r)
@@ -1370,7 +1387,8 @@ def _merge_without_volume_bound(U):
     """merge_convex_members as it was before the hull volume was compared
     with the member volumes ahead of the intersection: every pair not
     separated forms its intersection and takes the full volume test."""
-    from safegov.geometry.polytope import _MERGE_VOLUME_TOL, _point_cloud_volume, _separated
+    from merge_reference import separated as _separated
+    from safegov.geometry.polytope import _MERGE_VOLUME_TOL, _point_cloud_volume
 
     members = list(U.members)
     vols = [m.volume() for m in members]
@@ -1439,3 +1457,55 @@ def test_merge_volume_bound_keeps_the_merges(monkeypatch):
     assert fast == full
     assert fast_lps < full_lps
     assert sum(len(m) == 1 for m in fast) >= 3    # the rows of boxes merged despite their gaps
+
+
+def _merge_cases(rng, dim):
+    """Seeded unions of one kind each, for the merge's differential test:
+    a grid of cells with random widths in shuffled order, a row of boxes
+    whose gaps hold less volume than the merge tolerance, nested boxes with
+    a box beside them, and random hulls with one hull split in two along a
+    plane through its centroid."""
+    kind = rng.integers(4)
+    if kind == 0:
+        edges = [np.cumsum(np.r_[0.0, rng.uniform(0.5, 2.0, size=rng.integers(1, 4))]) for _ in range(dim)]
+        cells = [box([e[k] for e, k in zip(edges, idx)], [e[k + 1] for e, k in zip(edges, idx)])
+                 for idx in itertools.product(*(range(len(e) - 1) for e in edges))]
+        return [cells[k] for k in rng.permutation(len(cells))]
+    if kind == 1:
+        gaps = rng.uniform(0.0, 0.9e-9, size=3) * rng.integers(0, 2, size=3)
+        lo = np.concatenate([[0.0], np.cumsum(1.0 + gaps)])
+        rest = rng.uniform(0.5, 2.0, size=dim - 1)
+        return [box(np.r_[lo[k], np.zeros(dim - 1)], np.r_[lo[k] + 1.0, rest]) for k in range(4)]
+    if kind == 2:
+        outer = rng.uniform(1.0, 3.0, size=dim)
+        lo = rng.uniform(0.0, 0.5, size=dim) * outer
+        nested = [box(np.zeros(dim), outer), box(lo, lo + rng.uniform(0.1, 0.5, size=dim) * outer)]
+        beside = box(np.r_[outer[0], np.zeros(dim - 1)], np.r_[outer[0] + 1.0, outer[1:]])
+        return nested + [beside] if rng.integers(2) else [nested[1], beside, nested[0]]
+    H = random_bounded_polytope(rng, dim)
+    a = rng.normal(size=dim)
+    c = a @ H.vertices().mean(axis=0)
+    halves = [HPolytope(np.vstack([H.A, s * a]), np.r_[H.b, s * c], dim) for s in (1.0, -1.0)]
+    return [random_bounded_polytope(rng, dim) for _ in range(rng.integers(1, 3))] + halves
+
+
+def test_merge_matches_restart_scan_reference_bytes():
+    """The merge returns the member bytes, in order, of the restart-scan
+    merge it replaced (tests/merge_reference.py) on 320 seeded 2-D and 3-D
+    unions, and merges often enough there for that to mean something."""
+    import merge_reference
+
+    rng = np.random.default_rng(61)
+    merges = 0
+    for trial in range(320):
+        dim = 2 + trial % 2
+        members = _merge_cases(rng, dim)
+
+        def fresh():
+            return PolyUnion([HPolytope(m.A, m.b, dim) for m in members], dim)
+
+        got = [(m.A.tobytes(), m.b.tobytes()) for m in merge_convex_members(fresh()).members]
+        want = [(m.A.tobytes(), m.b.tobytes()) for m in merge_reference.merge_convex_members(fresh()).members]
+        assert got == want, trial
+        merges += len(members) - len(got)
+    assert merges >= 250, merges

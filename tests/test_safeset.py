@@ -230,8 +230,8 @@ def test_acc_build_lp_count(monkeypatch):
     assert _build_lps(monkeypatch, envs.linear_system(p), envs.constraint_spec(p), K=1) == 93
 
 
-def _build_lps(monkeypatch, sys, spec, K):
-    """The LPs solved by compute_unrecoverable to K and build_safe_artifact."""
+def _lp_counter(monkeypatch):
+    """A one-element list that counts the LPs solved from here on."""
     from safegov.geometry import lp as lp_module, polytope as polytope_module
 
     calls = [0]
@@ -243,6 +243,12 @@ def _build_lps(monkeypatch, sys, spec, K):
 
     monkeypatch.setattr(lp_module, "lp_solve", counted)
     monkeypatch.setattr(polytope_module, "lp_solve", counted)
+    return calls
+
+
+def _build_lps(monkeypatch, sys, spec, K):
+    """The LPs solved by compute_unrecoverable to K and build_safe_artifact."""
+    calls = _lp_counter(monkeypatch)
     build_safe_artifact(compute_unrecoverable(sys, spec, K=K), sys, spec)
     return calls[0]
 
@@ -331,13 +337,18 @@ def test_acc_k1_artifact_bytes_pinned():
     assert _build_digests(envs.linear_system(p), envs.constraint_spec(p), K=1) == ARTIFACT_ACC_K1_SHA256
 
 
-def test_acc_k2_artifact_bytes_pinned():
+def test_acc_k2_artifact_bytes_pinned(monkeypatch):
     """As above for the ACC case study at K=2, whose second step works on
-    the most members of any pinned build."""
+    the most members of any pinned build.  The same build pins its LP
+    count, 1,453 when first pinned (1,462 before the merge stopped solving
+    emptiness LPs on pairwise intersections)."""
     from safegov import envs
 
     p = envs.AccParams()
-    assert _build_digests(envs.linear_system(p), envs.constraint_spec(p), K=2) == ARTIFACT_ACC_K2_SHA256
+    sys, spec = envs.linear_system(p), envs.constraint_spec(p)
+    calls = _lp_counter(monkeypatch)
+    assert _build_digests(sys, spec, K=2) == ARTIFACT_ACC_K2_SHA256
+    assert calls[0] == 1453
 
 
 def test_builds_without_vertices_keep_their_bytes(monkeypatch):
