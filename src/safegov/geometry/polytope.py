@@ -57,11 +57,14 @@ Each shortcut below decides only outside a margin band around the LP's
 own threshold and leaves the band to the LP, so every decision stays
 the LP's:
 
-- ``region_diff`` decides from vertices whether a piece is significant,
-  whether a member meets a piece (slab tests batched over all members),
-  whether a member's row cuts it (a row that only touches it is cleared
-  by a normal-cone bound), and which of its rows are redundant; what
-  these tests read of a piece is computed once per piece;
+- ``region_diff`` asks one question of a piece, of the set it starts
+  from and of a piece's meet with a member: does it hold a ball of radius
+  min_r?  Each goes to ``_significant``: the set's own vertices, then its
+  Chebyshev LP.  Slab tests batched over all members and candidate points
+  rule most members in or out before a meet is formed.  Vertices also
+  decide whether a member's row cuts a piece (a row that only touches it
+  is cleared by a normal-cone bound) and which of its rows are redundant;
+  what these tests read of a piece is computed once per piece;
 - ``remove_redundancy`` keeps rows by rays from the facets of its
   vertices or its hull points, and drops rows slack at every vertex;
 - ``merge_convex_members`` rules a pair out when a row of one member has
@@ -856,6 +859,30 @@ def _significance(P: HPolytope, V: np.ndarray, min_r: float) -> bool | None:
     return None
 
 
+def _significant(P: HPolytope, min_r: float) -> tuple[bool, np.ndarray | None]:
+    """(verdict, V): whether the Chebyshev radius of P exceeds min_r, and
+    P's vertices if P is significant and nonempty, else None; P has unit
+    rows.  ``region_diff`` asks this of every set whose significance it
+    needs.
+
+    ``_significance`` decides from the points ``_vertices_or_none`` gives
+    for P; what it leaves open, and every P without such points, goes to
+    the Chebyshev LP.  A significant P keeps V as its cached vertices,
+    read-only, for its ``remove_redundancy``, once its emptiness is
+    settled: that is free after either test found a ball above
+    10 FEAS_TOL, and an LP otherwise (in 1-D, min_r is below 10 FEAS_TOL).
+    """
+    V = _vertices_or_none(P)
+    verdict = None if V is None else _significance(P, V, min_r)
+    if verdict is None:
+        verdict = P.chebyshev()[1] > min_r
+    if not verdict or V is None or P.is_empty():
+        return verdict, None
+    V.setflags(write=False)
+    P._verts = V
+    return True, V
+
+
 def _stacked(members: list[tuple]) -> tuple:
     """Members (Q, Qn, VQ), with Qn the unit rows and VQ the vertices (or
     None), stacked once for ``_apart``: the rows, their offsets, the start
@@ -922,7 +949,8 @@ def _meet_verdict(R: HPolytope, VR: np.ndarray, Qn: HPolytope, VQ: np.ndarray | 
     inside R, the centroid of both of these vertex sets, and the points at
     1/4, 1/2 and 3/4 of the way between any two of them.
 
-    Returns None otherwise; the Chebyshev LP on R & Q must decide.
+    Returns None otherwise; R & Q's own vertices decide next, then its
+    Chebyshev LP (``_significant``).
     """
     points = [c]
     shared = [VR[(VR @ Qn.A.T <= Qn.b).all(axis=1)]]
@@ -1034,22 +1062,25 @@ def region_diff(
     only outside a margin band of at least 10 FEAS_TOL around the LP's
     threshold, and leaves the band to the LP.
 
-    Every piece takes its vertices V before its significance is settled.
-    This costs no LP: a piece is known bounded when R is, and enumeration
-    needs no emptiness test (``_vertices_or_none``).  P itself pays for its
-    boundedness once if it is not known.  A piece whose enumeration fails
-    goes without V and takes the LPs for every question below.
+    Every set whose significance is asked takes its vertices V first.
+    This costs no LP: a piece, and a meet R & Q, is known bounded when R
+    is, and enumeration needs no emptiness test (``_vertices_or_none``).
+    P itself pays for its boundedness once if it is not known.  A piece
+    whose enumeration fails goes without V and takes the LPs for every
+    question below.
 
-    - Significance: a piece whose vertex centroid lies deeper than
+    - Significance, of P, of each piece and of each meet R & Q: one rule,
+      ``_significant``.  A set whose vertex centroid lies deeper than
       min_r + 10 FEAS_TOL is significant; one that a row and its vertices
       squeeze into a slab narrower than 2 (min_r - 10 FEAS_TOL) is not
-      (``_significance``).  Only the rest solve the Chebyshev LP.
-    - Meet: ``_apart`` rules out, for all members at once, each member
-      for which a row of R or of Q leaves the other set's vertices in a
-      slab too thin for a ball of radius min_r.  ``_meet_verdict`` rules a
-      surviving member in when a candidate point, starting from R's
-      vertex centroid, is deeper than min_r + 10 FEAS_TOL in both sets.
-      Otherwise the Chebyshev LP on R & Q decides.
+      (``_significance``).  Only the rest solve the Chebyshev LP.  A
+      meet's vertices are enumerated only for a member that two cheaper
+      filters leave open: ``_apart`` rules out, for all members at once,
+      each member for which a row of R or of Q leaves the other set's
+      vertices in a slab too thin for a ball of radius min_r, and
+      ``_meet_verdict`` rules a member in when a candidate point, starting
+      from R's vertex centroid, is deeper than min_r + 10 FEAS_TOL in both
+      sets.
     - Cut: a row cuts R, or does not, when max a'v over V passes beta +
       FEAS_TOL, or stays below it, by more than the vertices' error; a
       row that only touches R at a vertex is cleared by a normal-cone
@@ -1073,10 +1104,6 @@ def region_diff(
     out: list[HPolytope] = []
     counter = [0]
 
-    def significant(R: HPolytope) -> bool:
-        _, r = R.chebyshev()
-        return r > min_r
-
     def rec(R: HPolytope, V: np.ndarray | None, members: list[int]) -> None:
         # R is significant and irredundant, V its vertices or None;
         # members index the entries not yet used on this branch.
@@ -1092,12 +1119,12 @@ def region_diff(
         # Pick the member that actually cuts R with the fewest rows.
         best = None
         for pos, k in enumerate(members):
-            Q, Qn, VQ = entries[k]
+            _, Qn, VQ = entries[k]
             if V is not None and apart[k]:
                 continue
             meets = None if V is None else _meet_verdict(R, V, Qn, VQ, c, min_r)
             if meets is None:
-                meets = significant(R.intersect(Q))
+                meets = _significant(R.intersect(Qn), min_r)[0]
             if not meets:
                 continue
             if V is None:
@@ -1127,28 +1154,20 @@ def region_diff(
             piece._bounded = R._bounded
             prefix_A.append(a.reshape(1, -1))
             prefix_b.append(beta)
-            Vp = _vertices_or_none(piece)
-            keep = None if Vp is None else _significance(piece, Vp, min_r)
-            if keep is None:
-                keep = significant(piece)
-            if not keep:
-                continue
-            if Vp is not None and not piece.is_empty():  # an LP only for radii below 10 FEAS_TOL
-                Vp.setflags(write=False)
-                piece._verts = Vp                       # for remove_redundancy
-            else:
-                Vp = None
-            rec(piece.remove_redundancy(), Vp, rest)
+            keep, Vp = _significant(piece, min_r)
+            if keep:
+                rec(piece.remove_redundancy(), Vp, rest)
 
     if P.is_empty():
         return PolyUnion.empty(P.dim)
     if U.is_empty():
         return PolyUnion([P.remove_redundancy()], P.dim)
     P0 = P.remove_redundancy()
-    if significant(P0):
+    keep, V0 = _significant(P0, min_r)
+    if keep:
         entries = [(Q, Q.normalized(), _vertices_or_none(Q)) for Q in U.members]
         stack = _stacked(entries)
-        rec(P0, _vertices_or_none(P0), list(range(len(entries))))
+        rec(P0, V0, list(range(len(entries))))
     return PolyUnion(out, P.dim)
 
 

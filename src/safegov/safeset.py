@@ -396,11 +396,12 @@ def dp_oracle(
     every gridded input some gridded disturbance maps its center into the
     step-(k-1) unrecoverable region.  Inputs and disturbances are gridded
     over their bounding boxes (exact for the box-shaped sets used in
-    verification).  Tractable for state dimension <= 2.
+    verification).  Any state dimension n works.  The cell index of every
+    cell under every gridded input-disturbance pair is kept: for a scalar
+    input and disturbance, about n_u * n_w * grid_resolution**n * 8 bytes
+    (33 MB at n = 3 with resolution 40, n_u = 13 and n_w = 5).
     """
     n = sys.n
-    if n > 2:
-        raise SafeSetError("dp_oracle supports state dimension <= 2")
     box_bounds = _axis_bounds(spec.box)
     axes = [
         (np.arange(grid_resolution) + 0.5) * (hi - lo) / grid_resolution + lo

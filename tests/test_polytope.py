@@ -1115,12 +1115,16 @@ def test_vertex_certificates_match_the_lps():
     wide, members cut along a piece's own row, duplicated rows, and boxes
     whose enumerated vertices include a point up to 5e-5 outside the set.
     The certificates must also decide most verdicts, and the facet rays
-    must keep every row of a random hull."""
+    must keep every row of a random hull.  For each pair that ``_apart``
+    keeps, ``_significant`` on R & Q (its vertices, then its Chebyshev LP)
+    gives the LP's meet verdict, and its vertices decide most of them."""
     from safegov.geometry.polytope import (
-        VOLUME_TOL, _apart, _cut_verdicts, _meet_verdict, _min_radius_for, _stacked, _vertex_redundancy)
+        VOLUME_TOL, _apart, _cut_verdicts, _meet_verdict, _min_radius_for, _significant, _stacked,
+        _vertex_redundancy)
 
     rng = np.random.default_rng(29)
     decided = {"meet": [0, 0], "cut": [0, 0], "keep": [0, 0]}    # [undecided, decided]
+    kept = [0, 0]    # pairs _apart keeps: [meet LP solved, vertices decided]
     for dim in (2, 3):
         min_r = _min_radius_for(dim, VOLUME_TOL)
         pairs = list(_certificate_cases(rng, dim, min_r))
@@ -1135,11 +1139,15 @@ def test_vertex_certificates_match_the_lps():
             R, VR = _as_piece(P)
             Qn = Q.normalized()
             VQ = Q.vertices() if Q.is_bounded() else None
+            meets = R.intersect(Q).chebyshev()[1] > min_r
             if _apart(R, VR, _stacked([(Q, Qn, VQ)]), 2.0 * (min_r - 10 * FEAS_TOL))[0]:
                 verdict = False
             else:
                 verdict = _meet_verdict(R, VR, Qn, VQ, VR.mean(axis=0), min_r)
-            meets = R.intersect(Q).chebyshev()[1] > min_r
+                # What region_diff asks next: R & Q's own vertices, then its LP.
+                S = R.intersect(Qn)
+                assert _significant(S, min_r)[0] == meets, (dim, trial)
+                kept[S._cheb is None] += 1
             decided["meet"][verdict is not None] += 1
             assert verdict in (None, meets), (dim, trial)
             # Q's rows; Q's normals within 20 FEAS_TOL of R's support; R's own
@@ -1172,6 +1180,7 @@ def test_vertex_certificates_match_the_lps():
             keep, drop = _vertex_redundancy(D.A, D.b, P.vertices())
             assert keep.all() and not drop.any()
     assert all(yes > 2 * no for no, yes in decided.values()), decided
+    assert kept[1] >= 60, kept      # 62 of the 64 kept pairs when written
 
 
 def test_normal_cone_bound_matches_the_support_lp():
