@@ -91,6 +91,9 @@ def unsafe_union(p: AccParams, box: HPolytope | None = None) -> PolyUnion:
     it the band is a fixed 5..10 m gap window.
     """
     box = box or operating_box()
+    # Free for a box; each clip below then starts known bounded, so its
+    # remove_redundancy decides rows by vertices instead of one LP each.
+    box.is_bounded()
     thr = p.low_speed_threshold
     lo_gap = p.headway_min * thr
     hi_gap = p.headway_max * thr

@@ -26,7 +26,7 @@ paying LPs for it again:
 
 - ``intersect`` is bounded when either operand is known to be bounded;
 - ``convex_hull`` is bounded and nonempty, being the hull of finitely
-  many points; it keeps the points for ``remove_redundancy``;
+  many points;
 - ``inverse_affine_map`` (invertible map) keeps its input's boundedness
   and irredundancy;
 - ``remove_redundancy`` describes the same set, so it keeps boundedness
@@ -49,10 +49,10 @@ bundled case study uses 3).  The subsets come from index tables built
 once per shape and kept in a small bounded cache; a large enumeration
 builds and solves them a batch at a time instead, with the same points.
 
-In these dimensions vertices, and the points a hull was taken of, answer
-most yes/no questions of the set recursion at less cost than an LP.
-They are the only witnesses that spare an LP: a question they leave
-open, or one about a set whose vertices are not at hand, goes to its LP.
+In these dimensions vertices answer most yes/no questions of the set
+recursion at less cost than an LP.  They are the only witnesses that
+spare an LP: a question they leave open, or one about a set whose
+vertices are not at hand, goes to its LP.
 Each shortcut below decides only outside a margin band around the LP's
 own threshold and leaves the band to the LP, so every decision stays
 the LP's:
@@ -66,7 +66,7 @@ the LP's:
   is cleared by a normal-cone bound) and which of its rows are redundant;
   what these tests read of a piece is computed once per piece;
 - ``remove_redundancy`` keeps rows by rays from the facets of its
-  vertices or its hull points, and drops rows slack at every vertex;
+  vertices, and drops rows slack at every vertex;
 - ``merge_convex_members`` rules a pair out when a row of one member has
   every vertex of the other beyond it (``region_diff``'s batched slab
   test, ``_apart``), and closes a pair whose hull outgrows both volumes
@@ -143,8 +143,8 @@ class HPolytope:
     operation that built the set, when it knows them to hold.
     """
 
-    __slots__ = ("A", "b", "dim", "_empty", "_bounded", "_irredundant", "_cheb", "_verts", "_points",
-                 "_support", "_scale", "_unit", "_dedup_rows")
+    __slots__ = ("A", "b", "dim", "_empty", "_bounded", "_irredundant", "_cheb", "_verts", "_support",
+                 "_scale", "_unit", "_dedup_rows")
 
     def __init__(self, A, b, dim: int | None = None):
         if dim is None:
@@ -175,7 +175,6 @@ class HPolytope:
         self._irredundant = False
         self._cheb: tuple[np.ndarray | None, float] | None = None
         self._verts: np.ndarray | None = None
-        self._points: np.ndarray | None = None
         self._support: dict[bytes, float] = {}
         self._scale: np.ndarray | None = None
         self._unit: tuple[np.ndarray, np.ndarray] | None = None
@@ -197,11 +196,7 @@ class HPolytope:
 
     @classmethod
     def from_point(cls, p) -> "HPolytope":
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        d = p.size
-        A = np.vstack([np.eye(d), -np.eye(d)])
-        b = np.concatenate([p, -p])
-        return cls(A, b, d)
+        return cls.from_bounds(p, p)
 
     @classmethod
     def empty(cls, dim: int) -> "HPolytope":
@@ -365,21 +360,14 @@ class HPolytope:
           b_i + FEAS_TOL by far more than its rounding, so the LP would
           keep row i too.  The vertices are at hand when they are cached
           (``region_diff`` takes them for its pieces), and are enumerated
-          for a set already known bounded that is not a hull (its
-          emptiness is settled first, and boundedness is never tested
-          for this);
-        - a ``convex_hull`` output without cached vertices uses the points
-          it was the hull of in their place, for the facet rays only.  The
-          rays certify by themselves: each starts at a point that meets
-          every row, and ``_ray_support`` gives a start that fails a row
-          after rounding no bound at all.  No row is dropped on the
-          points' word, since a joggled (qhull ``QJ``) hull is the hull of
-          its points only up to the joggle.
+          for a set already known bounded, a ``convex_hull`` output among
+          them (its emptiness is settled first, and boundedness is never
+          tested for this).
 
-        Rows none of these tests decide get their LP, as do all rows of a
-        set with neither vertices nor hull points at hand.  The result is
-        marked irredundant and nonempty; it keeps self's boundedness flag
-        and Chebyshev ball, but not its vertices.
+        Rows neither test decides get their LP, as do all rows of a set
+        whose vertices are not at hand.  The result is marked irredundant
+        and nonempty; it keeps self's boundedness flag and Chebyshev ball,
+        but not its vertices.
         """
         if self._irredundant:
             out = self._dedup()
@@ -390,12 +378,10 @@ class HPolytope:
             keep = np.ones(len(b), dtype=bool)
             certified = drop = np.zeros(len(b), dtype=bool)
             V = self._verts
-            if V is None and self._points is None and self._bounded is True:
+            if V is None and self._bounded is True:
                 V = _vertices_or_none(self)
             if V is not None:
                 certified, drop = _vertex_redundancy(A, b, V)
-            elif self._points is not None:
-                certified = _vertex_redundancy(A, b, self._points)[0]
             for i in np.flatnonzero(~certified):
                 keep[i] = False
                 if drop[i]:
@@ -553,17 +539,17 @@ def _ray_support(A: np.ndarray, b: np.ndarray, C: np.ndarray) -> np.ndarray:
 def _vertex_redundancy(A: np.ndarray, b: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(keep, drop) row masks of remove_redundancy's vertex certificates.
 
-    V are the vertices of {x : A x <= b} (unit rows), or points whose hull
-    it is.  With delta = 10 FEAS_TOL plus the residual of V against the
-    rows (the largest violation of a row by a point, at least 0: vertex
-    enumeration accepts a point that misses a row by up to 1e-6 (1 +
-    max|b|)), row i is active at point v when a_i'v >= b_i - delta (1 +
-    |b_i|).  A row active at no point is in drop.  An active row is in keep
-    when the ray along a_i from the centroid of its active points, nudged
-    1e-3 of the way toward the centroid of all of V, passes b_i +
-    10 FEAS_TOL before it meets another row.  The nudge puts the origin
-    strictly inside every row: the centroid itself lies on row i, and a
-    rounding error there fails _ray_support's origin test.
+    V are the vertices of {x : A x <= b} (unit rows).  With delta =
+    10 FEAS_TOL plus the residual of V against the rows (the largest
+    violation of a row by a vertex, at least 0: vertex enumeration accepts
+    a point that misses a row by up to 1e-6 (1 + max|b|)), row i is active
+    at vertex v when a_i'v >= b_i - delta (1 + |b_i|).  A row active at no
+    vertex is in drop.  An active row is in keep when the ray along a_i
+    from the centroid of its active vertices, nudged 1e-3 of the way
+    toward the centroid of all of V, passes b_i + 10 FEAS_TOL before it
+    meets another row.  The nudge puts the origin strictly inside every
+    row: the centroid itself lies on row i, and a rounding error there
+    fails _ray_support's origin test.
     """
     VA = V @ A.T                                           # (points, rows)
     delta = 10 * FEAS_TOL + float(np.max(VA - b, initial=0.0))
@@ -674,14 +660,11 @@ def convex_hull(points) -> HPolytope:
 
     Lower-dimensional clouds are supported: the flat directions are pinned
     with equality row pairs and the hull is taken inside the affine span.
-    The result is marked bounded and nonempty and keeps the points:
-    remove_redundancy starts its facet rays from them; vertices() never
-    reads them.
+    The result is marked bounded and nonempty.
     """
     out = _hull(points)
     out._bounded = True
     out._empty = False
-    out._points = np.atleast_2d(np.asarray(points, dtype=float))
     return out
 
 

@@ -39,18 +39,6 @@ class LearnerError(RuntimeError):
 # ----------------------------------------------------------------- network
 
 
-def _unflatten(flat: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Weight and bias views into `flat`, in the theta layout."""
-    weights, biases, i = [], [], 0
-    for a, b in zip(sizes[:-1], sizes[1:]):
-        weights.append(flat[i:i + a * b].reshape(a, b))
-        i += a * b
-    for b in sizes[1:]:
-        biases.append(flat[i:i + b])
-        i += b
-    return weights, biases
-
-
 class QFunction:
     """MLP approximation of Q(x, u); inputs min-max normalized to [-1, 1].
 
@@ -69,7 +57,6 @@ class QFunction:
     def __init__(self, theta, sizes, in_lo, in_hi):
         self.theta = np.asarray(theta, dtype=float)
         self.sizes = tuple(sizes)
-        self.weights, self.biases = _unflatten(self.theta, self.sizes)
         self.in_lo = np.asarray(in_lo, dtype=float)
         self.in_hi = np.asarray(in_hi, dtype=float)
         self._span = np.maximum(self.in_hi - self.in_lo, 1e-12)
@@ -80,6 +67,8 @@ class QFunction:
         for a, b in layers:
             self._grad_slices.append((slice(w, w + a * b), (a, b), slice(i, i + b)))
             w, i = w + a * b, i + b
+        self.weights = [self.theta[ws].reshape(shape) for ws, shape, _ in self._grad_slices]
+        self.biases = [self.theta[bs] for _, _, bs in self._grad_slices]
 
     @classmethod
     def create(cls, in_lo, in_hi, hidden=(64, 64), rng: np.random.Generator | None = None) -> "QFunction":

@@ -896,8 +896,8 @@ def test_ray_certificate_keeps_the_lp_decisions(monkeypatch):
 
 def test_hull_centroid_keeps_the_lp_decisions(monkeypatch):
     """remove_redundancy on a convex_hull output shoots its rays from the
-    facets of the hull's points, nudged toward their centroid.  It returns
-    the same row bytes as the same rows known nonempty but with no points
+    facets of the hull's vertices, nudged toward their centroid.  It returns
+    the same row bytes as the same rows known nonempty but with no vertices
     or boundedness (every row takes its LP), and on full-dimensional
     clouds with fewer LPs.
     The clouds are seeded: full-dimensional ones in 2-D, 3-D and 4-D, a
@@ -1345,16 +1345,15 @@ def _redundancy_cases(rng, dim):
         yield "bounded", HPolytope(a, rng.uniform(-0.5, 0.5, size=2), dim).intersect(cube)
 
 
-def test_hull_points_and_bounded_vertices_keep_the_lp_decisions(monkeypatch):
-    """remove_redundancy's certificates from a hull's points and from the
-    vertices of a set known bounded that is not a hull give the LP's
-    verdict on every row they decide, and the same row bytes as the
-    LP alone.  A joggled hull can make a row LP raise LpError; the
-    certificates solve a subset of the LPs the LP alone solves, with the
-    same rows, so they raise only where the LP alone raises as well.
-    Hull points only keep rows, never drop them."""
+def test_hull_and_bounded_vertices_keep_the_lp_decisions(monkeypatch):
+    """remove_redundancy's vertex certificates on a convex_hull output, a
+    joggled (qhull ``QJ``) hull among them, and on a set known bounded that
+    is not a hull give the LP's verdict on every row they decide, and the
+    same row bytes as the LP alone, or both raise LpError.  The vertices
+    are the ones ``_vertices_or_none`` enumerates from the set's own rows,
+    the one witness remove_redundancy reads, and they decide most rows."""
     from safegov.geometry import polytope as polytope_module
-    from safegov.geometry.polytope import _vertex_redundancy
+    from safegov.geometry.polytope import _vertex_redundancy, _vertices_or_none
 
     rng = np.random.default_rng(47)
     real_hull = polytope_module.ConvexHull
@@ -1366,22 +1365,19 @@ def test_hull_points_and_bounded_vertices_keep_the_lp_decisions(monkeypatch):
                                     lambda p, qhull_options=None: real_hull(p, qhull_options="QJ"))
             P = convex_hull(case) if kind != "bounded" else case
             monkeypatch.setattr(polytope_module, "ConvexHull", real_hull)
-            assert P._bounded is True and (kind == "bounded") == (P._points is None)
-            bare = HPolytope(P.A, P.b, dim)
+            assert P._bounded is True, (dim, trial)
             outcomes = []
-            for Q in (P, bare):
+            for Q in (P, HPolytope(P.A, P.b, dim)):
                 try:
                     out = Q.remove_redundancy()
                     outcomes.append((out.A.tobytes(), out.b.tobytes()))
                 except LpError:
                     outcomes.append(None)
-            assert outcomes[0] == outcomes[1] or outcomes[1] is None, (dim, trial)
+            assert outcomes[0] == outcomes[1], (dim, trial)
             D = P._dedup()
-            if kind == "bounded":
-                V = P.vertices()
-                keep, drop = _vertex_redundancy(D.A, D.b, V)
-            else:
-                keep, drop = _vertex_redundancy(D.A, D.b, P._points)[0], np.zeros(len(D.b), bool)
+            V = _vertices_or_none(P)
+            assert V is not None, (dim, trial)
+            keep, drop = _vertex_redundancy(D.A, D.b, V)
             try:
                 lp = _lp_keep_mask(P)
             except LpError:
@@ -1389,7 +1385,7 @@ def test_hull_points_and_bounded_vertices_keep_the_lp_decisions(monkeypatch):
             assert not np.any(keep & ~lp) and not np.any(drop & lp), (dim, trial)
             compared += len(lp)
             decided += int(np.sum(keep | drop))
-    assert decided > compared // 2, (decided, compared)
+    assert decided > 3 * compared // 4, (decided, compared)
 
 
 def _merge_without_volume_bound(U):

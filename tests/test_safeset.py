@@ -321,6 +321,21 @@ def _pinned_build(name):
     return digests, counts
 
 
+# SHA-256 of jsonutil.dumps of the ACC constraint spec on the default
+# AccParams, and the LPs its construction solves: 37 before unsafe_union
+# settled the operating box's boundedness ahead of its clips, so that their
+# remove_redundancy read vertices instead of solving one LP per row.
+ACC_SPEC_SHA256 = "45e182775a1b70304fac22212f6c360a2efe6d0cee43db1e3cc25b2846bb3369"
+ACC_SPEC_LPS = 11
+
+
+def _acc_spec():
+    """The digest of the ACC constraint spec and its LPs by method."""
+    with _lp_census() as counts:
+        spec = envs.constraint_spec(envs.AccParams())
+    return hashlib.sha256(jsonutil.dumps(spec.to_dict()).encode()).hexdigest(), counts
+
+
 def _assert_pinned(name):
     _, _, pinned, lps = PINNED_BUILDS[name]
     digests, counts = _pinned_build(name)
@@ -360,6 +375,16 @@ def test_acc_k2_artifact_bytes_pinned():
     """As above for the ACC case study at K=2, whose second step works on
     the most members of any pinned build."""
     _assert_pinned("ACC K=2")
+
+
+def test_acc_spec_bytes_and_lps_pinned():
+    """The ACC constraint spec keeps its bytes and solves exactly its
+    pinned LPs, the emptiness tests of the four clipped headway members
+    (twice each: unsafe_union clips them, ConstraintSpec clips them
+    again) and of U, W and the box."""
+    digest, counts = _acc_spec()
+    assert digest == ACC_SPEC_SHA256
+    assert sum(counts.values()) == ACC_SPEC_LPS, counts
 
 
 def test_builds_without_vertices_keep_their_bytes(monkeypatch):
@@ -527,7 +552,12 @@ def test_artifact_roundtrip(tmp_path):
 
 if __name__ == "__main__":
     # LP census: PYTHONPATH=src:tests python tests/test_safeset.py
+    def report(name, counts, match):
+        split = ", ".join(f"{method} {n}" for method, n in counts.items())
+        print(f"{name}: {split}; total {sum(counts.values())}; digests {'match' if match else 'DIFFER'}")
+
+    digest, counts = _acc_spec()
+    report("ACC spec", counts, digest == ACC_SPEC_SHA256)
     for name, (_, _, pinned, _) in PINNED_BUILDS.items():
         digests, counts = _pinned_build(name)
-        split = ", ".join(f"{method} {n}" for method, n in counts.items())
-        print(f"{name}: {split}; total {sum(counts.values())}; digests {'match' if digests == pinned else 'DIFFER'}")
+        report(name, counts, digests == pinned)
