@@ -800,13 +800,18 @@ def _min_radius_for(dim: int, volume_tol: float) -> float:
 
 
 def _vertices_or_none(P: HPolytope) -> np.ndarray | None:
-    """P's vertices, or None when P is unbounded or enumeration fails.
+    """P's vertices, or None when P is unbounded, when enumeration fails or
+    when it would solve more row subsets than a 3-D set at the row cap,
+    C(_VERTEX_ROW_CAP, 3): in 4-D, past 64 deduplicated rows.  Cached
+    vertices are returned at any size.
 
     A set known bounded whose emptiness is not settled (a region_diff
     piece) is enumerated from its deduplicated rows without an LP, and
     nothing is cached: if the set is empty, the points are not vertices of
     it, and only ``_significance`` may judge them."""
     if not P.is_bounded():
+        return None
+    if P._verts is None and math.comb(len(P._deduplicated_rows()[1]), P.dim) > math.comb(_VERTEX_ROW_CAP, 3):
         return None
     try:
         if P._empty is None:

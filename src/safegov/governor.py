@@ -11,13 +11,22 @@ When the nominal action is not admissible, the optimum is an end of one of
 these intervals or of U: a break point b_i / a_i of a row of U or of a
 face.  The admissible break point with the least objective is the optimum.
 
-A problem evaluates its break points once, in one batch: the nominal
-action's margins and the break points in ascending objective order, with
-their U-row excesses and their least group slack, are kept on the
-MIQPProblem, and a solve only compares them with its tolerance.  The face
-rows are read group-major: slab r holds row r of every group, padded where
-a group is shorter than the longest (_FaceRows), so a group's largest
-slack alpha_i u - beta_i is an elementwise max over the slabs.
+Most calls keep the nominal action, so govern() tests it before it builds
+a problem, from what _prepared lays out once per artifact: the slab index
+of the offsets beta = g - G A x, the alpha slabs and U's rows as Python
+floats.  The face rows are read group-major: slab r holds row r of every
+group, padded where a group is shorter than the longest (_FaceRows), so a
+group's largest slack alpha_i u - beta_i is an elementwise max over the
+slabs.  The test (_FaceRows.nominal and .admits) is the one solve_miqp
+runs on a problem built directly.  Only when it fails is the problem
+built, with the offsets' slabs and the nominal action's margins kept on
+it.  A state or nominal action that is not finite or has the wrong size
+raises GovernorError before any of this.
+
+A problem evaluates its break points once, in one batch: the break points
+in ascending objective order, with their U-row excesses and their least
+group slack, are kept on the MIQPProblem beside the nominal action's
+margins, and a solve only compares them with its tolerance.
 
 When no break point is admissible, govern() retries at a tenfold
 tolerance, which only re-compares the kept margins, and then falls back to
@@ -34,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -160,8 +170,10 @@ class MIQPProblem:
 
     The arrays are not changed after the first solve: it keeps the
     layout of U and the face rows (_FaceRows, shared by every problem of
-    an artifact), the nominal action's margins and the evaluation of the
-    break points on the problem.
+    an artifact), the offsets laid out as slabs, the nominal action's
+    margins and the evaluation of the break points on the problem.
+    govern() builds a problem only when the nominal action is not
+    admissible, with the slabs and the margins already kept.
     """
 
     S: np.ndarray
@@ -172,7 +184,7 @@ class MIQPProblem:
     beta: np.ndarray
     starts: np.ndarray
     _rows: _FaceRows | None = field(default=None, init=False, repr=False, compare=False)
-    _nominal: tuple[np.ndarray, float] | None = field(default=None, init=False, repr=False, compare=False)
+    _nominal: tuple[list[float], float] | None = field(default=None, init=False, repr=False, compare=False)
     _beta_slabs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _evaluation: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False,
                                                                            compare=False)
@@ -183,11 +195,6 @@ class MIQPProblem:
         if self._rows is None:
             self._rows = _FaceRows(self.U_A, self.U_b, self.alpha, self.starts)
         return self._rows
-
-    @property
-    def u_scale(self) -> np.ndarray:
-        """Per-row scale max(1, |row|) of U's tolerance."""
-        return self.rows.u_scale
 
     @property
     def n_groups(self) -> int:
@@ -202,15 +209,20 @@ class MIQPProblem:
             self._evaluation = _evaluate(self)
         return self._evaluation
 
+    @property
+    def beta_slabs(self) -> np.ndarray:
+        """beta laid out as the slabs of _FaceRows, (R, groups)."""
+        if self._beta_slabs is None:
+            self._beta_slabs = np.append(self.beta, np.inf)[self.rows.slabs]
+        return self._beta_slabs
+
     def least_slack(self, u: np.ndarray) -> np.ndarray:
         """Least group max slack alpha_i u - beta_i of each action of u (k,):
         it meets some row of every group within eps exactly when this is
         >= -eps; inf with no groups.  The slacks are formed on the slabs, as
         an (R, groups, k) array whose group maxima are an elementwise max
         along axis 0."""
-        if self._beta_slabs is None:
-            self._beta_slabs = np.append(self.beta, np.inf)[self.rows.slabs][..., None]
-        slack = self.rows.alpha_slabs * u - self._beta_slabs
+        slack = self.rows.alpha_slabs[..., None] * u - self.beta_slabs[..., None]
         return slack.max(axis=0).min(axis=0, initial=np.inf)
 
 
@@ -284,8 +296,12 @@ class _FaceRows:
     its slack finite wherever the row's is; a group with no rows is padded
     with the index one past the last row, which stands for a row
     alpha = 0, beta = +inf, whose slack is -inf.  alpha_slabs holds alpha
-    so laid out, (R, groups, 1), and keep and a_keep the rows of
-    [U_A; alpha] with a break point and their coefficients.
+    so laid out, (R, groups), u_rows U's rows (a_i, b_i, max(1, |a_i|)) as
+    Python floats, and keep and a_keep the rows of [U_A; alpha] with a
+    break point and their coefficients.
+
+    nominal and admits are the one nominal test, of govern() before it
+    builds a problem and of solve_miqp on a problem built directly.
     """
 
     def __init__(self, U_A: np.ndarray, U_b: np.ndarray, alpha: np.ndarray, starts: np.ndarray):
@@ -298,10 +314,24 @@ class _FaceRows:
         depth = np.arange(max(1, sizes.max(initial=0)))[:, None]
         first = np.where(sizes > 0, starts[:-1], alpha.shape[0])
         self.slabs = np.where(depth < sizes, starts[:-1] + depth, first)
-        self.alpha_slabs = np.append(alpha[:, 0], 0.0)[self.slabs][..., None]
+        self.alpha_slabs = np.append(alpha[:, 0], 0.0)[self.slabs]
+        self.u_rows = list(zip(U_A[:, 0].tolist(), U_b.tolist(), self.u_scale.tolist()))
         a = np.concatenate([U_A[:, 0], alpha[:, 0]])
         self.keep = np.abs(a) > 1e-12
         self.a_keep = a[self.keep]
+
+    def nominal(self, t: float, beta_slabs: np.ndarray) -> tuple[list[float], float]:
+        """The margins of the nominal action t: its U-row excesses
+        a_i t - b_i and its least group max slack over the offsets' slabs
+        (R, groups), inf with no groups."""
+        group_max = np.maximum.reduce(self.alpha_slabs * t - beta_slabs, axis=0)
+        return [a * t - b for a, b, _ in self.u_rows], np.minimum.reduce(group_max, initial=np.inf)
+
+    def admits(self, nominal: tuple[list[float], float], eps_feas: float) -> bool:
+        """Whether margins from nominal lie in U and meet some row of every
+        group, each within eps_feas (U's rows scaled by max(1, |a_i|))."""
+        u_excess, least_slack = nominal
+        return least_slack >= -eps_feas and all(e <= eps_feas * s for e, (_, _, s) in zip(u_excess, self.u_rows))
 
     @cached_property
     def closed_form(self) -> tuple[float, float, _Crossings]:
@@ -359,25 +389,73 @@ def _prepared(artifact: SafeSetArtifact, sys: LinearSystem):
     return cache
 
 
+def _checked(x, u_nom, sys: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
+    """x as a float vector of sys.n entries and u_nom as one of one entry,
+    both finite.  GovernorError names the input that is not, or the
+    system's input count when it is not one."""
+    if sys.m != 1:
+        raise GovernorError(f"the governor needs a scalar action, not {sys.m} inputs")
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != sys.n:
+        raise GovernorError(f"x has {x.size} entries; the system has {sys.n} states")
+    u_nom = np.asarray(u_nom, dtype=float).ravel()
+    if u_nom.size != 1:
+        raise GovernorError(f"u_nom has {u_nom.size} entries; the action is scalar")
+    if not all(map(math.isfinite, x.tolist())):
+        raise GovernorError(f"x must be finite, not {x.tolist()}")
+    if not math.isfinite(u_nom[0]):
+        raise GovernorError(f"u_nom must be finite, not {u_nom.tolist()}")
+    return x, u_nom
+
+
+def _offsets(pre: dict, x: np.ndarray) -> np.ndarray:
+    """beta = g - G A x with +inf appended: the slab index pads a group with
+    no rows with that entry."""
+    GAx = pre["GA"] @ x
+    beta = np.empty(GAx.size + 1)
+    beta[-1] = np.inf
+    np.subtract(pre["g"], GAx, out=beta[:-1])
+    return beta
+
+
+def _problem(pre: dict, u_nom: np.ndarray, beta: np.ndarray, cfg: GovernorConfig) -> MIQPProblem:
+    prob = MIQPProblem(S=cfg.S, u_nom=u_nom, U_A=pre["U_A"], U_b=pre["U_b"],
+                       alpha=pre["GB"], beta=beta[:-1], starts=pre["starts"])
+    prob._rows = pre["rows"]
+    return prob
+
+
 def build_miqp(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: GovernorConfig) -> MIQPProblem:
     """Assemble the disjunctive program for state x and nominal action u_nom.
 
     Per inflated member j with rows (G_ij, g_ij), the next nominal state
     A x + B u must violate at least one row: G_ij (A x + B u) >= g_ij.
     The state term folds into the offsets, leaving rows on u alone:
-    alpha = G B and beta = g - G A x.  The system must have one input.
+    alpha = G B and beta = g - G A x.  The system must have one input, x
+    sys.n finite entries and u_nom one finite entry (GovernorError).
     """
-    if sys.m != 1:
-        raise GovernorError(f"the governor needs a scalar action, not {sys.m} inputs")
-    x = np.asarray(x, dtype=float).ravel()
-    u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
-    if u_nom.size != 1:
-        raise GovernorError(f"u_nom has {u_nom.size} entries; the action is scalar")
+    x, u_nom = _checked(x, u_nom, sys)
     pre = _prepared(artifact, sys)
-    prob = MIQPProblem(S=cfg.S, u_nom=u_nom, U_A=pre["U_A"], U_b=pre["U_b"],
-                       alpha=pre["GB"], beta=pre["g"] - pre["GA"] @ x, starts=pre["starts"])
-    prob._rows = pre["rows"]
+    return _problem(pre, u_nom, _offsets(pre, x), cfg)
+
+
+def _screen(pre: dict, x: np.ndarray, u_nom: np.ndarray, cfg: GovernorConfig) -> MIQPProblem | None:
+    """None when the nominal action is admissible at FEAS_TOL; otherwise its
+    problem, with the offsets' slabs and the nominal action's margins
+    kept on it as its first solve would have kept them."""
+    beta = _offsets(pre, x)
+    rows = pre["rows"]
+    beta_slabs = beta[rows.slabs]
+    nominal = rows.nominal(u_nom.item(), beta_slabs)
+    if rows.admits(nominal, FEAS_TOL):
+        return None
+    prob = _problem(pre, u_nom, beta, cfg)
+    prob._beta_slabs, prob._nominal = beta_slabs, nominal
     return prob
+
+
+def _unmodified(t: np.ndarray, t0: float) -> GovernorResult:
+    return GovernorResult(t.copy(), False, 0.0, 0, time.perf_counter() - t0, STATUS_OPTIMAL)
 
 
 def solve_miqp(prob: MIQPProblem, eps_feas: float = FEAS_TOL) -> GovernorResult:
@@ -401,18 +479,17 @@ def solve_miqp(prob: MIQPProblem, eps_feas: float = FEAS_TOL) -> GovernorResult:
     would.
     """
     t0 = time.perf_counter()
+    rows = prob.rows
     t = prob.u_nom
-    u_tol = eps_feas * prob.u_scale
 
     # Fast path: nominal action already admissible and group-feasible.
     if prob._nominal is None:
-        prob._nominal = (prob.U_A @ t - prob.U_b, prob.least_slack(t)[0])
-    u_excess, least_slack = prob._nominal
-    if (u_excess <= u_tol).all() and least_slack >= -eps_feas:
-        return GovernorResult(t.copy(), False, 0.0, 0, time.perf_counter() - t0, STATUS_OPTIMAL)
+        prob._nominal = rows.nominal(t.item(), prob.beta_slabs)
+    if rows.admits(prob._nominal, eps_feas):
+        return _unmodified(t, t0)
 
     C, u_excess, least_slack = prob.evaluation
-    ok = (u_excess <= u_tol).all(axis=1) & (least_slack >= -eps_feas)
+    ok = (u_excess <= eps_feas * rows.u_scale).all(axis=1) & (least_slack >= -eps_feas)
     if ok.any():
         k = int(np.argmax(ok))
         u = C[k:k + 1]
@@ -505,11 +582,19 @@ def govern(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Governor
     If that also fails, _min_violation_action picks the action in U with
     the least worst face violation, ties to the least objective, and flags
     it with status "fallback" and reason "min_violation".  No fallback is
-    logged: the reason tag is its record.  A system with more than one
-    input raises GovernorError.
+    logged: the reason tag is its record.
+
+    The nominal action is tested before any problem is built, from the
+    artifact's prepared rows (_screen); when it is admissible it is
+    returned as solve_miqp's fast path returns it.  A system with more
+    than one input, an x without sys.n finite entries and a u_nom that is
+    not one finite number raise GovernorError.
     """
     t0 = time.perf_counter()
-    prob = build_miqp(x, u_nom, artifact, sys, cfg)
+    x, u_nom = _checked(x, u_nom, sys)
+    prob = _screen(_prepared(artifact, sys), x, u_nom, cfg)
+    if prob is None:
+        return _unmodified(u_nom, t0)
     res = solve_miqp(prob)
     if res.status == STATUS_INFEASIBLE:
         res = solve_miqp(prob, eps_feas=10 * FEAS_TOL)

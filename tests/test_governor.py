@@ -364,6 +364,12 @@ def test_prepared_rows_keyed_on_the_system_matrices():
     assert caches[0] is caches[1] is caches[2] is not caches[3]
 
 
+def govern_path(res) -> str:
+    """The govern() path a result took: "fast", "branch", "relaxed_tol" or
+    "min_violation"."""
+    return res.reason or ("fast" if res.nodes_explored == 0 else "branch")
+
+
 def same_result(a, b) -> bool:
     """Equal status, reason, modified flag and node count; byte-equal
     action and objective."""
@@ -417,7 +423,7 @@ def test_govern_matches_reference_bitwise_on_every_path():
         res = govern(x, u, art, sys, cfg)
         ref = governor_reference.govern(x, u, art, sys, cfg)
         assert same_result(res, ref), (x, u, res, ref)
-        paths[art.k_used, res.reason or ("fast" if res.nodes_explored == 0 else "branch")] += 1
+        paths[art.k_used, govern_path(res)] += 1
     assert {p for _, p in paths} == {"fast", "branch", "relaxed_tol", "min_violation"}
     assert paths[1, "min_violation"] >= 100
 
@@ -439,6 +445,131 @@ def test_govern_results_pinned():
     for x, u in zip(*acc_inputs(art, env, 3000, 53)):
         digest.update(result_bytes(govern(x, [u], art, env.system, cfg)))
     assert digest.hexdigest() == GOVERN_ACC_K1_SHA256
+
+
+def test_govern_rejects_bad_inputs_by_name():
+    # On the ACC K = 1 artifact at x = (40, 0, 20), a NaN action came back
+    # as U's upper bound with status "optimal", each non-finite state raised
+    # numpy's "attempt to get argmin of an empty sequence" and a state with
+    # two entries numpy's matmul error.  Now build_miqp and govern() name
+    # the input, before the artifact is prepared.
+    art, env = acc_artifact(1)
+    cfg = GovernorConfig(S=np.eye(1))
+    x = np.array([40.0, 0.0, 20.0])
+    p = env.params
+    actions = ([p.u_min], [0.0], [p.u_max])
+    states = list(itertools.product(*[(v, np.nan, np.inf, -np.inf) for v in x]))[1:]
+    assert len(states) == 63 and all(not np.isfinite(s).all() for s in states)
+    fresh = dataclasses.replace(art)
+    for step in (build_miqp, govern):
+        for u in ([np.nan], [np.inf], [-np.inf], np.nan):
+            with pytest.raises(GovernorError, match=r"u_nom must be finite, not \[-?(nan|inf)\]"):
+                step(x, u, fresh, env.system, cfg)
+        for bad in states:
+            for u in actions:
+                with pytest.raises(GovernorError, match=r"x must be finite"):
+                    step(list(bad), u, fresh, env.system, cfg)
+        for wrong in (x[:2], np.append(x, 1.0), x[:, None][:2], []):
+            with pytest.raises(GovernorError, match=rf"x has {np.size(wrong)} entries; the system has 3 states"):
+                step(wrong, [0.0], fresh, env.system, cfg)
+    assert not hasattr(fresh, "_governor_cache")
+    # The inputs are fine on their own: from x = (40, 0, 20) the governor
+    # lifts u_min and 0 to 1/6 and keeps u_max.
+    assert [govern_path(govern(x, u, art, env.system, cfg)) for u in actions] == ["branch", "branch", "fast"]
+
+
+def screen_hand_built(prob, cfg):
+    """governor._screen on a problem built directly: its rows stand for an
+    artifact's prepared rows with A = B = 1, at x = 0, where alpha = G B and
+    beta = g - G A x."""
+    pre = {"g": prob.beta, "GA": prob.alpha, "GB": prob.alpha, "starts": prob.starts,
+           "U_A": prob.U_A, "U_b": prob.U_b,
+           "rows": governor._FaceRows(prob.U_A, prob.U_b, prob.alpha, prob.starts)}
+    return governor._screen(pre, np.zeros(1), prob.u_nom, cfg)
+
+
+def assert_screened_as_built(screened, built):
+    """A problem _screen returned keeps the offsets, their slabs and the
+    nominal action's margins a problem built without them computes on its
+    first solve, and solves to the same bytes at the strict and the
+    relaxed tolerance and in the least-violation fallback."""
+    built_results = [solve_miqp(built, eps_feas=eps) for eps in (FEAS_TOL, 10 * FEAS_TOL)]
+    assert screened._evaluation is None
+    assert screened.beta.tobytes() == built.beta.tobytes()
+    assert screened._beta_slabs.tobytes() == built.beta_slabs.tobytes()
+    (excess, least), (built_excess, built_least) = screened._nominal, built._nominal
+    assert np.array(excess).tobytes() == np.array(built_excess).tobytes()
+    assert np.float64(least).tobytes() == np.float64(built_least).tobytes()
+    for eps, built_res in zip((FEAS_TOL, 10 * FEAS_TOL), built_results):
+        assert same_result(solve_miqp(screened, eps_feas=eps), built_res)
+    u, built_u = _min_violation_action(screened), _min_violation_action(built)
+    assert (u is None and built_u is None) or u.tobytes() == built_u.tobytes()
+
+
+def test_screen_decides_as_solve_miqp_on_random_problems():
+    # The test govern() makes before it builds a problem keeps the nominal
+    # action exactly when solve_miqp's fast path does, on random scalar
+    # problems with padded groups, groups with no rows, and U rows scaled
+    # off unit length, whose tolerances scale with them.  Half the nominal
+    # actions sit on a break point, moved by at most 5e-6, so that their
+    # margins fall on both sides of the strict and the relaxed tolerance.
+    rng = np.random.default_rng(67)
+    seen = collections.Counter()
+    for _ in range(600):
+        prob = random_miqp(rng, m=1)
+        if rng.random() < 0.5:
+            scale = rng.uniform(0.2, 5.0, size=(2, 1))
+            prob = dataclasses.replace(prob, U_A=prob.U_A * scale, U_b=prob.U_b * scale[:, 0])
+            seen["non-unit U"] += 1
+        if rng.random() < 0.5:
+            a = np.concatenate([prob.U_A[:, 0], prob.alpha[:, 0]])
+            h = np.concatenate([prob.U_b, prob.beta])[a != 0.0] / a[a != 0.0]
+            shift = rng.choice([-5e-6, -5e-7, -5e-8, 0.0, 5e-8, 5e-7, 5e-6])
+            prob = dataclasses.replace(prob, u_nom=np.array([rng.choice(h) + shift]))
+            seen["near a break point"] += 1
+        sizes = np.diff(prob.starts)
+        seen["padded"] += bool(sizes.size) and sizes.min() < sizes.max()
+        seen["empty group"] += bool(np.any(sizes == 0))
+        screened = screen_hand_built(prob, GovernorConfig(S=prob.S))
+        built = dataclasses.replace(prob)
+        res = solve_miqp(built)
+        assert (screened is None) == (res.status == "optimal" and res.nodes_explored == 0)
+        if screened is None:
+            seen["kept"] += 1
+            continue
+        seen[res.status] += 1
+        assert_screened_as_built(screened, built)
+    assert set(seen) == {"non-unit U", "near a break point", "padded", "empty group", "kept", "optimal",
+                         "infeasible"}
+    assert min(seen.values()) >= 20, seen
+
+
+def test_screened_problem_solves_as_built_on_every_path():
+    # On the pinned ACC K = 1 corpus and the fallback chain's near states,
+    # govern() keeps the nominal action exactly when solve_miqp on the
+    # problem of build_miqp does, and a problem it builds because the
+    # nominal action is not admissible solves as the built one on the
+    # branch, the relaxed retry and the least violation.
+    art, env = acc_artifact(1)
+    cases = [(art, env.system, x, [u]) for x, u in zip(*acc_inputs(art, env, 3000, 53))]
+    rng = np.random.default_rng(31)
+    chain, sys = fallback_chain_artifact(1.0)
+    cases += [(chain, sys, [-10.0 ** rng.uniform(-9, -5)], [rng.uniform(-1, 1)]) for _ in range(60)]
+    cfg = GovernorConfig(S=np.eye(1))
+    paths = collections.Counter()
+    for art, sys, x, u in cases:
+        res = govern(x, u, art, sys, cfg)
+        paths[govern_path(res)] += 1
+        built = build_miqp(x, u, art, sys, cfg)
+        first = solve_miqp(built)
+        x_checked, u_checked = governor._checked(x, u, sys)
+        screened = governor._screen(governor._prepared(art, sys), x_checked, u_checked, cfg)
+        assert (screened is None) == (govern_path(res) == "fast") == (govern_path(first) == "fast")
+        if screened is None:
+            assert same_result(res, first)
+        else:
+            assert_screened_as_built(screened, built)
+    assert set(paths) == {"fast", "branch", "relaxed_tol", "min_violation"}
 
 
 def test_solve_miqp_results_pinned():
@@ -671,3 +802,23 @@ def test_result_serialization():
     d = govern([8.0], [0.5], art, sys, cfg).to_dict()
     assert set(d) == {"u_safe", "modified", "objective", "nodes_explored", "solve_time", "status", "reason"}
     assert d["reason"] == ""
+
+
+if __name__ == "__main__":
+    # govern() census: PYTHONPATH=src:tests python tests/test_governor.py
+    # Calls and median solve_time of each path on the pinned ACC K = 1
+    # corpus, the one GOVERN_ACC_K1_SHA256 is recorded on.
+    art, env = acc_artifact(1)
+    cfg = GovernorConfig(S=np.eye(1))
+    X, U = acc_inputs(art, env, 3000, 53)
+    governor._prepared(art, env.system)
+    times = {path: [] for path in ("fast", "branch", "relaxed_tol", "min_violation")}
+    digest = hashlib.sha256()
+    for x, u in zip(X, U):
+        res = govern(x, [u], art, env.system, cfg)
+        digest.update(result_bytes(res))
+        times[govern_path(res)].append(res.solve_time)
+    for path, t in times.items():
+        print(f"{path}: {len(t)} calls" + (f", median {np.median(t) * 1e6:.1f} us" if t else ""))
+    match = digest.hexdigest() == GOVERN_ACC_K1_SHA256
+    print(f"ACC K=1 corpus: {len(X)} calls; digest {'match' if match else 'DIFFER'}")

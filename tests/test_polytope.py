@@ -1353,7 +1353,7 @@ def test_hull_and_bounded_vertices_keep_the_lp_decisions(monkeypatch):
     are the ones ``_vertices_or_none`` enumerates from the set's own rows,
     the one witness remove_redundancy reads, and they decide most rows."""
     from safegov.geometry import polytope as polytope_module
-    from safegov.geometry.polytope import _vertex_redundancy, _vertices_or_none
+    from safegov.geometry.polytope import _VERTEX_ROW_CAP, _vertex_redundancy, _vertices_or_none
 
     rng = np.random.default_rng(47)
     real_hull = polytope_module.ConvexHull
@@ -1376,7 +1376,10 @@ def test_hull_and_bounded_vertices_keep_the_lp_decisions(monkeypatch):
             assert outcomes[0] == outcomes[1], (dim, trial)
             D = P._dedup()
             V = _vertices_or_none(P)
-            assert V is not None, (dim, trial)
+            # The witness stops past the subsets of a 3-D set at the row cap.
+            assert (V is None) == (math.comb(len(D.b), dim) > math.comb(_VERTEX_ROW_CAP, 3)), (dim, trial)
+            if V is None:
+                continue
             keep, drop = _vertex_redundancy(D.A, D.b, V)
             try:
                 lp = _lp_keep_mask(P)
