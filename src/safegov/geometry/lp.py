@@ -17,6 +17,17 @@ arithmetic, so the code keeps the numpy calls per LP few:
 - phase 1 (zero rows, row scaling, flips, the artificial simplex, the
   drive-out and the row drop) depends on (A, b) alone, never on c, and
   runs in ``_phase1``; ``lp_solve`` prices c out over its end state.
+
+Neither verdict is taken on trust.  "infeasible" needs a Farkas
+certificate read off the final phase-1 tableau (``_certified``): the
+reduced costs of the slack columns are multipliers y >= 0 on the unit
+rows with y'A ~ 0 and y'b < 0.  A positive phase-1 objective without one
+may be rounding alone (a large offset such as the Chebyshev radius cap
+leaves about 1e-6 of it in the objective row of a feasible set); phase 1
+then runs once more on the deduplicated rows (``tightest_rows``, the rule
+of ``HPolytope._dedup``), and LpError is raised when that does not settle
+it either.  An "optimal" point must meet every row within 10 FEAS_TOL of
+that row's own scale, the largest of |a_i|, |b_i| and |a_i| |x|.
 """
 
 from __future__ import annotations
@@ -97,32 +108,53 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int) -> str:
         basis[row] = col
 
 
-def _phase1(A: np.ndarray, b: np.ndarray) -> tuple | None:
-    """Phase 1 of lp_solve for {x : A x <= b}, which depends on (A, b) alone.
+def _phase1(A: np.ndarray, b: np.ndarray, norms: np.ndarray) -> tuple | None:
+    """Phase 1 of lp_solve for {x : A x <= b}, which depends on (A, b) alone;
+    norms holds the row norms of A.
 
-    Returns None when the set is infeasible.  Otherwise returns the
-    tableau and basis that phase 2 starts from: artificial columns gone,
-    leftover artificials driven out or their rows dropped.  The tableau
-    and basis are None when no row is left after the zero rows, whose
-    offsets alone decide them.
+    Returns None when the set is infeasible: a zero row's offset is
+    negative, or the artificial simplex ends with a certified positive
+    objective (_certified), on the rows or on their deduplicated form.
+    Raises LpError when it ends positive with no certificate on either.
+    Otherwise returns the tableau and basis that phase 2 starts from:
+    artificial columns gone, leftover artificials driven out or their rows
+    dropped.  The tableau and basis are None when no row is left after the
+    zero rows, whose offsets alone decide them.
     """
     n = A.shape[1]
     # A zero row is decided by its offset alone.  Left in, row scaling
     # would blow its offset up to ~1e12 and swamp the phase-1 test.
-    norms = np.linalg.norm(A, axis=1)
     zero = norms < 1e-12
     if zero.any():
         if (b[zero] < -FEAS_TOL).any():
             return None
         A, b, norms = A[~zero], b[~zero], norms[~zero]
-    m = A.shape[0]
-    if m == 0:
+    if A.shape[0] == 0:
         return None, None
 
     # Row scaling for conditioning; keeps the feasible set unchanged.
     As = A / norms[:, None]
     bs = b / norms
+    T, basis = _artificial_simplex(As, bs)
+    if -T[-1, -1] > FEAS_TOL * 10:
+        if _certified(T, As, bs):
+            return None
+        keep = tightest_rows(As, bs)
+        if keep.size < bs.size:
+            Ad, bd = As[keep], bs[keep]
+            T, basis = _artificial_simplex(Ad, bd)
+            if -T[-1, -1] <= FEAS_TOL * 10:
+                return _drive_out(T, basis, n)
+            if _certified(T, Ad, bd):
+                return None
+        raise LpError(f"phase 1 ended at {-T[-1, -1]:.3e} with no infeasibility certificate")
+    return _drive_out(T, basis, n)
 
+
+def _artificial_simplex(As: np.ndarray, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The phase-1 simplex over unit rows (As, bs): the final tableau, its
+    artificial columns still in, and basis."""
+    m, n = As.shape
     # Flip rows so the right-hand side is nonnegative, then add slacks and
     # one artificial per row.  Columns: [x+ (n) | x- (n) | s (m) | a (m)].
     flip = bs < 0.0
@@ -146,12 +178,48 @@ def _phase1(A: np.ndarray, b: np.ndarray) -> tuple | None:
     status = _run_simplex(T, basis, ncols)
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
         raise LpError("phase-1 simplex did not terminate optimal")
-    if -T[-1, -1] > FEAS_TOL * 10:
-        return None
+    return T, basis
+
+
+def _certified(T: np.ndarray, As: np.ndarray, bs: np.ndarray) -> bool:
+    """Whether the final phase-1 tableau T over unit rows (As, bs) holds a
+    Farkas certificate of infeasibility.
+
+    Row i reads sgn_i (As_i x + s_i) + a_i = sgn_i bs_i, so with simplex
+    multipliers w the reduced cost of slack s_i is y_i = -sgn_i w_i, and
+    optimality (reduced costs >= 0 on x+, x- and s) makes y >= 0 and
+    y'As = 0; the phase-1 objective is -y'bs.  Recomputed from the rows,
+    y (negative entries, within the pricing tolerance, set to 0) must
+    satisfy |y'As| <= _RC_TOL |y| and y'bs < -FEAS_TOL |y| max(1, max |bs_i|
+    over the rows with y_i > 0).  Then no x meets every row: the y-weighted
+    sum of the rows would give y'As x <= y'bs < 0 with y'As ~ 0.
+    """
+    m, n = As.shape
+    y = np.maximum(T[-1, 2 * n:2 * n + m], 0.0)
+    norm_y = float(np.linalg.norm(y))
+    scale = max(1.0, float(np.abs(bs[y > 0.0]).max(initial=0.0)))
+    return bool(np.linalg.norm(y @ As) <= _RC_TOL * norm_y and y @ bs < -FEAS_TOL * norm_y * scale)
+
+
+def tightest_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Indices of the rows of (A, b) that deduplication keeps, in order of
+    the normal, rounded to a 1e-9 grid, then of the offset: the first, so
+    the tightest, of each run of equal rounded normals."""
+    key = np.round(A / 1e-9) * 1e-9
+    order = np.lexsort(np.column_stack([key, b]).T[::-1])
+    key = key[order]
+    first = np.ones(len(b), dtype=bool)
+    first[1:] = (key[1:] != key[:-1]).any(axis=1)
+    return order[first]
+
+
+def _drive_out(T: np.ndarray, basis: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The phase-1 end state phase 2 starts from: the artificial columns of
+    T dropped, leftover artificials driven out of the basis or, when their
+    row has no other nonzero, their rows dropped."""
+    m = basis.size
     ncols2 = 2 * n + m  # x+, x-, slacks
     T = np.concatenate([T[:, :ncols2], T[:, -1:]], axis=1)
-
-    # Drive leftover artificials out of the basis or drop redundant rows.
     keep = np.ones(m, dtype=bool)
     for i in range(m):
         if basis[i] >= ncols2:
@@ -172,9 +240,11 @@ def lp_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult:
     """Minimize c'x subject to A x <= b (x free).
 
     Returns an LpResult whose status is "optimal", "infeasible" or
-    "unbounded".  On "optimal" the returned point satisfies the
-    constraints within FEAS_TOL, and no reduced cost of the row-scaled
-    tableau is below -_RC_TOL (1e-9).
+    "unbounded".  On "optimal" the returned point meets every row within
+    10 FEAS_TOL of the row's scale, and no reduced cost of the row-scaled
+    tableau is below -_RC_TOL (1e-9).  "infeasible" comes from a zero row
+    with a negative offset or a Farkas certificate.  LpError is raised
+    when neither verdict can be checked.
     """
     c = np.asarray(c, dtype=float).ravel()
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -187,7 +257,8 @@ def lp_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult:
     if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("lp_solve: non-finite input")
 
-    state = _phase1(A, b)
+    norms = np.linalg.norm(A, axis=1)
+    state = _phase1(A, b, norms)
     if state is None:
         return LpResult(INFEASIBLE)
     T, basis = state
@@ -213,17 +284,22 @@ def lp_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult:
     z = np.zeros(T.shape[1] - 1)
     z[basis] = T[:m, -1]
     x = z[:n] - z[n:2 * n]
-    resid = A @ x - b
-    viol = float(resid.max(initial=0.0))
-    if viol > FEAS_TOL * max(1.0, float(np.abs(b).max(initial=1.0))) * 10:
-        raise LpError(f"simplex returned infeasible point (violation {viol:.3e})")
+    # Each row within 10 FEAS_TOL of its own scale, the largest of |a_i|,
+    # |b_i| and the terms |a_i| |x| it sums; a zero row's offset was checked
+    # in phase 1, at scale 1.
+    scale = np.maximum(np.maximum(norms, np.abs(b)), np.abs(A) @ np.abs(x))
+    scale[norms < 1e-12] = 1.0
+    worst = float(((A @ x - b) / scale).max(initial=0.0))
+    if worst > FEAS_TOL * 10:
+        raise LpError(f"simplex returned infeasible point (violation {worst:.3e} of a row's scale)")
     return LpResult(OPTIMAL, x, float(c @ x))
 
 
 def chebyshev_center(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, float]:
     """Largest inscribed ball of {x : A x <= b}.
 
-    Returns (center, radius); (None, -1.0) when the set is empty.  The
+    Returns (center, radius); (None, -1.0) when the set is empty, which
+    lp_solve certifies (LpError when it cannot settle the LP).  The
     radius is capped so unbounded sets still yield a finite answer.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))

@@ -83,7 +83,7 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .lp import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, chebyshev_center, lp_solve
+from .lp import FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, chebyshev_center, lp_solve, tightest_rows
 
 # Default fragment-volume floor for region differences: pieces whose
 # Chebyshev-ball volume proxy falls below this are treated as empty.
@@ -322,12 +322,7 @@ class HPolytope:
         if self._dedup_rows is None:
             A, b = self._unit_rows()
             if len(b) > 1:
-                key = np.round(A / 1e-9) * 1e-9
-                order = np.lexsort(np.column_stack([key, b]).T[::-1])
-                key = key[order]
-                first = np.ones(len(b), dtype=bool)
-                first[1:] = (key[1:] != key[:-1]).any(axis=1)
-                keep = order[first]
+                keep = tightest_rows(A, b)
                 if len(keep) < len(b) or (keep[1:] < keep[:-1]).any():
                     A, b = A[keep], b[keep]
                     A.setflags(write=False)

@@ -12,16 +12,20 @@ these intervals or of U: a break point b_i / a_i of a row of U or of a
 face.  The admissible break point with the least objective is the optimum.
 
 Most calls keep the nominal action, so govern() tests it before it builds
-a problem, from what _prepared lays out once per artifact: the slab index
-of the offsets beta = g - G A x, the alpha slabs and U's rows as Python
-floats.  The face rows are read group-major: slab r holds row r of every
-group, padded where a group is shorter than the longest (_FaceRows), so a
-group's largest slack alpha_i u - beta_i is an elementwise max over the
-slabs.  The test (_FaceRows.nominal and .admits) is the one solve_miqp
-runs on a problem built directly.  Only when it fails is the problem
-built, with the offsets' slabs and the nominal action's margins kept on
-it.  A state or nominal action that is not finite or has the wrong size
-raises GovernorError before any of this.
+a problem, from what _layout prepares once per artifact.  The face rows
+are read group-major: slab r holds row r of every group, padded where a
+group is shorter than the longest (_FaceRows), so a group's largest slack
+alpha_i u - beta_i is an elementwise max over the slabs.  The offsets g
+are kept in that slab form, +inf where a group has no rows, with the slab
+index clipped to a real row, so one product G A x, one gather and one
+subtraction give the slabs of beta = g - G A x with no per-call buffer.
+_screen then computes the nominal action's margins and tests them with
+the math of _FaceRows.nominal and .admits, which solve_miqp runs on a
+problem built directly, and returns nothing else when they pass: govern()
+returns its checked copy of the nominal action.  Only when the test fails
+are beta and the problem built, with the offsets' slabs and the margins
+kept on it.  A state or nominal action that is not made of finite real
+numbers or has the wrong size raises GovernorError before any of this.
 
 A problem evaluates its break points once, in one batch: the break points
 in ascending objective order, with their U-row excesses and their least
@@ -300,8 +304,8 @@ class _FaceRows:
     Python floats, and keep and a_keep the rows of [U_A; alpha] with a
     break point and their coefficients.
 
-    nominal and admits are the one nominal test, of govern() before it
-    builds a problem and of solve_miqp on a problem built directly.
+    nominal and admits are the nominal test of solve_miqp on a problem
+    built directly; _screen writes the same math out for govern().
     """
 
     def __init__(self, U_A: np.ndarray, U_b: np.ndarray, alpha: np.ndarray, starts: np.ndarray):
@@ -373,32 +377,50 @@ def _prepared(artifact: SafeSetArtifact, sys: LinearSystem):
     G_all = np.vstack([mbr.A for mbr in members]) if members else np.zeros((0, sys.n))
     g_all = np.concatenate([mbr.b for mbr in members]) if members else np.zeros(0)
     starts = np.cumsum([0] + [mbr.A.shape[0] for mbr in members])
-    GB = G_all @ sys.B
-    cache = {
-        "A": sys.A,
-        "B": sys.B,
-        "g": g_all,
-        "starts": starts,
-        "GA": G_all @ sys.A,
-        "GB": GB,
-        "U_A": artifact.spec.U.A,
-        "U_b": artifact.spec.U.b,
-        "rows": _FaceRows(artifact.spec.U.A, artifact.spec.U.b, GB, starts),
-    }
+    cache = _layout(g_all, G_all @ sys.A, G_all @ sys.B, starts, artifact.spec.U.A, artifact.spec.U.b)
+    cache["A"], cache["B"] = sys.A, sys.B
     artifact._governor_cache = cache
     return cache
 
 
+def _layout(g: np.ndarray, GA: np.ndarray, GB: np.ndarray, starts: np.ndarray, U_A: np.ndarray,
+            U_b: np.ndarray) -> dict:
+    """What govern() reads of the face rows G y <= g, stacked group by group
+    as starts says, of the maps GA = G A and GB = G B and of U.
+
+    Beside the arrays and their _FaceRows, the offsets are laid out as
+    slabs: g_slabs holds g at the slab index, +inf where a group has no
+    rows, and slab_rows is the slab index with that padding entry clipped
+    to a real row, so that g_slabs - (GA x)[slab_rows] are the slabs of
+    beta = g - GA x, +inf on the padding.  With no rows at all GA gets one
+    zero row for the padding to read; g - GA x is then still empty, as
+    (0,) and (1,) broadcast to (0,).
+    """
+    rows = _FaceRows(U_A, U_b, GB, starts)
+    if not g.size:
+        GA = np.zeros((1, GA.shape[1]))
+    return {"g": g, "starts": starts, "GA": GA, "GB": GB, "U_A": U_A, "U_b": U_b, "rows": rows,
+            "g_slabs": np.append(g, np.inf)[rows.slabs], "slab_rows": np.minimum(rows.slabs, GA.shape[0] - 1)}
+
+
 def _checked(x, u_nom, sys: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
-    """x as a float vector of sys.n entries and u_nom as one of one entry,
-    both finite.  GovernorError names the input that is not, or the
-    system's input count when it is not one."""
+    """x as a float vector of sys.n entries and u_nom as a new float array
+    of one entry, both finite.  GovernorError names the input that is not,
+    or the system's input count when it is not one.  The action array is
+    always a copy, so an action returned as it is never shares the caller's
+    memory."""
     if sys.m != 1:
         raise GovernorError(f"the governor needs a scalar action, not {sys.m} inputs")
-    x = np.asarray(x, dtype=float).ravel()
+    try:
+        x = np.asarray(x, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise GovernorError(f"x must be real numbers, not {x!r} ({exc})") from None
     if x.size != sys.n:
         raise GovernorError(f"x has {x.size} entries; the system has {sys.n} states")
-    u_nom = np.asarray(u_nom, dtype=float).ravel()
+    try:
+        u_nom = np.array(u_nom, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise GovernorError(f"u_nom must be a real number, not {u_nom!r} ({exc})") from None
     if u_nom.size != 1:
         raise GovernorError(f"u_nom has {u_nom.size} entries; the action is scalar")
     if not all(map(math.isfinite, x.tolist())):
@@ -408,19 +430,9 @@ def _checked(x, u_nom, sys: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
     return x, u_nom
 
 
-def _offsets(pre: dict, x: np.ndarray) -> np.ndarray:
-    """beta = g - G A x with +inf appended: the slab index pads a group with
-    no rows with that entry."""
-    GAx = pre["GA"] @ x
-    beta = np.empty(GAx.size + 1)
-    beta[-1] = np.inf
-    np.subtract(pre["g"], GAx, out=beta[:-1])
-    return beta
-
-
-def _problem(pre: dict, u_nom: np.ndarray, beta: np.ndarray, cfg: GovernorConfig) -> MIQPProblem:
+def _problem(pre: dict, u_nom: np.ndarray, GAx: np.ndarray, cfg: GovernorConfig) -> MIQPProblem:
     prob = MIQPProblem(S=cfg.S, u_nom=u_nom, U_A=pre["U_A"], U_b=pre["U_b"],
-                       alpha=pre["GB"], beta=beta[:-1], starts=pre["starts"])
+                       alpha=pre["GB"], beta=pre["g"] - GAx, starts=pre["starts"])
     prob._rows = pre["rows"]
     return prob
 
@@ -436,26 +448,29 @@ def build_miqp(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Gove
     """
     x, u_nom = _checked(x, u_nom, sys)
     pre = _prepared(artifact, sys)
-    return _problem(pre, u_nom, _offsets(pre, x), cfg)
+    return _problem(pre, u_nom, pre["GA"].dot(x), cfg)
 
 
 def _screen(pre: dict, x: np.ndarray, u_nom: np.ndarray, cfg: GovernorConfig) -> MIQPProblem | None:
     """None when the nominal action is admissible at FEAS_TOL; otherwise its
     problem, with the offsets' slabs and the nominal action's margins
-    kept on it as its first solve would have kept them."""
-    beta = _offsets(pre, x)
+    kept on it as its first solve would have kept them.
+
+    The margins and the test are those of _FaceRows.nominal and .admits,
+    written out here because most govern() calls end with them."""
+    GAx = pre["GA"].dot(x)      # the product GA @ x, with less dispatch
+    beta_slabs = pre["g_slabs"] - GAx[pre["slab_rows"]]
     rows = pre["rows"]
-    beta_slabs = beta[rows.slabs]
-    nominal = rows.nominal(u_nom.item(), beta_slabs)
-    if rows.admits(nominal, FEAS_TOL):
+    t = u_nom.item()
+    slack = rows.alpha_slabs * t
+    slack -= beta_slabs
+    least_slack = np.minimum.reduce(np.maximum.reduce(slack, axis=0), initial=np.inf)
+    u_excess = [a * t - b for a, b, _ in rows.u_rows]
+    if least_slack >= -FEAS_TOL and all(e <= FEAS_TOL * s for e, (_, _, s) in zip(u_excess, rows.u_rows)):
         return None
-    prob = _problem(pre, u_nom, beta, cfg)
-    prob._beta_slabs, prob._nominal = beta_slabs, nominal
+    prob = _problem(pre, u_nom, GAx, cfg)
+    prob._beta_slabs, prob._nominal = beta_slabs, (u_excess, least_slack)
     return prob
-
-
-def _unmodified(t: np.ndarray, t0: float) -> GovernorResult:
-    return GovernorResult(t.copy(), False, 0.0, 0, time.perf_counter() - t0, STATUS_OPTIMAL)
 
 
 def solve_miqp(prob: MIQPProblem, eps_feas: float = FEAS_TOL) -> GovernorResult:
@@ -486,7 +501,7 @@ def solve_miqp(prob: MIQPProblem, eps_feas: float = FEAS_TOL) -> GovernorResult:
     if prob._nominal is None:
         prob._nominal = rows.nominal(t.item(), prob.beta_slabs)
     if rows.admits(prob._nominal, eps_feas):
-        return _unmodified(t, t0)
+        return GovernorResult(t.copy(), False, 0.0, 0, time.perf_counter() - t0, STATUS_OPTIMAL)
 
     C, u_excess, least_slack = prob.evaluation
     ok = (u_excess <= eps_feas * rows.u_scale).all(axis=1) & (least_slack >= -eps_feas)
@@ -586,15 +601,16 @@ def govern(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Governor
 
     The nominal action is tested before any problem is built, from the
     artifact's prepared rows (_screen); when it is admissible it is
-    returned as solve_miqp's fast path returns it.  A system with more
-    than one input, an x without sys.n finite entries and a u_nom that is
-    not one finite number raise GovernorError.
+    returned as solve_miqp's fast path returns it, in an array of its own.
+    A system with more than one input, an x without sys.n finite real
+    entries and a u_nom that is not one finite real number raise
+    GovernorError.
     """
     t0 = time.perf_counter()
     x, u_nom = _checked(x, u_nom, sys)
     prob = _screen(_prepared(artifact, sys), x, u_nom, cfg)
     if prob is None:
-        return _unmodified(u_nom, t0)
+        return GovernorResult(u_nom, False, 0.0, 0, time.perf_counter() - t0, STATUS_OPTIMAL)
     res = solve_miqp(prob)
     if res.status == STATUS_INFEASIBLE:
         res = solve_miqp(prob, eps_feas=10 * FEAS_TOL)

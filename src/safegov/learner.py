@@ -239,6 +239,14 @@ class TrainConfig:
             raise LearnerError("horizon and n_trajectories must be >= 1")
         if self.mode not in ("safe", "conventional"):
             raise LearnerError(f"unknown mode {self.mode!r}")
+        # episodes = 0 is a run with no logs; the others must be positive.
+        if self.episodes < 0:
+            raise LearnerError(f"episodes must be >= 0, not {self.episodes}")
+        for name in ("fit_epochs", "batch_size", "pretrain_states"):
+            if getattr(self, name) < 1:
+                raise LearnerError(f"{name} must be >= 1, not {getattr(self, name)}")
+        if any(width < 1 for width in self.hidden):
+            raise LearnerError(f"hidden layer widths must be >= 1, not {tuple(self.hidden)}")
 
     def epsilon(self, episode: int) -> float:
         if self.episodes <= 1:

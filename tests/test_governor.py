@@ -472,19 +472,98 @@ def test_govern_rejects_bad_inputs_by_name():
         for wrong in (x[:2], np.append(x, 1.0), x[:, None][:2], []):
             with pytest.raises(GovernorError, match=rf"x has {np.size(wrong)} entries; the system has 3 states"):
                 step(wrong, [0.0], fresh, env.system, cfg)
+        # Inputs numpy cannot read as real numbers raised its TypeError or
+        # ValueError.
+        with pytest.raises(GovernorError, match=r"u_nom must be a real number, not \[\(1\+2j\)\]"):
+            step(x, [1 + 2j], fresh, env.system, cfg)
+        with pytest.raises(GovernorError, match=r"x must be real numbers, not \['a', 'b', 'c'\]"):
+            step(["a", "b", "c"], [0.0], fresh, env.system, cfg)
     assert not hasattr(fresh, "_governor_cache")
     # The inputs are fine on their own: from x = (40, 0, 20) the governor
     # lifts u_min and 0 to 1/6 and keeps u_max.
     assert [govern_path(govern(x, u, art, env.system, cfg)) for u in actions] == ["branch", "branch", "fast"]
 
 
+def test_govern_takes_every_form_of_a_scalar_action():
+    # A list, a tuple, a bare number, a numpy scalar, a nested list and
+    # arrays of shape (1,) and (1, 1) give the bytes of the one-entry list
+    # on each path, and the action returned never shares the caller's
+    # memory, the kept nominal action included.
+    art, env = acc_artifact(1)
+    cfg = GovernorConfig(S=np.eye(1))
+    cases = [(art, env.system, x, u) for x, u in zip(*acc_inputs(art, env, 400, 53))]
+    chain, sys = fallback_chain_artifact(1.0)
+    cases += [(chain, sys, [-1e-7], 0.3)]
+    forms = (lambda u: (u,), lambda u: u, np.float64, lambda u: [[u]], lambda u: np.array([u]),
+             lambda u: np.array([[u]]))
+    paths = set()
+    for art, sys, x, u in cases:
+        first = govern(x, [u], art, sys, cfg)
+        assert same_result(first, governor_reference.govern(x, [u], art, sys, cfg))
+        paths.add(govern_path(first))
+        for form in forms:
+            u_in = form(u)
+            res = govern(x, u_in, art, sys, cfg)
+            assert result_bytes(res) == result_bytes(first), (x, u_in)
+            assert not np.shares_memory(res.u_safe, u_in)
+    assert paths == {"fast", "branch", "relaxed_tol", "min_violation"}
+
+
+def test_fast_path_builds_no_problem(monkeypatch):
+    # On the pinned ACC K = 1 corpus a call that keeps the nominal action
+    # makes no MIQPProblem; every other call makes exactly one.
+    art, env = acc_artifact(1)
+    cfg = GovernorConfig(S=np.eye(1))
+    built = []
+    real = governor.MIQPProblem
+    monkeypatch.setattr(governor, "MIQPProblem", lambda *a, **k: built.append(1) or real(*a, **k))
+    paths = collections.Counter()
+    for x, u in zip(*acc_inputs(art, env, 600, 53)):
+        before = len(built)
+        path = govern_path(govern(x, [u], art, env.system, cfg))
+        paths[path] += 1
+        assert len(built) - before == (path != "fast"), path
+    assert paths["fast"] > 300 and len(paths) >= 3
+
+
+def test_offset_slabs_are_the_padded_offsets_gathered():
+    # The offset slabs _screen forms from the per-artifact layout equal
+    # np.append(g - GA x, inf)[slabs] byte for byte: on random scalar
+    # problems with short and empty groups (x = 0, as screen_hand_built
+    # lays them out, and x = 1 and 2.5) and on the pinned ACC K = 1 corpus.
+    def padded(pre, x):
+        GA = pre["GA"][:pre["g"].size]
+        return np.append(pre["g"] - GA @ x, np.inf)[pre["rows"].slabs]
+
+    def slabs(pre, x):
+        return pre["g_slabs"] - (pre["GA"] @ x)[pre["slab_rows"]]
+
+    rng = np.random.default_rng(71)
+    seen = collections.Counter()
+    for _ in range(300):
+        prob = random_miqp(rng, m=1)
+        pre = governor._layout(prob.beta, prob.alpha, prob.alpha, prob.starts, prob.U_A, prob.U_b)
+        sizes = np.diff(prob.starts)
+        seen["short"] += bool(sizes.size) and sizes.min() < sizes.max()
+        seen["empty"] += bool(np.any(sizes == 0))
+        seen["no rows"] += not prob.beta.size
+        for x in (0.0, 1.0, 2.5):
+            assert slabs(pre, np.array([x])).tobytes() == padded(pre, np.array([x])).tobytes()
+            screened = governor._screen(pre, np.array([x]), prob.u_nom, GovernorConfig(S=prob.S))
+            if screened is not None:
+                assert screened._beta_slabs.tobytes() == padded(pre, np.array([x])).tobytes()
+    assert min(seen.values()) >= 10, seen
+    art, env = acc_artifact(1)
+    pre = governor._prepared(art, env.system)
+    for x, _ in zip(*acc_inputs(art, env, 3000, 53)):
+        assert slabs(pre, x).tobytes() == padded(pre, x).tobytes()
+
+
 def screen_hand_built(prob, cfg):
     """governor._screen on a problem built directly: its rows stand for an
     artifact's prepared rows with A = B = 1, at x = 0, where alpha = G B and
     beta = g - G A x."""
-    pre = {"g": prob.beta, "GA": prob.alpha, "GB": prob.alpha, "starts": prob.starts,
-           "U_A": prob.U_A, "U_b": prob.U_b,
-           "rows": governor._FaceRows(prob.U_A, prob.U_b, prob.alpha, prob.starts)}
+    pre = governor._layout(prob.beta, prob.alpha, prob.alpha, prob.starts, prob.U_A, prob.U_b)
     return governor._screen(pre, np.zeros(1), prob.u_nom, cfg)
 
 

@@ -10,6 +10,7 @@ from safegov.envs import BOX_HI, BOX_LO, AccEnv, constraint_spec, reward
 from safegov.geometry import FEAS_TOL
 from safegov.governor import GovernorConfig, govern
 from safegov.learner import (
+    LearnerError,
     QFunction,
     ReplayBuffer,
     TrainConfig,
@@ -162,6 +163,21 @@ def test_pretrain_takes_one_step_per_batch(monkeypatch):
     sizes = _count_batches(monkeypatch)
     pretrain_to_policy(q, env, actions, cfg, rng)
     assert sizes == _expected_batches(cfg.pretrain_states * len(actions), cfg.pretrain_epochs, 256)
+
+
+@pytest.mark.parametrize("field, value", [("batch_size", 0), ("fit_epochs", -1), ("episodes", -2),
+                                          ("pretrain_states", 0), ("hidden", (0,))])
+def test_train_config_rejects_a_run_that_cannot_train(field, value):
+    # batch_size = 0 failed only after pretraining, inside range(); the
+    # others trained silently with no fit, no episode, no pretraining rows
+    # or a zero-width layer.
+    with pytest.raises(LearnerError, match=rf"^{field}"):
+        TrainConfig(**{**TINY, field: value})
+
+
+def test_train_config_with_no_episodes_trains_nothing():
+    q, logs = train(AccEnv(), TrainConfig(**{**TINY, "episodes": 0}))
+    assert logs == [] and np.isfinite(q.theta).all()
 
 
 def test_replay_buffer_arrays_keep_push_order():

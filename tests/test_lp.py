@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -128,6 +129,89 @@ def test_chebyshev_center_of_box():
 def test_chebyshev_center_empty():
     c, r = chebyshev_center(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
     assert c is None and r < 0
+
+
+def _pairwise_sum_rows(seed):
+    """28 random unit rows in R^3 with offsets from U(10, 60), then the 378
+    pairwise sums of rows and offsets: 406 rows around an interior origin."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(28, 3))
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    b = rng.uniform(10, 60, size=28)
+    i, j = np.triu_indices(28, 1)
+    return np.vstack([A, A[i] + A[j]]), np.concatenate([b, b[i] + b[j]])
+
+
+# The seeds of 0-99 whose Chebyshev LP phase 1 ended above its threshold
+# from rounding alone (the 1e9 radius cap swamps the objective row), and
+# which were once called empty (r = -1); and five that never were.
+_PAIRWISE_SUM_SEEDS = (21, 26, 37, 50, 53, 63, 66, 72, 73, 78, 0, 1, 2, 3, 4)
+
+
+def test_pairwise_sum_sets_are_never_called_empty():
+    """Every set of the generator holds a ball around the origin: its
+    Chebyshev LP gives the radius HiGHS gives, or raises LpError, and
+    never calls the set empty."""
+    solved = 0
+    for seed in _PAIRWISE_SUM_SEEDS:
+        A, b = _pairwise_sum_rows(seed)
+        ref = linprog([0.0, 0.0, 0.0, -1.0], A_ub=np.column_stack([A, np.linalg.norm(A, axis=1)]), b_ub=b,
+                      bounds=[(None, None)] * 3 + [(0.0, None)], method="highs")
+        assert ref.status == 0 and -ref.fun > 1.0, seed
+        try:
+            _, r = chebyshev_center(A, b)
+        except LpError:
+            continue
+        assert r == pytest.approx(-ref.fun, rel=1e-6), seed
+        solved += 1
+    assert solved >= 5
+
+
+def _joggled_grid_hull(d, jitter):
+    """The convex_hull rows of the 4-point-per-axis grid on [0, 1]^d moved by
+    1e-10 jitter, hulled with qhull's joggle option QJ."""
+    from safegov.geometry import polytope as polytope_module
+
+    grid = np.array(list(itertools.product(np.linspace(0.0, 1.0, 4), repeat=d)))
+    real_hull = polytope_module.ConvexHull
+    polytope_module.ConvexHull = lambda p, qhull_options=None: real_hull(p, qhull_options="QJ")
+    try:
+        H = polytope_module.convex_hull(grid + jitter * 1e-10)
+    finally:
+        polytope_module.ConvexHull = real_hull
+    return polytope_module.HPolytope(H.A, H.b, d)
+
+
+def _joggled_cases():
+    """Three joggled grid hulls whose LPs once failed: in 3-D (25 rows) a row
+    LP of remove_redundancy missed a row by 1.6e-6; in 4-D (318 rows) the
+    emptiness LP missed one by 1.5e-2, past the bound then scaled by
+    max |b|; in 4-D (278 rows) the emptiness LP called the set empty."""
+    rng = np.random.default_rng(41)
+    for dim in (2, 3, 4):
+        for _ in range(3):
+            rng.normal(size=(12, dim)) * rng.uniform(0.5, 2.0) + rng.normal(size=dim)
+    rng.normal(size=(10, 2)) @ rng.normal(size=(2, 3))
+    yield _joggled_grid_hull(3, rng.normal(size=(64, 3)))
+    yield _joggled_grid_hull(4, np.random.default_rng(3).normal(size=(256, 4)))
+    rng = np.random.default_rng(5)
+    rng.normal(size=(16, 2))
+    rng.normal(size=(64, 3))
+    yield _joggled_grid_hull(4, rng.normal(size=(256, 4)))
+
+
+def test_joggled_hulls_are_never_called_empty():
+    """The joggled grid hulls hold the cube's center: the emptiness LP and
+    redundancy removal find it or raise LpError."""
+    for P in _joggled_cases():
+        center = np.full(P.dim, 0.5)
+        assert P.contains(center)
+        try:
+            assert lp_solve(np.zeros(P.dim), P.A, P.b).status == OPTIMAL
+            out = P.remove_redundancy()
+        except LpError:
+            continue
+        assert out.contains(center)
 
 
 def _outcome(solve, c, A, b):

@@ -903,9 +903,9 @@ def test_hull_centroid_keeps_the_lp_decisions(monkeypatch):
     The clouds are seeded: full-dimensional ones in 2-D, 3-D and 4-D, a
     planar one in 3-D, and a near-degenerate one (a 3-D grid jittered by
     1e-10, hulled with qhull's joggle option QJ).  On the last, one row LP
-    raises LpError (its optimum misses a row by 1.6e-6, past the absolute
-    acceptance bound of lp_solve, at this writing); both variants must
-    meet the same outcome."""
+    raises LpError (its optimum misses a row by 1.6e-6, past lp_solve's
+    acceptance bound of 10 FEAS_TOL of the row's scale, at this writing);
+    both variants must meet the same outcome."""
     from safegov.geometry import polytope as polytope_module
 
     rng = np.random.default_rng(41)
