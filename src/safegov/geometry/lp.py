@@ -21,13 +21,15 @@ arithmetic, so the code keeps the numpy calls per LP few:
 Neither verdict is taken on trust.  "infeasible" needs a Farkas
 certificate read off the final phase-1 tableau (``_certified``): the
 reduced costs of the slack columns are multipliers y >= 0 on the unit
-rows with y'A ~ 0 and y'b < 0.  A positive phase-1 objective without one
-may be rounding alone (a large offset such as the Chebyshev radius cap
-leaves about 1e-6 of it in the objective row of a feasible set); phase 1
-then runs once more on the deduplicated rows (``tightest_rows``, the rule
-of ``HPolytope._dedup``), and LpError is raised when that does not settle
-it either.  An "optimal" point must meet every row within 10 FEAS_TOL of
-that row's own scale, the largest of |a_i|, |b_i| and |a_i| |x|.
+rows with y'A ~ 0 and y'b below the phase-1 threshold -10 FEAS_TOL.  A
+positive phase-1 objective without one may be rounding alone (a large
+offset such as the Chebyshev radius cap leaves about 1e-6 of it in the
+objective row of a feasible set); phase 1 then runs once more on the
+deduplicated rows (``tightest_rows``, the rule of ``HPolytope._dedup``),
+and LpError is raised when that does not settle it either.  An "optimal"
+point must meet every row within 10 FEAS_TOL of that row's own scale,
+the largest of |a_i|, |b_i| and |a_i| |x|, capped at max(1, max |b|)
+(``_worst_miss``).
 """
 
 from __future__ import annotations
@@ -190,15 +192,16 @@ def _certified(T: np.ndarray, As: np.ndarray, bs: np.ndarray) -> bool:
     optimality (reduced costs >= 0 on x+, x- and s) makes y >= 0 and
     y'As = 0; the phase-1 objective is -y'bs.  Recomputed from the rows,
     y (negative entries, within the pricing tolerance, set to 0) must
-    satisfy |y'As| <= _RC_TOL |y| and y'bs < -FEAS_TOL |y| max(1, max |bs_i|
-    over the rows with y_i > 0).  Then no x meets every row: the y-weighted
-    sum of the rows would give y'As x <= y'bs < 0 with y'As ~ 0.
+    satisfy |y'As| <= _RC_TOL |y| and y'bs < -10 FEAS_TOL, the threshold
+    phase 1 tests its objective -y'bs against, so a separation phase 1
+    sees is certified at any offset scale.  Then no x meets every
+    row: the y-weighted sum of the rows would give y'As x <= y'bs < 0, so
+    such an x lies farther than 10 FEAS_TOL / |y'As| >= 1e3 / |y| from the
+    origin.
     """
     m, n = As.shape
     y = np.maximum(T[-1, 2 * n:2 * n + m], 0.0)
-    norm_y = float(np.linalg.norm(y))
-    scale = max(1.0, float(np.abs(bs[y > 0.0]).max(initial=0.0)))
-    return bool(np.linalg.norm(y @ As) <= _RC_TOL * norm_y and y @ bs < -FEAS_TOL * norm_y * scale)
+    return bool(np.linalg.norm(y @ As) <= _RC_TOL * np.linalg.norm(y) and y @ bs < -FEAS_TOL * 10)
 
 
 def tightest_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -241,10 +244,10 @@ def lp_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult:
 
     Returns an LpResult whose status is "optimal", "infeasible" or
     "unbounded".  On "optimal" the returned point meets every row within
-    10 FEAS_TOL of the row's scale, and no reduced cost of the row-scaled
-    tableau is below -_RC_TOL (1e-9).  "infeasible" comes from a zero row
-    with a negative offset or a Farkas certificate.  LpError is raised
-    when neither verdict can be checked.
+    10 FEAS_TOL of the row's scale (_worst_miss), and no reduced cost of
+    the row-scaled tableau is below -_RC_TOL (1e-9).  "infeasible" comes
+    from a zero row with a negative offset or a Farkas certificate.
+    LpError is raised when neither verdict can be checked.
     """
     c = np.asarray(c, dtype=float).ravel()
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -284,15 +287,25 @@ def lp_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpResult:
     z = np.zeros(T.shape[1] - 1)
     z[basis] = T[:m, -1]
     x = z[:n] - z[n:2 * n]
-    # Each row within 10 FEAS_TOL of its own scale, the largest of |a_i|,
-    # |b_i| and the terms |a_i| |x| it sums; a zero row's offset was checked
-    # in phase 1, at scale 1.
-    scale = np.maximum(np.maximum(norms, np.abs(b)), np.abs(A) @ np.abs(x))
-    scale[norms < 1e-12] = 1.0
-    worst = float(((A @ x - b) / scale).max(initial=0.0))
+    worst = _worst_miss(A, b, norms, x)
     if worst > FEAS_TOL * 10:
         raise LpError(f"simplex returned infeasible point (violation {worst:.3e} of a row's scale)")
     return LpResult(OPTIMAL, x, float(c @ x))
+
+
+def _worst_miss(A: np.ndarray, b: np.ndarray, norms: np.ndarray, x: np.ndarray) -> float:
+    """The largest miss A_i x - b_i of a row over its scale, 0 when x meets
+    every row; norms holds the row norms of A.
+
+    A row's scale is the largest of |a_i|, |b_i| and the terms |a_i| |x|
+    it sums, capped at max(1, max |b|) so that a far point, |x| >> |b|, is
+    held to the offsets' scale; a zero row's offset was checked in phase
+    1, at scale 1.
+    """
+    scale = np.maximum(np.maximum(norms, np.abs(b)), np.abs(A) @ np.abs(x))
+    scale = np.minimum(scale, max(1.0, float(np.abs(b).max(initial=1.0))))
+    scale[norms < 1e-12] = 1.0
+    return float(((A @ x - b) / scale).max(initial=0.0))
 
 
 def chebyshev_center(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, float]:

@@ -20,12 +20,13 @@ are kept in that slab form, +inf where a group has no rows, with the slab
 index clipped to a real row, so one product G A x, one gather and one
 subtraction give the slabs of beta = g - G A x with no per-call buffer.
 _screen then computes the nominal action's margins and tests them with
-the math of _FaceRows.nominal and .admits, which solve_miqp runs on a
-problem built directly, and returns nothing else when they pass: govern()
+_FaceRows.nominal and .admits, the test solve_miqp runs on a problem
+built directly, and returns nothing else when they pass: govern()
 returns its checked copy of the nominal action.  Only when the test fails
 are beta and the problem built, with the offsets' slabs and the margins
 kept on it.  A state or nominal action that is not made of finite real
-numbers or has the wrong size raises GovernorError before any of this.
+numbers or has the wrong size raises GovernorError before any of this;
+complex entries count as not real.
 
 A problem evaluates its break points once, in one batch: the break points
 in ascending objective order, with their U-row excesses and their least
@@ -67,6 +68,8 @@ QP_FAILED = "failed"
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_FALLBACK = "fallback"
+
+_FLOAT = np.dtype(float)
 
 
 class GovernorError(RuntimeError):
@@ -304,8 +307,8 @@ class _FaceRows:
     Python floats, and keep and a_keep the rows of [U_A; alpha] with a
     break point and their coefficients.
 
-    nominal and admits are the nominal test of solve_miqp on a problem
-    built directly; _screen writes the same math out for govern().
+    nominal and admits are the nominal test, of _screen for govern() and
+    of solve_miqp for a problem built directly.
     """
 
     def __init__(self, U_A: np.ndarray, U_b: np.ndarray, alpha: np.ndarray, starts: np.ndarray):
@@ -328,14 +331,21 @@ class _FaceRows:
         """The margins of the nominal action t: its U-row excesses
         a_i t - b_i and its least group max slack over the offsets' slabs
         (R, groups), inf with no groups."""
-        group_max = np.maximum.reduce(self.alpha_slabs * t - beta_slabs, axis=0)
+        slack = self.alpha_slabs * t
+        slack -= beta_slabs
+        group_max = np.maximum.reduce(slack, axis=0)
         return [a * t - b for a, b, _ in self.u_rows], np.minimum.reduce(group_max, initial=np.inf)
 
     def admits(self, nominal: tuple[list[float], float], eps_feas: float) -> bool:
         """Whether margins from nominal lie in U and meet some row of every
         group, each within eps_feas (U's rows scaled by max(1, |a_i|))."""
         u_excess, least_slack = nominal
-        return least_slack >= -eps_feas and all(e <= eps_feas * s for e, (_, _, s) in zip(u_excess, self.u_rows))
+        if not least_slack >= -eps_feas:
+            return False
+        for e, (_, _, s) in zip(u_excess, self.u_rows):
+            if not e <= eps_feas * s:
+                return False
+        return True
 
     @cached_property
     def closed_form(self) -> tuple[float, float, _Crossings]:
@@ -403,22 +413,34 @@ def _layout(g: np.ndarray, GA: np.ndarray, GB: np.ndarray, starts: np.ndarray, U
             "g_slabs": np.append(g, np.inf)[rows.slabs], "slab_rows": np.minimum(rows.slabs, GA.shape[0] - 1)}
 
 
+def _real(a: np.ndarray) -> np.ndarray:
+    """a flattened, cast to float when it is not; TypeError or ValueError
+    when numpy cannot read it as real numbers.  Complex entries are not
+    real, even with a zero imaginary part: numpy's cast to float would drop
+    it with only a warning."""
+    if a.dtype is not _FLOAT:
+        if a.dtype.kind == "c":
+            raise TypeError("complex entries")
+        a = a.astype(float)
+    return a.ravel()
+
+
 def _checked(x, u_nom, sys: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
     """x as a float vector of sys.n entries and u_nom as a new float array
     of one entry, both finite.  GovernorError names the input that is not,
     or the system's input count when it is not one.  The action array is
-    always a copy, so an action returned as it is never shares the caller's
-    memory."""
+    always a copy (np.array), so an action returned as it is never shares
+    the caller's memory."""
     if sys.m != 1:
         raise GovernorError(f"the governor needs a scalar action, not {sys.m} inputs")
     try:
-        x = np.asarray(x, dtype=float).ravel()
+        x = _real(np.asarray(x))
     except (TypeError, ValueError) as exc:
         raise GovernorError(f"x must be real numbers, not {x!r} ({exc})") from None
     if x.size != sys.n:
         raise GovernorError(f"x has {x.size} entries; the system has {sys.n} states")
     try:
-        u_nom = np.array(u_nom, dtype=float).ravel()
+        u_nom = _real(np.array(u_nom))
     except (TypeError, ValueError) as exc:
         raise GovernorError(f"u_nom must be a real number, not {u_nom!r} ({exc})") from None
     if u_nom.size != 1:
@@ -454,22 +476,15 @@ def build_miqp(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Gove
 def _screen(pre: dict, x: np.ndarray, u_nom: np.ndarray, cfg: GovernorConfig) -> MIQPProblem | None:
     """None when the nominal action is admissible at FEAS_TOL; otherwise its
     problem, with the offsets' slabs and the nominal action's margins
-    kept on it as its first solve would have kept them.
-
-    The margins and the test are those of _FaceRows.nominal and .admits,
-    written out here because most govern() calls end with them."""
+    kept on it as its first solve would have kept them."""
     GAx = pre["GA"].dot(x)      # the product GA @ x, with less dispatch
     beta_slabs = pre["g_slabs"] - GAx[pre["slab_rows"]]
     rows = pre["rows"]
-    t = u_nom.item()
-    slack = rows.alpha_slabs * t
-    slack -= beta_slabs
-    least_slack = np.minimum.reduce(np.maximum.reduce(slack, axis=0), initial=np.inf)
-    u_excess = [a * t - b for a, b, _ in rows.u_rows]
-    if least_slack >= -FEAS_TOL and all(e <= FEAS_TOL * s for e, (_, _, s) in zip(u_excess, rows.u_rows)):
+    nominal = rows.nominal(u_nom.item(), beta_slabs)
+    if rows.admits(nominal, FEAS_TOL):
         return None
     prob = _problem(pre, u_nom, GAx, cfg)
-    prob._beta_slabs, prob._nominal = beta_slabs, (u_excess, least_slack)
+    prob._beta_slabs, prob._nominal = beta_slabs, nominal
     return prob
 
 

@@ -478,6 +478,15 @@ def test_govern_rejects_bad_inputs_by_name():
             step(x, [1 + 2j], fresh, env.system, cfg)
         with pytest.raises(GovernorError, match=r"x must be real numbers, not \['a', 'b', 'c'\]"):
             step(["a", "b", "c"], [0.0], fresh, env.system, cfg)
+        # numpy's cast dropped the imaginary part of complex arrays and
+        # numpy scalars with only a ComplexWarning: govern() returned
+        # [2.9] with status "optimal" for np.array([2.9 + 5j]).
+        for u in (np.array([2.9 + 5j]), np.complex128(2.9 + 0j), [np.complex64(2.9)], np.array([[2.9 + 0j]])):
+            with pytest.raises(GovernorError, match=r"u_nom must be a real number, not .*\(complex entries\)"):
+                step(x, u, fresh, env.system, cfg)
+        for bad in (x + 1j, x.astype(complex), [40.0, np.complex128(0.0), 20.0]):
+            with pytest.raises(GovernorError, match=r"x must be real numbers, not .*\(complex entries\)"):
+                step(bad, [2.9], fresh, env.system, cfg)
     assert not hasattr(fresh, "_governor_cache")
     # The inputs are fine on their own: from x = (40, 0, 20) the governor
     # lifts u_min and 0 to 1/6 and keeps u_max.

@@ -131,6 +131,35 @@ def test_chebyshev_center_empty():
     assert c is None and r < 0
 
 
+def test_near_touching_parallel_halfspaces_are_infeasible():
+    """a'x <= d and a'x >= d + gap with gap 2e-6 to 1e-5: phase 1 ends at
+    about the gap, past its 1e-6 threshold, and the certificate y = (1, 1)
+    with y'b = -gap must hold at every offset d.  With a threshold scaled
+    by max |b| the sets of offset 7 and up raised LpError."""
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 3):
+        a = rng.normal(size=n)
+        a /= np.linalg.norm(a)
+        for d in (1.0, 7.0, 99.3, 100.0, 1e3):
+            for gap in (2e-6, 3.7e-6, 5e-6, 1e-5):
+                A, b = np.vstack([a, -a]), np.array([d, -(d + gap)])
+                assert lp_solve(np.zeros(n), A, b).status == INFEASIBLE, (n, d, gap)
+                assert chebyshev_center(A, b) == (None, -1.0)
+
+
+def test_far_optimum_is_held_to_the_offsets_scale():
+    """An optimum at x1 = 1e6 with offsets of 1 is accepted; a point that
+    far out which misses a row with offset 1 by 0.5 is not, though the
+    miss is only 2.5e-7 of that row's |a_i| |x| = 2e6."""
+    A = np.array([[1e-6, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    res = lp_solve(np.array([-1.0, 0.0]), A, np.ones(4))
+    assert res.status == OPTIMAL and res.x[0] == pytest.approx(1e6, rel=1e-12)
+    A, b = np.array([[1.0, 1.0], [-1.0, -1.0]]), np.ones(2)
+    norms = np.linalg.norm(A, axis=1)
+    assert lp_module._worst_miss(A, b, norms, np.array([1e6, -1e6 + 0.5])) == 0.0
+    assert lp_module._worst_miss(A, b, norms, np.array([1e6, -1e6 + 1.5])) == pytest.approx(0.5)
+
+
 def _pairwise_sum_rows(seed):
     """28 random unit rows in R^3 with offsets from U(10, 60), then the 378
     pairwise sums of rows and offsets: 406 rows around an interior origin."""
