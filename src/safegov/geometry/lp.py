@@ -22,14 +22,15 @@ Neither verdict is taken on trust.  "infeasible" needs a Farkas
 certificate read off the final phase-1 tableau (``_certified``): the
 reduced costs of the slack columns are multipliers y >= 0 on the unit
 rows with y'A ~ 0 and y'b below the phase-1 threshold -10 FEAS_TOL.  A
-positive phase-1 objective without one may be rounding alone (a large
-offset such as the Chebyshev radius cap leaves about 1e-6 of it in the
-objective row of a feasible set); phase 1 then runs once more on the
-deduplicated rows (``tightest_rows``, the rule of ``HPolytope._dedup``),
-and LpError is raised when that does not settle it either.  An "optimal"
-point must meet every row within 10 FEAS_TOL of that row's own scale,
-the largest of |a_i|, |b_i| and |a_i| |x|, capped at max(1, max |b|)
-(``_worst_miss``).
+positive phase-1 objective without one may be rounding alone, and raises
+LpError.  An "optimal" point must meet every row within 10 FEAS_TOL of
+that row's own scale, the largest of |a_i|, |b_i| and |a_i| |x|, capped at
+max(1, max |b|) (``_worst_miss``).
+
+``chebyshev_center`` puts no cap on the radius: a large cap offset would
+start the artificial sum near the cap and leave about 1e-6 of rounding in
+the phase-1 objective of a feasible set.  A set that holds balls of any
+radius makes its LP unbounded, and its radius is inf.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ FEAS_TOL = 1e-7
 # Internal pivot tolerances.
 _PIVOT_TOL = 1e-9
 _RC_TOL = 1e-9
-_CHEBYSHEV_RADIUS_CAP = 1e9
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -116,8 +116,8 @@ def _phase1(A: np.ndarray, b: np.ndarray, norms: np.ndarray) -> tuple | None:
 
     Returns None when the set is infeasible: a zero row's offset is
     negative, or the artificial simplex ends with a certified positive
-    objective (_certified), on the rows or on their deduplicated form.
-    Raises LpError when it ends positive with no certificate on either.
+    objective (_certified).  Raises LpError when it ends positive with no
+    certificate.
     Otherwise returns the tableau and basis that phase 2 starts from:
     artificial columns gone, leftover artificials driven out or their rows
     dropped.  The tableau and basis are None when no row is left after the
@@ -141,14 +141,6 @@ def _phase1(A: np.ndarray, b: np.ndarray, norms: np.ndarray) -> tuple | None:
     if -T[-1, -1] > FEAS_TOL * 10:
         if _certified(T, As, bs):
             return None
-        keep = tightest_rows(As, bs)
-        if keep.size < bs.size:
-            Ad, bd = As[keep], bs[keep]
-            T, basis = _artificial_simplex(Ad, bd)
-            if -T[-1, -1] <= FEAS_TOL * 10:
-                return _drive_out(T, basis, n)
-            if _certified(T, Ad, bd):
-                return None
         raise LpError(f"phase 1 ended at {-T[-1, -1]:.3e} with no infeasibility certificate")
     return _drive_out(T, basis, n)
 
@@ -311,25 +303,23 @@ def _worst_miss(A: np.ndarray, b: np.ndarray, norms: np.ndarray, x: np.ndarray) 
 def chebyshev_center(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, float]:
     """Largest inscribed ball of {x : A x <= b}.
 
-    Returns (center, radius); (None, -1.0) when the set is empty, which
-    lp_solve certifies (LpError when it cannot settle the LP).  The
-    radius is capped so unbounded sets still yield a finite answer.
+    Returns (center, radius): (None, -1.0) when the set is empty, which
+    lp_solve certifies, and (None, inf) when it holds balls of any radius
+    (LpError when the LP cannot be settled).  The LP maximises r over
+    A x + |a_i| r <= b and r >= 0, with no cap on r.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
     m, n = A.shape
-    norms = np.linalg.norm(A, axis=1)
-    Ac = np.zeros((m + 2, n + 1))
-    bc = np.zeros(m + 2)
+    Ac = np.zeros((m + 1, n + 1))
     Ac[:m, :n] = A
-    Ac[:m, n] = norms
-    bc[:m] = b
+    Ac[:m, n] = np.linalg.norm(A, axis=1)
     Ac[m, n] = -1.0  # r >= 0
-    Ac[m + 1, n] = 1.0  # r <= cap
-    bc[m + 1] = _CHEBYSHEV_RADIUS_CAP
     cvec = np.zeros(n + 1)
     cvec[n] = -1.0
-    res = lp_solve(cvec, Ac, bc)
+    res = lp_solve(cvec, Ac, np.append(b, 0.0))
+    if res.status == UNBOUNDED:
+        return None, np.inf
     if res.status != OPTIMAL:
         return None, -1.0
     return res.x[:n], float(res.x[n])

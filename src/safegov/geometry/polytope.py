@@ -251,7 +251,8 @@ class HPolytope:
         return self._bounded
 
     def chebyshev(self) -> tuple[np.ndarray | None, float]:
-        """(center, radius) of the largest inscribed ball; radius < 0 if empty.
+        """(center, radius) of the largest inscribed ball; radius < 0 if empty,
+        inf with no center when the set holds balls of any radius.
 
         A ball of radius above 10 FEAS_TOL also settles emptiness: the
         emptiness LP could not call a set with such a ball infeasible."""

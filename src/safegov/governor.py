@@ -11,37 +11,37 @@ When the nominal action is not admissible, the optimum is an end of one of
 these intervals or of U: a break point b_i / a_i of a row of U or of a
 face.  The admissible break point with the least objective is the optimum.
 
-Most calls keep the nominal action, so govern() tests it before it builds
-a problem, from what _layout prepares once per artifact.  The face rows
-are read group-major: slab r holds row r of every group, padded where a
-group is shorter than the longest (_FaceRows), so a group's largest slack
-alpha_i u - beta_i is an elementwise max over the slabs.  The offsets g
-are kept in that slab form, +inf where a group has no rows, with the slab
-index clipped to a real row, so one product G A x, one gather and one
-subtraction give the slabs of beta = g - G A x with no per-call buffer.
-_screen then computes the nominal action's margins and tests them with
-_FaceRows.nominal and .admits, the test solve_miqp runs on a problem
-built directly, and returns nothing else when they pass: govern()
-returns its checked copy of the nominal action.  Only when the test fails
-are beta and the problem built, with the offsets' slabs and the margins
-kept on it.  A state or nominal action that is not made of finite real
-numbers or has the wrong size raises GovernorError before any of this;
-complex entries count as not real.
+Everything govern() reads of an artifact is one _FaceRows, prepared once
+per artifact by _prepared: the face rows G y <= g of the inflated members
+stacked group by group, the maps GA = G A and alpha = G B, and U.  The
+face rows are also read group-major: slab r holds row r of every group,
+padded where a group is shorter than the longest, so a group's largest
+slack alpha_i u - beta_i is an elementwise max over the slabs.  The
+offsets g are kept in that slab form, so one product GA x, one gather and
+one subtraction give the slabs of beta = g - GA x with no per-call buffer
+(_FaceRows.screen), and the nominal action's margins follow from them.
 
-A problem evaluates its break points once, in one batch: the break points
-in ascending objective order, with their U-row excesses and their least
-group slack, are kept on the MIQPProblem beside the nominal action's
-margins, and a solve only compares them with its tolerance.
+Most calls keep the nominal action: when its margins pass at FEAS_TOL,
+govern() returns its checked copy of the nominal action and builds no
+problem.  Otherwise _FaceRows.problem builds one and hands it the rows,
+the offsets' slabs and the margins the screen computed; build_miqp builds
+through the same path.  A problem built directly derives each of them on
+first use.  Either way a problem holds them, and the evaluation of its
+break points, once (_once): the break points in ascending objective
+order, with their U-row excesses and their least group slack, which a
+solve only compares with its tolerance.  A state or nominal action that
+is not made of finite real numbers or has the wrong size raises
+GovernorError before any of this; complex entries count as not real.
 
 When no break point is admissible, govern() retries at a tenfold
 tolerance, which only re-compares the kept margins, and then falls back to
 the action in U with the least worst face violation, ties to the least
 objective.  That fallback is a closed form over the break points of a
 piecewise linear function.  Its data that depend on U and the face rows
-alone are prepared once per artifact, and the worst violations at the
-break points are read from the kept least slacks.  The reason tag of
-GovernorResult counts the fallbacks; the governor logs only one warning per
-artifact that is not a fixpoint of the recursion.
+alone are _FaceRows.closed_form, prepared once per artifact, and the worst
+violations at the break points are read from the kept least slacks.  The
+reason tag of GovernorResult counts the fallbacks; the governor logs only
+one warning per artifact that is not a fixpoint of the recursion.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,6 +162,22 @@ def qp_solve(S, u_nom, G, h, eps_feas: float = FEAS_TOL) -> QPResult:
     return QPResult(QP_FAILED)
 
 
+class _once:
+    """A method read as an attribute: computed at the first read and kept
+    in the instance's __dict__, where an assignment may also put it
+    beforehand.  functools.cached_property does the same, but takes a lock
+    on each first read under Python 3.11."""
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass
 class MIQPProblem:
     """min S (u - u_nom)^2 over U_A u <= U_b for a scalar action u, with one
@@ -175,12 +190,11 @@ class MIQPProblem:
     an int array with one entry more than there are groups, starting at 0
     and ending at the row count.  A group with no rows can never be met.
 
-    The arrays are not changed after the first solve: it keeps the
-    layout of U and the face rows (_FaceRows, shared by every problem of
-    an artifact), the offsets laid out as slabs, the nominal action's
-    margins and the evaluation of the break points on the problem.
-    govern() builds a problem only when the nominal action is not
-    admissible, with the slabs and the margins already kept.
+    rows, beta_slabs, margins and evaluation are derived from these
+    arrays, each once per problem, so the arrays are not changed after the
+    first solve.  A problem that build_miqp or govern() builds is handed
+    the first three (_FaceRows.problem); one built directly derives them
+    on first use.
     """
 
     S: np.ndarray
@@ -190,38 +204,33 @@ class MIQPProblem:
     alpha: np.ndarray
     beta: np.ndarray
     starts: np.ndarray
-    _rows: _FaceRows | None = field(default=None, init=False, repr=False, compare=False)
-    _nominal: tuple[list[float], float] | None = field(default=None, init=False, repr=False, compare=False)
-    _beta_slabs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _evaluation: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False,
-                                                                           compare=False)
 
-    @property
+    @_once
     def rows(self) -> _FaceRows:
-        """What a solve reads of U and the face rows alone."""
-        if self._rows is None:
-            self._rows = _FaceRows(self.U_A, self.U_b, self.alpha, self.starts)
-        return self._rows
+        """What a solve reads of U and the face rows alone: those of a
+        problem with no state, whose offsets g are beta."""
+        return _FaceRows(self.beta, np.zeros((self.beta.size, 0)), self.alpha, self.starts, self.U_A, self.U_b)
+
+    @_once
+    def beta_slabs(self) -> np.ndarray:
+        """beta laid out as the slabs of rows, (R, groups)."""
+        return np.append(self.beta, np.inf)[self.rows.slabs]
+
+    @_once
+    def margins(self) -> tuple[list[float], float]:
+        """The nominal action's margins (_FaceRows.margins)."""
+        return self.rows.margins(self.u_nom.item(), self.beta_slabs)
+
+    @_once
+    def evaluation(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The break points in a stable ascending objective order (k,),
+        their U-row excesses (k, U rows) and their least slacks (k,), from
+        _evaluate."""
+        return _evaluate(self)
 
     @property
     def n_groups(self) -> int:
         return len(self.starts) - 1
-
-    @property
-    def evaluation(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The break points in a stable ascending objective order (k,),
-        their U-row excesses (k, U rows) and their least slacks (k,);
-        computed by _evaluate on first use and kept."""
-        if self._evaluation is None:
-            self._evaluation = _evaluate(self)
-        return self._evaluation
-
-    @property
-    def beta_slabs(self) -> np.ndarray:
-        """beta laid out as the slabs of _FaceRows, (R, groups)."""
-        if self._beta_slabs is None:
-            self._beta_slabs = np.append(self.beta, np.inf)[self.rows.slabs]
-        return self._beta_slabs
 
     def least_slack(self, u: np.ndarray) -> np.ndarray:
         """Least group max slack alpha_i u - beta_i of each action of u (k,):
@@ -266,68 +275,68 @@ class GovernorResult:
         }
 
 
-def _row_scale(A: np.ndarray) -> np.ndarray:
-    return np.maximum(1.0, np.linalg.norm(A, axis=1)) if A.size else np.zeros(0)
-
-
-@dataclass(frozen=True)
-class _Crossings:
-    """The crossings _min_violation_action tests, of the lines
-    beta_i - alpha_i u of rows I with those of rows K, as an (I, K) matrix
-    u = (beta_I - beta_K) / den whose entries `pair` marks.
-
-    I lists the falling rows (alpha_i > 0), then the rising ones
-    (alpha_i < -1e-12); K lists the rising and flat rows.  A falling row
-    pairs with every row of K and a rising one with the flat ones, so the
-    marked entries in row-major order are the falling-by-rising-or-flat
-    crossings, then the rising-by-flat ones.  Over U a falling line is
-    lowest at hi and a rising one at lo; edge holds that bound per row.
-    """
-
-    I: np.ndarray
-    K: np.ndarray
-    alpha_I: np.ndarray    # (|I|,)
-    edge: np.ndarray       # (|I|,)
-    den: np.ndarray        # alpha_I - alpha_K, 1 where not marked, (|I|, |K|)
-    pair: np.ndarray       # bool, (|I|, |K|)
-
-
 class _FaceRows:
-    """What a solve reads of U and the face rows alone, not of the state:
-    prepared once per artifact by _prepared, or on first use for a problem
-    built directly.
+    """What govern() reads of an artifact, and a solve of U and the face
+    rows alone: prepared once per artifact by _prepared, or derived by a
+    problem built directly.
+
+    The face rows G y <= g (rows,) are stacked group by group as starts
+    says (as in MIQPProblem), with GA = G A (rows, n) and alpha = G B
+    (rows, 1), so that a state x gives the offsets beta = g - GA x.  With
+    no rows at all GA gets one zero row for the padding below to read;
+    g - GA x is then still empty, as (0,) and (1,) broadcast to (0,).
 
     slabs is an (R, groups) index into the rows, R the size of the largest
     group and at least 1: slab r holds row r of every group.  A shorter
     group is padded with its first row, which leaves its max unchanged and
     its slack finite wherever the row's is; a group with no rows is padded
     with the index one past the last row, which stands for a row
-    alpha = 0, beta = +inf, whose slack is -inf.  alpha_slabs holds alpha
-    so laid out, (R, groups), u_rows U's rows (a_i, b_i, max(1, |a_i|)) as
-    Python floats, and keep and a_keep the rows of [U_A; alpha] with a
-    break point and their coefficients.
-
-    nominal and admits are the nominal test, of _screen for govern() and
-    of solve_miqp for a problem built directly.
+    alpha = 0, beta = +inf, whose slack is -inf.  alpha_slabs and g_slabs
+    hold alpha and g so laid out, (R, groups), and slab_rows is the slab
+    index with the padding entry clipped to a real row, so that
+    g_slabs - (GA x)[slab_rows] are the slabs of beta, +inf on the
+    padding.  u_rows holds U's rows (a_i, b_i, max(1, |a_i|)) as Python
+    floats, and keep and a_keep the rows of [U_A; alpha] with a break point
+    and their coefficients.
     """
 
-    def __init__(self, U_A: np.ndarray, U_b: np.ndarray, alpha: np.ndarray, starts: np.ndarray):
+    def __init__(self, g: np.ndarray, GA: np.ndarray, alpha: np.ndarray, starts: np.ndarray, U_A: np.ndarray,
+                 U_b: np.ndarray):
         if U_A.shape[1] != 1:
             raise GovernorError(f"the governor needs a scalar action, not {U_A.shape[1]} inputs")
-        self.U_A, self.U_b, self.alpha = U_A, U_b, alpha
-        self.u_scale = _row_scale(U_A)
+        self.g, self.alpha, self.starts, self.U_A, self.U_b = g, alpha, starts, U_A, U_b
+        self.GA = GA if g.size else np.zeros((1, GA.shape[1]))
+        self.u_scale = np.maximum(1.0, np.linalg.norm(U_A, axis=1))
         sizes = np.diff(starts)
         self.has_empty_group = bool(np.any(sizes == 0))
         depth = np.arange(max(1, sizes.max(initial=0)))[:, None]
         first = np.where(sizes > 0, starts[:-1], alpha.shape[0])
         self.slabs = np.where(depth < sizes, starts[:-1] + depth, first)
         self.alpha_slabs = np.append(alpha[:, 0], 0.0)[self.slabs]
+        self.g_slabs = np.append(g, np.inf)[self.slabs]
+        self.slab_rows = np.minimum(self.slabs, self.GA.shape[0] - 1)
         self.u_rows = list(zip(U_A[:, 0].tolist(), U_b.tolist(), self.u_scale.tolist()))
         a = np.concatenate([U_A[:, 0], alpha[:, 0]])
         self.keep = np.abs(a) > 1e-12
         self.a_keep = a[self.keep]
 
-    def nominal(self, t: float, beta_slabs: np.ndarray) -> tuple[list[float], float]:
+    def screen(self, x: np.ndarray, u_nom: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[list[float], float]]:
+        """GA x at the state x, the slabs of beta there and the margins of
+        the nominal action u_nom (1,)."""
+        GAx = self.GA.dot(x)        # the product GA @ x, with less dispatch
+        beta_slabs = self.g_slabs - GAx[self.slab_rows]
+        return GAx, beta_slabs, self.margins(u_nom.item(), beta_slabs)
+
+    def problem(self, u_nom: np.ndarray, S: np.ndarray, GAx: np.ndarray, beta_slabs: np.ndarray,
+                margins: tuple[list[float], float]) -> MIQPProblem:
+        """The problem at the state whose screen gave GAx, beta_slabs and
+        margins, handed those and these rows: the one path by which
+        build_miqp and govern() build a problem."""
+        prob = MIQPProblem(S, u_nom, self.U_A, self.U_b, self.alpha, self.g - GAx, self.starts)
+        prob.rows, prob.beta_slabs, prob.margins = self, beta_slabs, margins
+        return prob
+
+    def margins(self, t: float, beta_slabs: np.ndarray) -> tuple[list[float], float]:
         """The margins of the nominal action t: its U-row excesses
         a_i t - b_i and its least group max slack over the offsets' slabs
         (R, groups), inf with no groups."""
@@ -336,10 +345,10 @@ class _FaceRows:
         group_max = np.maximum.reduce(slack, axis=0)
         return [a * t - b for a, b, _ in self.u_rows], np.minimum.reduce(group_max, initial=np.inf)
 
-    def admits(self, nominal: tuple[list[float], float], eps_feas: float) -> bool:
-        """Whether margins from nominal lie in U and meet some row of every
-        group, each within eps_feas (U's rows scaled by max(1, |a_i|))."""
-        u_excess, least_slack = nominal
+    def admits(self, margins: tuple[list[float], float], eps_feas: float) -> bool:
+        """Whether the margins lie in U and meet some row of every group,
+        each within eps_feas (U's rows scaled by max(1, |a_i|))."""
+        u_excess, least_slack = margins
         if not least_slack >= -eps_feas:
             return False
         for e, (_, _, s) in zip(u_excess, self.u_rows):
@@ -347,9 +356,21 @@ class _FaceRows:
                 return False
         return True
 
-    @cached_property
-    def closed_form(self) -> tuple[float, float, _Crossings]:
-        """U's bounds lo and hi and the row crossings."""
+    @_once
+    def closed_form(self) -> tuple:
+        """U's bounds lo and hi, and the crossings _min_violation_action
+        tests, of the lines beta_i - alpha_i u of rows I with those of rows
+        K, as an (I, K) matrix u = (beta_I - beta_K) / den whose entries
+        pair marks: (lo, hi, I, K, alpha_I, edge, den, pair).
+
+        I lists the falling rows (alpha_i > 0), then the rising ones
+        (alpha_i < -1e-12); K lists the rising and flat rows.  A falling row
+        pairs with every row of K and a rising one with the flat ones, so the
+        marked entries in row-major order are the falling-by-rising-or-flat
+        crossings, then the rising-by-flat ones.  den is alpha_I - alpha_K,
+        1 where not marked.  Over U a falling line is lowest at hi and a
+        rising one at lo; edge holds that bound per row of I.
+        """
         a_u, b_u = self.U_A[:, 0], self.U_b
         lo = np.max(b_u[a_u < 0] / a_u[a_u < 0], initial=-np.inf)
         hi = np.min(b_u[a_u > 0] / a_u[a_u > 0], initial=np.inf)
@@ -360,12 +381,11 @@ class _FaceRows:
         K = np.flatnonzero(~fall)
         pair = fall[I][:, None] | flat[K]
         den = np.where(pair, alpha[I][:, None] - alpha[K], 1.0)
-        edge = np.where(fall[I], hi, lo)
-        return lo, hi, _Crossings(I, K, alpha[I], edge, den, pair)
+        return lo, hi, I, K, alpha[I], np.where(fall[I], hi, lo), den, pair
 
 
-def _prepared(artifact: SafeSetArtifact, sys: LinearSystem):
-    """Stacked per-row data for the artifact's inflated members (cached).
+def _prepared(artifact: SafeSetArtifact, sys: LinearSystem) -> _FaceRows:
+    """The _FaceRows of the artifact's inflated members under sys (cached).
 
     The cache is kept while the system's A and B equal the ones it was
     built from, compared by identity first; after an equal but distinct
@@ -375,42 +395,22 @@ def _prepared(artifact: SafeSetArtifact, sys: LinearSystem):
     govern() may have to fall back."""
     cache = getattr(artifact, "_governor_cache", None)
     if cache is not None:
-        if cache["A"] is sys.A and cache["B"] is sys.B:
-            return cache
-        if np.array_equal(cache["A"], sys.A) and np.array_equal(cache["B"], sys.B):
-            cache["A"], cache["B"] = sys.A, sys.B
-            return cache
+        A, B, rows = cache
+        if A is sys.A and B is sys.B:
+            return rows
+        if np.array_equal(A, sys.A) and np.array_equal(B, sys.B):
+            artifact._governor_cache = sys.A, sys.B, rows
+            return rows
     elif not artifact.fixpoint_reached:
         logger.warning("governing with an artifact that is not a fixpoint (k_used=%d): "
                        "its safe set need not be invariant", artifact.k_used)
     members = artifact.inflated_unsafe.members
-    G_all = np.vstack([mbr.A for mbr in members]) if members else np.zeros((0, sys.n))
-    g_all = np.concatenate([mbr.b for mbr in members]) if members else np.zeros(0)
+    G = np.vstack([mbr.A for mbr in members]) if members else np.zeros((0, sys.n))
+    g = np.concatenate([mbr.b for mbr in members]) if members else np.zeros(0)
     starts = np.cumsum([0] + [mbr.A.shape[0] for mbr in members])
-    cache = _layout(g_all, G_all @ sys.A, G_all @ sys.B, starts, artifact.spec.U.A, artifact.spec.U.b)
-    cache["A"], cache["B"] = sys.A, sys.B
-    artifact._governor_cache = cache
-    return cache
-
-
-def _layout(g: np.ndarray, GA: np.ndarray, GB: np.ndarray, starts: np.ndarray, U_A: np.ndarray,
-            U_b: np.ndarray) -> dict:
-    """What govern() reads of the face rows G y <= g, stacked group by group
-    as starts says, of the maps GA = G A and GB = G B and of U.
-
-    Beside the arrays and their _FaceRows, the offsets are laid out as
-    slabs: g_slabs holds g at the slab index, +inf where a group has no
-    rows, and slab_rows is the slab index with that padding entry clipped
-    to a real row, so that g_slabs - (GA x)[slab_rows] are the slabs of
-    beta = g - GA x, +inf on the padding.  With no rows at all GA gets one
-    zero row for the padding to read; g - GA x is then still empty, as
-    (0,) and (1,) broadcast to (0,).
-    """
-    rows = _FaceRows(U_A, U_b, GB, starts)
-    if not g.size:
-        GA = np.zeros((1, GA.shape[1]))
-    return {"g": g, "starts": starts, "GA": GA, "GB": GB, "U_A": U_A, "U_b": U_b, "rows": rows,
-            "g_slabs": np.append(g, np.inf)[rows.slabs], "slab_rows": np.minimum(rows.slabs, GA.shape[0] - 1)}
+    rows = _FaceRows(g, G @ sys.A, G @ sys.B, starts, artifact.spec.U.A, artifact.spec.U.b)
+    artifact._governor_cache = sys.A, sys.B, rows
+    return rows
 
 
 def _real(a: np.ndarray) -> np.ndarray:
@@ -452,13 +452,6 @@ def _checked(x, u_nom, sys: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
     return x, u_nom
 
 
-def _problem(pre: dict, u_nom: np.ndarray, GAx: np.ndarray, cfg: GovernorConfig) -> MIQPProblem:
-    prob = MIQPProblem(S=cfg.S, u_nom=u_nom, U_A=pre["U_A"], U_b=pre["U_b"],
-                       alpha=pre["GB"], beta=pre["g"] - GAx, starts=pre["starts"])
-    prob._rows = pre["rows"]
-    return prob
-
-
 def build_miqp(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: GovernorConfig) -> MIQPProblem:
     """Assemble the disjunctive program for state x and nominal action u_nom.
 
@@ -466,26 +459,12 @@ def build_miqp(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Gove
     A x + B u must violate at least one row: G_ij (A x + B u) >= g_ij.
     The state term folds into the offsets, leaving rows on u alone:
     alpha = G B and beta = g - G A x.  The system must have one input, x
-    sys.n finite entries and u_nom one finite entry (GovernorError).
+    sys.n finite entries and u_nom one finite entry (GovernorError).  The
+    problem is built as govern() builds it.
     """
     x, u_nom = _checked(x, u_nom, sys)
-    pre = _prepared(artifact, sys)
-    return _problem(pre, u_nom, pre["GA"].dot(x), cfg)
-
-
-def _screen(pre: dict, x: np.ndarray, u_nom: np.ndarray, cfg: GovernorConfig) -> MIQPProblem | None:
-    """None when the nominal action is admissible at FEAS_TOL; otherwise its
-    problem, with the offsets' slabs and the nominal action's margins
-    kept on it as its first solve would have kept them."""
-    GAx = pre["GA"].dot(x)      # the product GA @ x, with less dispatch
-    beta_slabs = pre["g_slabs"] - GAx[pre["slab_rows"]]
-    rows = pre["rows"]
-    nominal = rows.nominal(u_nom.item(), beta_slabs)
-    if rows.admits(nominal, FEAS_TOL):
-        return None
-    prob = _problem(pre, u_nom, GAx, cfg)
-    prob._beta_slabs, prob._nominal = beta_slabs, nominal
-    return prob
+    rows = _prepared(artifact, sys)
+    return rows.problem(u_nom, cfg.S, *rows.screen(x, u_nom))
 
 
 def solve_miqp(prob: MIQPProblem, eps_feas: float = FEAS_TOL) -> GovernorResult:
@@ -502,20 +481,17 @@ def solve_miqp(prob: MIQPProblem, eps_feas: float = FEAS_TOL) -> GovernorResult:
     fixed inputs.
 
     The nominal action's margins and the evaluation of the break points
-    depend on the problem alone, so the first solve that needs them
-    computes them and keeps them on prob; a later solve of the same problem
-    at another eps_feas, such as govern()'s relaxed retry, only re-compares
-    them with its tolerance.  It gives the result a solve from scratch
-    would.
+    are computed once per problem, so a later solve of the same problem
+    at another eps_feas, such as govern()'s relaxed retry, only
+    re-compares them with its tolerance.  It gives the result a solve from
+    scratch would.
     """
     t0 = time.perf_counter()
     rows = prob.rows
     t = prob.u_nom
 
     # Fast path: nominal action already admissible and group-feasible.
-    if prob._nominal is None:
-        prob._nominal = rows.nominal(t.item(), prob.beta_slabs)
-    if rows.admits(prob._nominal, eps_feas):
+    if rows.admits(prob.margins, eps_feas):
         return GovernorResult(t.copy(), False, 0.0, 0, time.perf_counter() - t0, STATUS_OPTIMAL)
 
     C, u_excess, least_slack = prob.evaluation
@@ -566,18 +542,18 @@ def _min_violation_action(prob: MIQPProblem) -> np.ndarray | None:
     least the one at that bound.
 
     f(u) is max(0, -least group max slack at u).  The zeros are
-    solve_miqp's break points, so f there comes from the least slacks kept
-    on prob (computed here when no solve kept them).  They come in
-    ascending objective order, where zeros equally near u_nom keep their
-    row order, and include U's rows' zeros, which lie outside U or repeat
-    a U bound the candidates list first; so the nearest pick is the one a
-    list of the face rows' zeros in row order would give.  U's bounds and
-    the row pairs and denominators of the crossings depend on the artifact
-    alone and come from _FaceRows.closed_form.
+    solve_miqp's break points, so f there comes from the least slacks of
+    prob.evaluation.  They come in ascending objective order, where zeros
+    equally near u_nom keep their row order, and include U's rows' zeros,
+    which lie outside U or repeat a U bound the candidates list first; so
+    the nearest pick is the one a list of the face rows' zeros in row order
+    would give.  U's bounds and the row pairs and denominators of the
+    crossings depend on the artifact alone and come from
+    _FaceRows.closed_form.
     """
     if prob.rows.has_empty_group:
         return None
-    lo, hi, c = prob.rows.closed_form
+    lo, hi, I, K, alpha_I, edge, den, pair = prob.rows.closed_form
     beta = prob.beta
 
     def worst(u):
@@ -587,11 +563,11 @@ def _min_violation_action(prob: MIQPProblem) -> np.ndarray | None:
     base = np.array([lo, hi, min(max(prob.u_nom[0], lo), hi)])
     f_base = worst(base)
     cap = f_base.min() + VIOLATION_TIE
-    b_I = beta[c.I]
-    reach = b_I - c.alpha_I * c.edge <= cap
-    a_i, b_i = c.alpha_I[reach][:, None], b_I[reach][:, None]
-    u = (b_i - beta[c.K]) / c.den[reach]
-    cross = u[c.pair[reach] & (b_i - a_i * u <= cap) & (u >= lo) & (u <= hi)]
+    b_I = beta[I]
+    reach = b_I - alpha_I * edge <= cap
+    a_i, b_i = alpha_I[reach][:, None], b_I[reach][:, None]
+    u = (b_i - beta[K]) / den[reach]
+    cross = u[pair[reach] & (b_i - a_i * u <= cap) & (u >= lo) & (u <= hi)]
     C = np.concatenate([base, zeros, cross])
     f = np.concatenate([f_base, np.maximum(0.0, -least), worst(cross)])
     keep = (C >= lo) & (C <= hi)
@@ -615,17 +591,19 @@ def govern(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Governor
     logged: the reason tag is its record.
 
     The nominal action is tested before any problem is built, from the
-    artifact's prepared rows (_screen); when it is admissible it is
-    returned as solve_miqp's fast path returns it, in an array of its own.
-    A system with more than one input, an x without sys.n finite real
-    entries and a u_nom that is not one finite real number raise
+    artifact's prepared rows (_FaceRows.screen); when it is admissible it
+    is returned as solve_miqp's fast path returns it, in an array of its
+    own.  A system with more than one input, an x without sys.n finite
+    real entries and a u_nom that is not one finite real number raise
     GovernorError.
     """
     t0 = time.perf_counter()
     x, u_nom = _checked(x, u_nom, sys)
-    prob = _screen(_prepared(artifact, sys), x, u_nom, cfg)
-    if prob is None:
+    rows = _prepared(artifact, sys)
+    GAx, beta_slabs, margins = rows.screen(x, u_nom)
+    if rows.admits(margins, FEAS_TOL):
         return GovernorResult(u_nom, False, 0.0, 0, time.perf_counter() - t0, STATUS_OPTIMAL)
+    prob = rows.problem(u_nom, cfg.S, GAx, beta_slabs, margins)
     res = solve_miqp(prob)
     if res.status == STATUS_INFEASIBLE:
         res = solve_miqp(prob, eps_feas=10 * FEAS_TOL)

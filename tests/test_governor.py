@@ -349,19 +349,21 @@ def test_govern_evaluates_candidates_once(monkeypatch, hi, reason):
 
 def test_prepared_rows_keyed_on_the_system_matrices():
     # The row data depend on A and B alone: an equal but distinct system
-    # keeps them, and a system with another B rebuilds them.  With B = 1
-    # the member is never left; with B = 2 it is left at u = 1.
+    # reuses them, and a system with another B rebuilds them.  With B = 1
+    # the member is never left; with B = 2 it is left at u = 1.  A problem
+    # that build_miqp builds holds the artifact's rows.
     art, sys = fallback_chain_artifact(2.0)
     cfg = GovernorConfig(S=np.array([[1.0]]))
     runs = [(sys, "min_violation"), (LinearSystem(sys.A.copy(), sys.B.copy(), sys.E), "min_violation"),
             (sys, "min_violation"), (LinearSystem(sys.A, 2 * sys.B, sys.E), "")]
-    caches = []
+    rows = []
     for system, reason in runs:
         res = govern([0.0], [0.0], art, system, cfg)
         assert res.reason == reason
         assert res.u_safe[0] == pytest.approx(1.0, abs=1e-9)
-        caches.append(art._governor_cache)
-    assert caches[0] is caches[1] is caches[2] is not caches[3]
+        rows.append(build_miqp([0.0], [0.0], art, system, cfg).rows)
+    assert rows[0] is rows[1] is rows[2] is not rows[3]
+    assert rows[0].alpha.tolist() == [[1.0], [-1.0]] and rows[3].alpha.tolist() == [[2.0], [-2.0]]
 
 
 def govern_path(res) -> str:
@@ -536,56 +538,67 @@ def test_fast_path_builds_no_problem(monkeypatch):
 
 
 def test_offset_slabs_are_the_padded_offsets_gathered():
-    # The offset slabs _screen forms from the per-artifact layout equal
-    # np.append(g - GA x, inf)[slabs] byte for byte: on random scalar
-    # problems with short and empty groups (x = 0, as screen_hand_built
-    # lays them out, and x = 1 and 2.5) and on the pinned ACC K = 1 corpus.
-    def padded(pre, x):
-        GA = pre["GA"][:pre["g"].size]
-        return np.append(pre["g"] - GA @ x, np.inf)[pre["rows"].slabs]
-
-    def slabs(pre, x):
-        return pre["g_slabs"] - (pre["GA"] @ x)[pre["slab_rows"]]
+    # The offset slabs the screen forms from an artifact's rows equal
+    # np.append(g - GA x, inf)[slabs] byte for byte, and so the slabs a
+    # problem with the same arrays derives: on random scalar problems with
+    # short and empty groups (x = 0, as screen_hand_built lays them out,
+    # and x = 1 and 2.5) and on the pinned ACC K = 1 corpus.
+    def padded(rows, x):
+        GA = rows.GA[:rows.g.size]
+        return np.append(rows.g - GA @ x, np.inf)[rows.slabs].tobytes()
 
     rng = np.random.default_rng(71)
     seen = collections.Counter()
     for _ in range(300):
         prob = random_miqp(rng, m=1)
-        pre = governor._layout(prob.beta, prob.alpha, prob.alpha, prob.starts, prob.U_A, prob.U_b)
+        rows = hand_built_rows(prob)
         sizes = np.diff(prob.starts)
         seen["short"] += bool(sizes.size) and sizes.min() < sizes.max()
         seen["empty"] += bool(np.any(sizes == 0))
         seen["no rows"] += not prob.beta.size
-        for x in (0.0, 1.0, 2.5):
-            assert slabs(pre, np.array([x])).tobytes() == padded(pre, np.array([x])).tobytes()
-            screened = governor._screen(pre, np.array([x]), prob.u_nom, GovernorConfig(S=prob.S))
-            if screened is not None:
-                assert screened._beta_slabs.tobytes() == padded(pre, np.array([x])).tobytes()
+        for x in (np.zeros(1), np.ones(1), np.array([2.5])):
+            GAx, beta_slabs, margins = rows.screen(x, prob.u_nom)
+            assert beta_slabs.tobytes() == padded(rows, x)
+            built = rows.problem(prob.u_nom, prob.S, GAx, beta_slabs, margins)
+            assert dataclasses.replace(built).beta_slabs.tobytes() == padded(rows, x)
     assert min(seen.values()) >= 10, seen
     art, env = acc_artifact(1)
-    pre = governor._prepared(art, env.system)
-    for x, _ in zip(*acc_inputs(art, env, 3000, 53)):
-        assert slabs(pre, x).tobytes() == padded(pre, x).tobytes()
+    rows = governor._prepared(art, env.system)
+    for x, u in zip(*acc_inputs(art, env, 3000, 53)):
+        assert rows.screen(x, np.array([u]))[1].tobytes() == padded(rows, x)
+
+
+def hand_built_rows(prob):
+    """The rows of an artifact that a problem built directly stands for:
+    A = B = 1 at x = 0, where alpha = G B and beta = g - G A x."""
+    return governor._FaceRows(prob.beta, prob.alpha, prob.alpha, prob.starts, prob.U_A, prob.U_b)
+
+
+def govern_screen(rows, x, u_nom, cfg):
+    """What govern() does before its first solve: None when the nominal
+    action passes the screen at FEAS_TOL, otherwise the problem it builds."""
+    GAx, beta_slabs, margins = rows.screen(x, u_nom)
+    if rows.admits(margins, FEAS_TOL):
+        return None
+    return rows.problem(u_nom, cfg.S, GAx, beta_slabs, margins)
 
 
 def screen_hand_built(prob, cfg):
-    """governor._screen on a problem built directly: its rows stand for an
-    artifact's prepared rows with A = B = 1, at x = 0, where alpha = G B and
-    beta = g - G A x."""
-    pre = governor._layout(prob.beta, prob.alpha, prob.alpha, prob.starts, prob.U_A, prob.U_b)
-    return governor._screen(pre, np.zeros(1), prob.u_nom, cfg)
+    """govern()'s screen on a problem built directly (hand_built_rows)."""
+    return govern_screen(hand_built_rows(prob), np.zeros(1), prob.u_nom, cfg)
 
 
 def assert_screened_as_built(screened, built):
-    """A problem _screen returned keeps the offsets, their slabs and the
-    nominal action's margins a problem built without them computes on its
-    first solve, and solves to the same bytes at the strict and the
-    relaxed tolerance and in the least-violation fallback."""
+    """A problem the screen built, not yet solved, is handed the offsets'
+    slabs and the nominal action's margins that a problem built directly
+    from the same arrays derives on its first solve, and solves to the same
+    bytes at the strict and the relaxed tolerance and in the least-violation
+    fallback."""
     built_results = [solve_miqp(built, eps_feas=eps) for eps in (FEAS_TOL, 10 * FEAS_TOL)]
-    assert screened._evaluation is None
+    assert "evaluation" not in vars(screened)
     assert screened.beta.tobytes() == built.beta.tobytes()
-    assert screened._beta_slabs.tobytes() == built.beta_slabs.tobytes()
-    (excess, least), (built_excess, built_least) = screened._nominal, built._nominal
+    assert screened.beta_slabs.tobytes() == built.beta_slabs.tobytes()
+    (excess, least), (built_excess, built_least) = screened.margins, built.margins
     assert np.array(excess).tobytes() == np.array(built_excess).tobytes()
     assert np.float64(least).tobytes() == np.float64(built_least).tobytes()
     for eps, built_res in zip((FEAS_TOL, 10 * FEAS_TOL), built_results):
@@ -636,8 +649,9 @@ def test_screened_problem_solves_as_built_on_every_path():
     # On the pinned ACC K = 1 corpus and the fallback chain's near states,
     # govern() keeps the nominal action exactly when solve_miqp on the
     # problem of build_miqp does, and a problem it builds because the
-    # nominal action is not admissible solves as the built one on the
-    # branch, the relaxed retry and the least violation.
+    # nominal action is not admissible solves on the branch, the relaxed
+    # retry and the least violation as a problem built directly from the
+    # same arrays, which derives its rows, slabs and margins itself.
     art, env = acc_artifact(1)
     cases = [(art, env.system, x, [u]) for x, u in zip(*acc_inputs(art, env, 3000, 53))]
     rng = np.random.default_rng(31)
@@ -651,12 +665,12 @@ def test_screened_problem_solves_as_built_on_every_path():
         built = build_miqp(x, u, art, sys, cfg)
         first = solve_miqp(built)
         x_checked, u_checked = governor._checked(x, u, sys)
-        screened = governor._screen(governor._prepared(art, sys), x_checked, u_checked, cfg)
+        screened = govern_screen(built.rows, x_checked, u_checked, cfg)
         assert (screened is None) == (govern_path(res) == "fast") == (govern_path(first) == "fast")
         if screened is None:
             assert same_result(res, first)
         else:
-            assert_screened_as_built(screened, built)
+            assert_screened_as_built(screened, dataclasses.replace(built))
     assert set(paths) == {"fast", "branch", "relaxed_tol", "min_violation"}
 
 
@@ -894,19 +908,33 @@ def test_result_serialization():
 
 if __name__ == "__main__":
     # govern() census: PYTHONPATH=src:tests python tests/test_governor.py
-    # Calls and median solve_time of each path on the pinned ACC K = 1
-    # corpus, the one GOVERN_ACC_K1_SHA256 is recorded on.
+    # Calls and median solve_time of each path over five passes, on the
+    # pinned ACC K = 1 corpus, the one GOVERN_ACC_K1_SHA256 is recorded on,
+    # and on the fallback chain's 60 near states of the every-path
+    # reference test, which take the relaxed retry that the corpus never
+    # takes.
     art, env = acc_artifact(1)
     cfg = GovernorConfig(S=np.eye(1))
-    X, U = acc_inputs(art, env, 3000, 53)
-    governor._prepared(art, env.system)
-    times = {path: [] for path in ("fast", "branch", "relaxed_tol", "min_violation")}
-    digest = hashlib.sha256()
-    for x, u in zip(X, U):
-        res = govern(x, [u], art, env.system, cfg)
-        digest.update(result_bytes(res))
-        times[govern_path(res)].append(res.solve_time)
-    for path, t in times.items():
-        print(f"{path}: {len(t)} calls" + (f", median {np.median(t) * 1e6:.1f} us" if t else ""))
-    match = digest.hexdigest() == GOVERN_ACC_K1_SHA256
-    print(f"ACC K=1 corpus: {len(X)} calls; digest {'match' if match else 'DIFFER'}")
+    rng = np.random.default_rng(31)
+    chain, chain_sys = fallback_chain_artifact(1.0)
+    corpora = {
+        "ACC K=1 corpus": [(art, env.system, x, [u]) for x, u in zip(*acc_inputs(art, env, 3000, 53))],
+        "fallback chain near states": [(chain, chain_sys, [-10.0 ** rng.uniform(-9, -5)], [rng.uniform(-1, 1)])
+                                       for _ in range(60)],
+    }
+    for name, calls in corpora.items():
+        times = {path: [] for path in ("fast", "branch", "relaxed_tol", "min_violation")}
+        digests = set()
+        for _ in range(5):
+            digest = hashlib.sha256()
+            for a, system, x, u in calls:
+                res = govern(x, u, a, system, cfg)
+                digest.update(result_bytes(res))
+                times[govern_path(res)].append(res.solve_time)
+            digests.add(digest.hexdigest())
+        print(f"{name}: {len(calls)} calls, 5 passes")
+        for path, t in times.items():
+            print(f"  {path}: {len(t) // 5} calls" + (f", median {np.median(t) * 1e6:.1f} us" if t else ""))
+        if name.startswith("ACC"):
+            match = digests == {GOVERN_ACC_K1_SHA256}
+            print(f"  digest {'match' if match else 'DIFFER'}")

@@ -172,28 +172,42 @@ def _pairwise_sum_rows(seed):
 
 
 # The seeds of 0-99 whose Chebyshev LP phase 1 ended above its threshold
-# from rounding alone (the 1e9 radius cap swamps the objective row), and
-# which were once called empty (r = -1); and five that never were.
+# from rounding alone while the LP had a 1e9 radius cap row (it swamped the
+# objective row), and which were once called empty (r = -1), then raised
+# LpError; and five that never did.
 _PAIRWISE_SUM_SEEDS = (21, 26, 37, 50, 53, 63, 66, 72, 73, 78, 0, 1, 2, 3, 4)
 
 
 def test_pairwise_sum_sets_are_never_called_empty():
-    """Every set of the generator holds a ball around the origin: its
-    Chebyshev LP gives the radius HiGHS gives, or raises LpError, and
-    never calls the set empty."""
-    solved = 0
+    """Every set of the generator holds a ball around the origin, and its
+    Chebyshev LP gives the radius HiGHS gives, on every seed."""
     for seed in _PAIRWISE_SUM_SEEDS:
         A, b = _pairwise_sum_rows(seed)
         ref = linprog([0.0, 0.0, 0.0, -1.0], A_ub=np.column_stack([A, np.linalg.norm(A, axis=1)]), b_ub=b,
                       bounds=[(None, None)] * 3 + [(0.0, None)], method="highs")
         assert ref.status == 0 and -ref.fun > 1.0, seed
-        try:
-            _, r = chebyshev_center(A, b)
-        except LpError:
-            continue
+        _, r = chebyshev_center(A, b)
         assert r == pytest.approx(-ref.fun, rel=1e-6), seed
-        solved += 1
-    assert solved >= 5
+
+
+def test_halfspace_holds_balls_of_any_radius(monkeypatch):
+    """A half-space, or the whole space, has an unbounded Chebyshev LP: its
+    radius is inf, and HPolytope.chebyshev() marks it nonempty, so that
+    is_empty() solves no LP of its own."""
+    from safegov.geometry import polytope as polytope_module
+
+    calls = []
+    for module in (lp_module, polytope_module):
+        monkeypatch.setattr(module, "lp_solve", lambda *a, real=lp_solve: calls.append(1) or real(*a))
+    cases = ((np.array([[1.0, 0.0]]), np.array([1.0])), (np.array([[3.0, -4.0], [6.0, -8.0]]), np.array([-2.0, 5.0])),
+             (np.zeros((0, 2)), np.zeros(0)))
+    for A, b in cases:
+        assert chebyshev_center(A, b) == (None, np.inf)
+        P = polytope_module.HPolytope(A, b, 2)
+        before = len(calls)
+        assert P.chebyshev() == (None, np.inf)
+        assert not P.is_empty()
+        assert len(calls) - before == 1
 
 
 def _joggled_grid_hull(d, jitter):
