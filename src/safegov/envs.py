@@ -10,6 +10,7 @@ requires the headway time ds / max(v_ego, 5) to stay in [1, 2] s.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -56,6 +57,17 @@ def linear_system(p: AccParams) -> LinearSystem:
     return LinearSystem(*system_matrices(p))
 
 
+@functools.lru_cache(maxsize=None)
+def _step_matrices(p: AccParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A and the columns of B and E of system_matrices(p), read-only,
+    built once per parameter set."""
+    A, B, E = system_matrices(p)
+    out = A, B[:, 0].copy(), E[:, 0].copy()
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def step(x, u: float, w: float, p: AccParams) -> np.ndarray:
     """One dynamics update; out-of-bound inputs are clipped with a warning."""
     x = np.asarray(x, dtype=float).ravel()
@@ -63,8 +75,8 @@ def step(x, u: float, w: float, p: AccParams) -> np.ndarray:
     wc = min(max(float(w), p.w_min), p.w_max)
     if abs(uc - float(u)) > 1e-6 or abs(wc - float(w)) > 1e-6:
         logger.warning("step(): clipped inputs u=%.4g w=%.4g", float(u), float(w))
-    A, B, E = system_matrices(p)
-    return A @ x + B[:, 0] * uc + E[:, 0] * wc
+    A, b, e = _step_matrices(p)
+    return A @ x + b * uc + e * wc
 
 
 def reward(x, p: AccParams) -> float:

@@ -21,15 +21,31 @@ offsets g are kept in that slab form, so one product GA x, one gather and
 one subtraction give the slabs of beta = g - GA x with no per-call buffer
 (_FaceRows.screen), and the nominal action's margins follow from them.
 
-Most calls keep the nominal action: when its margins pass at FEAS_TOL,
-govern() returns its checked copy of the nominal action and builds no
-problem.  Otherwise _FaceRows.problem builds one and hands it the rows,
-the offsets' slabs and the margins the screen computed; build_miqp builds
-through the same path.  A problem built directly derives each of them on
-first use.  Either way a problem holds them, and the evaluation of its
-break points, once (_once): the break points in ascending objective
-order, with their U-row excesses and their least group slack, which a
-solve only compares with its tolerance.  A state or nominal action that
+Most calls keep the nominal action, and most of those are settled before
+the screen, at a cost that does not grow with the rows, by the artifact's
+table of clear cells (_CellTable, prepared with the rows), an explicit
+lookup over the next nominal state in the manner of explicit MPC.  Its
+domain is the box D that bounds A box (+) B U, widened by the margin and
+split into at most _CELL_BUDGET equal cells.  A cell is clear when every
+member has a row G_i y <= g_i whose least G_i y - g_i over the closed cell
+exceeds the margin _CELL_MARGIN max(1, |D|) max(1, |G_i|): every next
+state in the cell then lies strictly outside every member.  The margin
+dominates the rounding of the lookup, which may place a next state on a
+cell's edge in its neighbour, and that of the screen's slacks.  So a
+nominal action that passes U's rows as the screen tests them, from a state
+within the box's bounds whose next state A x + B u falls in a clear cell,
+is one the screen admits.  The table only accepts: any other call goes on
+to the screen, so the table cannot change a governed action.
+
+When the nominal action's margins pass at FEAS_TOL, govern() returns its
+checked copy of the nominal action and builds no problem.  Otherwise
+_FaceRows.problem builds one and hands it the rows, the offsets' slabs and
+the margins the screen computed; build_miqp builds through the same path.
+A problem built directly derives each of them on first use.  Either way a
+problem holds them, and the evaluation of its break points, once (_once):
+the break points in ascending objective order, with their U-row excesses
+and their least group slack, which a solve only compares with its
+tolerance.  A state or nominal action that
 is not made of finite real numbers or has the wrong size raises
 GovernorError before any of this; complex entries count as not real.
 
@@ -74,6 +90,11 @@ _FLOAT = np.dtype(float)
 class GovernorError(RuntimeError):
     pass
 
+
+# The cell table of an artifact has at most this many cells, one byte each,
+# and its rows clear a cell by this times max(1, |D|) max(1, |a|).
+_CELL_BUDGET = 2 ** 15
+_CELL_MARGIN = 1e-8
 
 # Worst violations within this of the least tie in the fallback; it absorbs
 # the rounding of beta_i - alpha_i u at a break point.
@@ -297,7 +318,8 @@ class _FaceRows:
     g_slabs - (GA x)[slab_rows] are the slabs of beta, +inf on the
     padding.  u_rows holds U's rows (a_i, b_i, max(1, |a_i|)) as Python
     floats, and keep and a_keep the rows of [U_A; alpha] with a break point
-    and their coefficients.
+    and their coefficients.  cells is the artifact's _CellTable, which
+    _prepared sets; the rows of a problem built directly have none.
     """
 
     def __init__(self, g: np.ndarray, GA: np.ndarray, alpha: np.ndarray, starts: np.ndarray, U_A: np.ndarray,
@@ -319,6 +341,7 @@ class _FaceRows:
         a = np.concatenate([U_A[:, 0], alpha[:, 0]])
         self.keep = np.abs(a) > 1e-12
         self.a_keep = a[self.keep]
+        self.cells: _CellTable | None = None
 
     def screen(self, x: np.ndarray, u_nom: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[list[float], float]]:
         """GA x at the state x, the slabs of beta there and the margins of
@@ -357,6 +380,14 @@ class _FaceRows:
         return True
 
     @_once
+    def u_bounds(self) -> tuple[float, float]:
+        """U's bounds lo and hi, -inf and inf where U has none."""
+        a_u, b_u = self.U_A[:, 0], self.U_b
+        lo = np.max(b_u[a_u < 0] / a_u[a_u < 0], initial=-np.inf)
+        hi = np.min(b_u[a_u > 0] / a_u[a_u > 0], initial=np.inf)
+        return lo, hi
+
+    @_once
     def closed_form(self) -> tuple:
         """U's bounds lo and hi, and the crossings _min_violation_action
         tests, of the lines beta_i - alpha_i u of rows I with those of rows
@@ -371,9 +402,7 @@ class _FaceRows:
         1 where not marked.  Over U a falling line is lowest at hi and a
         rising one at lo; edge holds that bound per row of I.
         """
-        a_u, b_u = self.U_A[:, 0], self.U_b
-        lo = np.max(b_u[a_u < 0] / a_u[a_u < 0], initial=-np.inf)
-        hi = np.min(b_u[a_u > 0] / a_u[a_u > 0], initial=np.inf)
+        lo, hi = self.u_bounds
         alpha = self.alpha[:, 0]
         fall, rise = alpha > 1e-12, alpha < -1e-12
         flat = ~(fall | rise)
@@ -384,8 +413,92 @@ class _FaceRows:
         return lo, hi, I, K, alpha[I], np.where(fall[I], hi, lo), den, pair
 
 
+class _CellTable:
+    """The clear cells of the next nominal states A x + B u, x in the box
+    with vertices V and u in U, for the face rows G y <= g of the inflated
+    members whose _FaceRows are rows: govern()'s certificate that the
+    nominal action is admissible (see the module docstring).
+
+    D is the box that bounds A box (+) B U, widened on every side by
+    margin = _CELL_MARGIN max(1, |D|); lo is its lower corner and h its
+    cell widths.  D is split into N equal cells per axis, the most with
+    N^n <= _CELL_BUDGET, and clear holds one byte per cell in C order: 1
+    where every member has a row (a, g) whose least a'y - g over the
+    closed cell exceeds margin max(1, |a|).  A member with no rows clears
+    no cell.
+
+    A lookup takes only states within the box's bounds, so that the
+    rounding of A x + B u stays far below the margin.  A cell's index
+    along axis i is the integer part of (A_i x + B_i u - lo_i) / h_i.
+    axes holds, per axis i, A_i / h_i as (j, entry) pairs of its nonzero
+    entries, B_i / h_i, lo_i / h_i and the box's bounds on state i, all
+    Python floats.  u_rows holds U's rows as (a_i, b_i, FEAS_TOL
+    max(1, |a_i|)), so that u passes them exactly when _FaceRows.admits
+    passes U's rows at FEAS_TOL.
+    """
+
+    def __init__(self, rows: _FaceRows, G: np.ndarray, V: np.ndarray, A: np.ndarray, B: np.ndarray):
+        n, g, starts = A.shape[0], rows.g, rows.starts
+        N = round(_CELL_BUDGET ** (1.0 / n))
+        N -= N ** n > _CELL_BUDGET
+        y, Bu = V @ A.T, B[:, 0] * np.array(rows.u_bounds)[:, None]
+        lo, hi = y.min(axis=0) + Bu.min(axis=0), y.max(axis=0) + Bu.max(axis=0)
+        margin = _CELL_MARGIN * max(1.0, float(np.abs([lo, hi]).max()))
+        lo, hi = lo - margin, hi + margin
+        h = (hi - lo) / N
+        # Along axis i, the least a_i y_i over each cell's closed interval is
+        # at one of its ends: least[i] is (rows, N).  The least a'y over a
+        # cell is the sum over the axes, formed one row at a time.
+        ends = [G[:, i:i + 1] * (lo[i] + h[i] * np.arange(N + 1)) for i in range(n)]
+        least = [np.minimum(e[:, :-1], e[:, 1:]).reshape((-1,) + (1,) * i + (N,) + (1,) * (n - 1 - i))
+                 for i, e in enumerate(ends)]
+        offset = -(g + margin * np.maximum(1.0, np.linalg.norm(G, axis=1)))
+        shape = (N,) * n
+        clear, member, hit, total = np.ones(shape, bool), np.empty(shape, bool), np.empty(shape, bool), np.empty(shape)
+        for j in range(len(starts) - 1):
+            member[...] = False
+            for r in range(starts[j], starts[j + 1]):
+                rest = offset[r]
+                for i in range(1, n):
+                    rest = rest + least[i][r]
+                np.add(least[0][r], rest, out=total)
+                member |= np.greater(total, 0.0, out=hit)
+            clear &= member
+        self.N, self.margin, self.lo, self.h = N, margin, lo, h
+        self.clear = clear.astype(np.uint8).tobytes()
+        x_lo, x_hi = V.min(axis=0).tolist(), V.max(axis=0).tolist()
+        self.axes = [([(j, a) for j, a in enumerate((A[i] / h[i]).tolist()) if a != 0.0],
+                      float(B[i, 0] / h[i]), float(lo[i] / h[i]), x_lo[i], x_hi[i]) for i in range(n)]
+        self.u_rows = [(a, b, FEAS_TOL * s) for a, b, s in rows.u_rows]
+
+    def cell(self, x: list[float], t: float) -> int:
+        """The index of the cell of A x + B t, -1 outside D or when x lies
+        outside the box."""
+        N, k = self.N, 0
+        for (row, b, lo, x_lo, x_hi), v in zip(self.axes, x):
+            if not x_lo <= v <= x_hi:
+                return -1
+            z = b * t - lo
+            for j, a in row:
+                z += a * x[j]
+            if not 0.0 <= z < N:
+                return -1
+            k = k * N + int(z)
+        return k
+
+    def settles(self, x: list[float], t: float) -> bool:
+        """Whether the action t passes U's rows as admits tests them and
+        A x + B t lies in a clear cell: then the screen admits t at x."""
+        for a, b, s in self.u_rows:
+            if not a * t - b <= s:
+                return False
+        k = self.cell(x, t)
+        return k >= 0 and self.clear[k] == 1
+
+
 def _prepared(artifact: SafeSetArtifact, sys: LinearSystem) -> _FaceRows:
-    """The _FaceRows of the artifact's inflated members under sys (cached).
+    """The _FaceRows of the artifact's inflated members under sys (cached),
+    with their _CellTable as cells when U is bounded.
 
     The cache is kept while the system's A and B equal the ones it was
     built from, compared by identity first; after an equal but distinct
@@ -409,6 +522,8 @@ def _prepared(artifact: SafeSetArtifact, sys: LinearSystem) -> _FaceRows:
     g = np.concatenate([mbr.b for mbr in members]) if members else np.zeros(0)
     starts = np.cumsum([0] + [mbr.A.shape[0] for mbr in members])
     rows = _FaceRows(g, G @ sys.A, G @ sys.B, starts, artifact.spec.U.A, artifact.spec.U.b)
+    if all(map(math.isfinite, rows.u_bounds)):
+        rows.cells = _CellTable(rows, G, artifact.spec.box.vertices(), sys.A, sys.B)
     artifact._governor_cache = sys.A, sys.B, rows
     return rows
 
@@ -590,16 +705,19 @@ def govern(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Governor
     it with status "fallback" and reason "min_violation".  No fallback is
     logged: the reason tag is its record.
 
-    The nominal action is tested before any problem is built, from the
-    artifact's prepared rows (_FaceRows.screen); when it is admissible it
-    is returned as solve_miqp's fast path returns it, in an array of its
-    own.  A system with more than one input, an x without sys.n finite
-    real entries and a u_nom that is not one finite real number raise
-    GovernorError.
+    The nominal action is tested before any problem is built: by the
+    artifact's cell table (_CellTable.settles), then from its prepared
+    rows (_FaceRows.screen).  When either admits it, it is returned as
+    solve_miqp's fast path returns it, in an array of its own.  A system
+    with more than one input, an x without sys.n finite real entries and a
+    u_nom that is not one finite real number raise GovernorError.
     """
     t0 = time.perf_counter()
     x, u_nom = _checked(x, u_nom, sys)
     rows = _prepared(artifact, sys)
+    cells = rows.cells
+    if cells is not None and cells.settles(x.tolist(), u_nom.item()):
+        return GovernorResult(u_nom, False, 0.0, 0, time.perf_counter() - t0, STATUS_OPTIMAL)
     GAx, beta_slabs, margins = rows.screen(x, u_nom)
     if rows.admits(margins, FEAS_TOL):
         return GovernorResult(u_nom, False, 0.0, 0, time.perf_counter() - t0, STATUS_OPTIMAL)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from safegov import envs
 from safegov.envs import (
     AccEnv,
     AccParams,
@@ -16,6 +17,7 @@ from safegov.envs import (
     sample_segment,
     step,
     synth_cycle,
+    system_matrices,
     unsafe_union,
     violates,
 )
@@ -55,6 +57,21 @@ def test_step_superposition():
 def test_step_clips_out_of_bound_inputs():
     x = step([50.0, 0.0, 20.0], 10.0, 0.0, P)
     assert np.allclose(x, step([50.0, 0.0, 20.0], 3.0, 0.0, P))
+
+
+def test_step_matrices_built_once_per_parameter_set():
+    # step() reads A and the columns of B and E built once per equal
+    # parameter set, read-only, and steps as the freshly built matrices do,
+    # byte for byte; another period gets its own.
+    A, b, e = envs._step_matrices(P)
+    assert envs._step_matrices(AccParams()) is envs._step_matrices(P)
+    assert envs._step_matrices(AccParams(ts=0.25))[1][2] == 0.25
+    assert not any(a.flags.writeable for a in (A, b, e))
+    rng = np.random.default_rng(3)
+    A0, B0, E0 = system_matrices(P)
+    for _ in range(50):
+        x, u, w = rng.uniform(-30, 30, size=3), rng.uniform(-3, 3), rng.uniform(-1.5, 1.5)
+        assert step(x, u, w, P).tobytes() == (A0 @ x + B0[:, 0] * u + E0[:, 0] * w).tobytes()
 
 
 # ----------------------------------------------------------------- reward

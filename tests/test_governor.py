@@ -364,6 +364,12 @@ def test_prepared_rows_keyed_on_the_system_matrices():
         rows.append(build_miqp([0.0], [0.0], art, system, cfg).rows)
     assert rows[0] is rows[1] is rows[2] is not rows[3]
     assert rows[0].alpha.tolist() == [[1.0], [-1.0]] and rows[3].alpha.tolist() == [[2.0], [-2.0]]
+    # The cell table is the rows' own: the box [-10, 10] and U = [-1, 1]
+    # give next states in [-11, 11] under B = 1 and [-12, 12] under B = 2.
+    # A problem built directly derives rows with no table.
+    assert rows[0].cells is rows[1].cells is rows[2].cells is not rows[3].cells
+    assert rows[0].cells.lo[0] == pytest.approx(-11.0) and rows[3].cells.lo[0] == pytest.approx(-12.0)
+    assert dataclasses.replace(build_miqp([0.0], [0.0], art, sys, cfg)).rows.cells is None
 
 
 def govern_path(res) -> str:
@@ -535,6 +541,128 @@ def test_fast_path_builds_no_problem(monkeypatch):
         paths[path] += 1
         assert len(built) - before == (path != "fast"), path
     assert paths["fast"] > 300 and len(paths) >= 3
+
+
+def settled_by_table(cells, x, u) -> bool:
+    """Whether the cell table settles the nominal action u at x."""
+    return cells.settles(np.asarray(x, dtype=float).tolist(), float(u))
+
+
+def govern_bytes(calls, art, sys, cfg) -> list[bytes]:
+    """result_bytes of govern() on each (x, u) of calls."""
+    return [result_bytes(govern(x, [u], art, sys, cfg)) for x, u in calls]
+
+
+def test_cell_table_clear_cells_clear_every_member():
+    # Every corner and the centre of each clear cell of the ACC K = 1
+    # table lies beyond some row of every inflated member by more than the
+    # margin, tested on the members' own rows rather than through a lookup.
+    art, env = acc_artifact(1)
+    cells = governor._prepared(art, env.system).cells
+    n, N = 3, cells.N
+    assert N == 32 and N ** n <= governor._CELL_BUDGET < (N + 1) ** n
+    clear = np.frombuffer(cells.clear, dtype=np.uint8).reshape((N,) * n)
+    k = np.argwhere(clear == 1)
+    assert 0.1 * clear.size < len(k) < clear.size
+    offsets = np.array(list(itertools.product((0.0, 1.0), repeat=n)) + [(0.5,) * n])
+    points = (cells.lo + (k[:, None, :] + offsets) * cells.h).reshape(-1, n)
+    for mbr in art.inflated_unsafe.members:
+        excess = points @ mbr.A.T - mbr.b - cells.margin * np.maximum(1.0, np.linalg.norm(mbr.A, axis=1))
+        assert (excess.max(axis=1) > 0.0).all()
+
+
+
+def test_cell_table_keeps_the_margin_at_a_cell_edge():
+    # A member whose face y <= c lies on the edge between cells k - 1 and
+    # k leaves cell k, where the face's least slack is 0, uncleared, and
+    # clears cell k + 1, where it is one cell width; the table of the
+    # fallback chain's system has 32,768 cells over [-11, 11].
+    art, sys = fallback_chain_artifact(2.0)
+    cells = governor._prepared(art, sys).cells
+    k = cells.N // 2 + 100
+    c = cells.lo[0] + cells.h[0] * k
+    member = PolyUnion([interval(-10, c)])
+    edge = dataclasses.replace(art, inflated_unsafe=member, unrecoverable=member, fixpoint_reached=True)
+    clear = governor._prepared(edge, sys).cells.clear
+    assert (cells.N, clear[k - 1], clear[k], clear[k + 1]) == (32768, 0, 0, 1)
+
+def near_face_calls(art, sys, rng, per_face):
+    """States whose next nominal state lies 1e-9 to 1e-3 outside or inside
+    a face of an inflated member, at a random point of the facet, each with
+    a uniform action of U."""
+    calls = []
+    for mbr in art.inflated_unsafe.members:
+        V = mbr.vertices()
+        for a, g in zip(mbr.A, mbr.b):
+            facet = V[np.abs(V @ a - g) <= 1e-7 * max(1.0, abs(g))]
+            for _ in range(per_face):
+                y = rng.dirichlet(np.ones(len(facet))) @ facet
+                y = y + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9, -3) * a / np.linalg.norm(a)
+                u = rng.uniform(-3.0, 3.0)
+                calls.append((np.linalg.solve(sys.A, y - sys.B[:, 0] * u), u))
+    return calls
+
+
+def test_cell_table_settles_only_what_the_screen_admits(monkeypatch):
+    # On 200,000 uniform box states with uniform actions of U, and on
+    # states whose next nominal state lies 1e-9 to 1e-3 from a member's
+    # face, the screen admits every nominal action the table settles, and
+    # govern() gives the bytes it gives with the table emptied: on every
+    # settled call, on every near-face call and on 3,000 other calls.
+    art, env = acc_artifact(1)
+    sys, cfg = env.system, GovernorConfig(S=np.eye(1))
+    rows = governor._prepared(art, sys)
+    cells = rows.cells
+    rng = np.random.default_rng(47)
+    X = rng.uniform(BOX_LO, BOX_HI, size=(200_000, 3))
+    U = rng.uniform(env.params.u_min, env.params.u_max, size=len(X))
+    uniform = list(zip(X, U))
+    near = near_face_calls(art, sys, rng, 10)
+    settled = [(x, u) for x, u in uniform + near if settled_by_table(cells, x, u)]
+    near_settled = sum(settled_by_table(cells, x, u) for x, u in near)
+    assert len(settled) - near_settled > 0.1 * len(uniform) and len(near) > 900
+    for x, u in settled:
+        assert rows.admits(rows.screen(x, np.array([u]))[2], FEAS_TOL), (x, u)
+    unsettled = [(x, u) for x, u in uniform[:6000] if not settled_by_table(cells, x, u)][:3000]
+    calls = settled + near + unsettled
+    with_table = govern_bytes(calls, art, sys, cfg)
+    monkeypatch.setattr(cells, "clear", bytes(len(cells.clear)))
+    assert not any(settled_by_table(cells, x, u) for x, u in settled[:100])
+    assert govern_bytes(calls, art, sys, cfg) == with_table
+
+
+def test_cell_table_misses_outside_its_domain():
+    # States outside the box, whose next nominal state leaves the table's
+    # domain or lies in a clear cell, and actions outside U from a state
+    # whose next nominal states lie in clear cells, miss the table;
+    # govern() gives the reference's result on each.
+    art, env = acc_artifact(1)
+    sys, cfg = env.system, GovernorConfig(S=np.eye(1))
+    cells = governor._prepared(art, sys).cells
+
+    def clear_cell(x, u):
+        k = np.floor((sys.A @ x + sys.B[:, 0] * u - cells.lo) / cells.h).astype(int)
+        return bool(cells.clear[np.ravel_multi_index(k, (cells.N,) * 3)])
+
+    x = np.array([50.0, 0.0, 30.0])
+    assert clear_cell(x, -3.0) and clear_cell(x, 3.0) and clear_cell([60.0, -20.5, 30.0], 0.0)
+    calls = [([200.0, 0.0, 20.0], 0.0), ([60.0, 0.0, 45.0], 1.0), ([-15.0, 30.0, 20.0], -2.0),
+             ([60.0, -20.5, 30.0], 0.0), (x, 3.5), (x, -3.0 - 1e-6)]
+    for x, u in calls:
+        assert not settled_by_table(cells, x, u)
+        res, ref = govern(x, [u], art, sys, cfg), governor_reference.govern(x, [u], art, sys, cfg)
+        assert same_result(res, ref), (x, u, res, ref)
+    assert [cells.cell(x, 0.0) for x, _ in calls[:4]] == [-1] * 4
+
+
+def test_cell_table_settles_most_of_the_pinned_corpus():
+    # The table settles 1,730 of the pinned corpus's 3,000 calls, of the
+    # 2,311 that keep the nominal action.  A table that stops settling
+    # loses the gain with no other test failing.
+    art, env = acc_artifact(1)
+    cells = governor._prepared(art, env.system).cells
+    settled = sum(settled_by_table(cells, x, u) for x, u in zip(*acc_inputs(art, env, 3000, 53)))
+    assert settled >= 1600, settled
 
 
 def test_offset_slabs_are_the_padded_offsets_gathered():
@@ -909,32 +1037,47 @@ def test_result_serialization():
 if __name__ == "__main__":
     # govern() census: PYTHONPATH=src:tests python tests/test_governor.py
     # Calls and median solve_time of each path over five passes, on the
-    # pinned ACC K = 1 corpus, the one GOVERN_ACC_K1_SHA256 is recorded on,
-    # and on the fallback chain's 60 near states of the every-path
-    # reference test, which take the relaxed retry that the corpus never
-    # takes.
+    # pinned ACC K = 1 corpus, the one GOVERN_ACC_K1_SHA256 is recorded on;
+    # on the same draw for the ACC K = 2 artifact (about 3 s to build); on
+    # the governor calls of one safe-training run on K = 1 (seed 0, 8
+    # episodes); and on the fallback chain's 60 near states of the
+    # every-path reference test, which take the relaxed retry that the
+    # corpora never take.  A call that keeps the nominal action is "fast
+    # (table)" when the cell table settles it and "fast (screen)" otherwise.
+    from safegov import learner
+
     art, env = acc_artifact(1)
+    art2, _ = acc_artifact(2)
     cfg = GovernorConfig(S=np.eye(1))
+    _, logs = learner.train(env, learner.TrainConfig(episodes=8, seed=0, mode="safe"), art)
     rng = np.random.default_rng(31)
     chain, chain_sys = fallback_chain_artifact(1.0)
     corpora = {
         "ACC K=1 corpus": [(art, env.system, x, [u]) for x, u in zip(*acc_inputs(art, env, 3000, 53))],
+        "ACC K=2 corpus": [(art2, env.system, x, [u]) for x, u in zip(*acc_inputs(art2, env, 3000, 53))],
+        "safe training, K=1, seed 0, 8 episodes": [(art, env.system, x, [u]) for log in logs
+                                                   for x, u in zip(log.states, log.u_nom)],
         "fallback chain near states": [(chain, chain_sys, [-10.0 ** rng.uniform(-9, -5)], [rng.uniform(-1, 1)])
                                        for _ in range(60)],
     }
     for name, calls in corpora.items():
-        times = {path: [] for path in ("fast", "branch", "relaxed_tol", "min_violation")}
+        times = {path: [] for path in ("fast (table)", "fast (screen)", "branch", "relaxed_tol", "min_violation")}
         digests = set()
         for _ in range(5):
             digest = hashlib.sha256()
             for a, system, x, u in calls:
                 res = govern(x, u, a, system, cfg)
                 digest.update(result_bytes(res))
-                times[govern_path(res)].append(res.solve_time)
+                path = govern_path(res)
+                if path == "fast":
+                    table = settled_by_table(governor._prepared(a, system).cells, x, u[0])
+                    path += " (table)" if table else " (screen)"
+                times[path].append(res.solve_time)
             digests.add(digest.hexdigest())
-        print(f"{name}: {len(calls)} calls, 5 passes")
+        share = len(times["fast (table)"]) / (5 * len(calls))
+        print(f"{name}: {len(calls)} calls, 5 passes; the table settles {share:.1%}")
         for path, t in times.items():
             print(f"  {path}: {len(t) // 5} calls" + (f", median {np.median(t) * 1e6:.1f} us" if t else ""))
-        if name.startswith("ACC"):
+        if name.startswith("ACC K=1"):
             match = digests == {GOVERN_ACC_K1_SHA256}
             print(f"  digest {'match' if match else 'DIFFER'}")
