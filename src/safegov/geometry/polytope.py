@@ -957,30 +957,42 @@ def _meet_verdict(R: HPolytope, VR: np.ndarray, Qn: HPolytope, VQ: np.ndarray | 
     return None
 
 
-def _cone_bound(A: np.ndarray, b: np.ndarray, a: np.ndarray, reach: float) -> float:
-    """An upper bound on a'x over the points x of {x : A x <= b} with
-    |x|_inf <= reach, by weak LP duality, or inf.
+def _cone_bounds(A: np.ndarray, b: np.ndarray, active: np.ndarray, which: np.ndarray, a: np.ndarray,
+                 reach: float) -> np.ndarray:
+    """Upper bounds on a_k'x over the points x of {x : A x <= b} with
+    |x|_inf <= reach, by weak LP duality, or inf: one per row a_k of a
+    (k, dim), from the rows of A that active[which[k]] marks.
 
-    For every dim-subset S of the rows with |det A_S| > 1e-8, lam solves
-    A_S'lam = a and is clipped at 0; with r = a - A_S'lam the rest,
-    a'x = lam'(A_S x) + r'x <= lam'b_S + |r|_1 reach.  The least bound is
-    returned (inf past _VERTEX_BATCH subsets).  Any rows give a valid
-    bound.  When the rows are those active at a vertex v and a lies in
-    their cone, some subset has lam >= 0 (Caratheodory), and its bound is
-    a'v up to rounding.
+    For every dim-subset S of those rows with |det A_S| > 1e-8, lam
+    solves A_S'lam = a_k and is clipped at 0; with r = a_k - A_S'lam the
+    rest, a_k'x = lam'(A_S x) + r'x <= lam'b_S + |r|_1 reach.  The least
+    bound is kept (inf past _VERTEX_BATCH subsets).  Any rows give a
+    valid bound.  When the rows are those active at a vertex v and a_k
+    lies in their cone, some subset has lam >= 0 (Caratheodory), and its
+    bound is a_k'v up to rounding.
+
+    The subsets are formed once per mask and their determinants in one
+    batch; every (matrix, right-hand side) pair of a row and a subset of
+    its mask is then solved in one batch, each as a solve of its own.
     """
-    if math.comb(len(b), len(a)) > _VERTEX_BATCH:
-        return np.inf
-    combos = _subset_table(len(b), len(a))
-    mats = A[combos]                                    # (k, dim, dim)
-    ok = np.abs(np.linalg.det(mats)) > 1e-8
-    if not ok.any():
-        return np.inf
-    combos, mats = combos[ok], mats[ok]
-    rhs = np.broadcast_to(a[:, None], (len(mats), len(a), 1))
-    lam = np.maximum(np.linalg.solve(mats.transpose(0, 2, 1), rhs)[..., 0], 0.0)
-    rest = np.abs(a - np.einsum("ki,kij->kj", lam, mats)).sum(axis=1)
-    return float((np.einsum("ki,ki->k", lam, b[combos]) + rest * reach).min())
+    dim = A.shape[1]
+    subsets, masks = [], []
+    for m, mask in enumerate(active):
+        rows = np.flatnonzero(mask)
+        if math.comb(len(rows), dim) <= _VERTEX_BATCH:
+            subsets.append(rows[_subset_table(len(rows), dim)])
+            masks += [m] * len(subsets[-1])
+    bounds = np.full(len(a), np.inf)
+    if subsets:
+        subsets, masks = np.concatenate(subsets), np.array(masks)
+        mats = A[subsets]                                   # (s, dim, dim)
+        ok = np.abs(np.linalg.det(mats)) > 1e-8
+        row, sub = np.nonzero(which[:, None] == masks[ok])
+        mats, rhs = mats[ok][sub], a[row]
+        lam = np.maximum(np.linalg.solve(mats.transpose(0, 2, 1), rhs[..., None])[..., 0], 0.0)
+        rest = np.abs(rhs - np.einsum("ki,kij->kj", lam, mats)).sum(axis=1)
+        np.minimum.at(bounds, row, np.einsum("ki,ki->k", lam, b[subsets[ok][sub]]) + rest * reach)
+    return bounds
 
 
 def _cut_verdicts(R: HPolytope, V: np.ndarray, residuals: np.ndarray, delta: float,
@@ -999,7 +1011,7 @@ def _cut_verdicts(R: HPolytope, V: np.ndarray, residuals: np.ndarray, delta: flo
     A row left undecided is clear when a normal-cone bound is below
     beta + FEAS_TOL / 2: at the vertex v where a'v is largest, a is
     written as a nonnegative combination of dim rows of R active there,
-    which bounds R.support(a) from above (``_cone_bound``).  The bound
+    which bounds R.support(a) from above (``_cone_bounds``).  The bound
     needs no vertex to be exact: a weak-duality bound holds for any rows,
     and the error of the combination enters only scaled by a bound on |x|
     over R, twice 1 + max|V|.  v only picks the rows that make the bound
@@ -1007,7 +1019,8 @@ def _cut_verdicts(R: HPolytope, V: np.ndarray, residuals: np.ndarray, delta: flo
     slack by more would loosen it.  Such rows touch R without cutting it,
     a'v at beta to rounding, where no vertex margin can decide them.  A
     member's row that repeats a row of R, as the rows a piece was cut
-    along often do, is one of them.
+    along often do, is one of them.  The undecided rows that share a top
+    vertex share its mask, and their bounds are solved in one batch.
     """
     H = V @ Qn.A.T
     h = H.max(axis=0)
@@ -1017,9 +1030,10 @@ def _cut_verdicts(R: HPolytope, V: np.ndarray, residuals: np.ndarray, delta: flo
     if len(undecided):
         reach = 2.0 * (1.0 + np.abs(V).max())
         band = -FEAS_TOL * (1.0 + np.abs(R.b))
-        for i in undecided:
-            active = residuals[H[:, i].argmax()] >= band
-            clear[i] = _cone_bound(R.A[active], R.b[active], Qn.A[i], reach) < Qn.b[i] + FEAS_TOL / 2
+        tops = {}
+        which = np.array([tops.setdefault(v, len(tops)) for v in H[:, undecided].argmax(axis=0).tolist()])
+        bounds = _cone_bounds(R.A, R.b, residuals[list(tops)] >= band, which, Qn.A[undecided], reach)
+        clear[undecided] = bounds < Qn.b[undecided] + FEAS_TOL / 2
     return cuts, clear
 
 

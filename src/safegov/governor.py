@@ -21,21 +21,25 @@ offsets g are kept in that slab form, so one product GA x, one gather and
 one subtraction give the slabs of beta = g - GA x with no per-call buffer
 (_FaceRows.screen), and the nominal action's margins follow from them.
 
-Most calls keep the nominal action, and most of those are settled before
-the screen, at a cost that does not grow with the rows, by the artifact's
-table of clear cells (_CellTable, prepared with the rows), an explicit
-lookup over the next nominal state in the manner of explicit MPC.  Its
-domain is the box D that bounds A box (+) B U, widened by the margin and
-split into at most _CELL_BUDGET equal cells.  A cell is clear when every
-member has a row G_i y <= g_i whose least G_i y - g_i over the closed cell
-exceeds the margin _CELL_MARGIN max(1, |D|) max(1, |G_i|): every next
-state in the cell then lies strictly outside every member.  The margin
+Most calls keep the nominal action, and nearly all of those are settled
+before the screen, at a cost that does not grow with the rows, by the
+artifact's cell table (_CellTable, prepared with the rows): a lookup over
+the next nominal state, the point location of explicit MPC.  Its domain is
+the box D that bounds A box (+) B U, widened by the margin and split into
+at most _CELL_BUDGET equal cells.  A member clears a cell when it has a row
+G_i y <= g_i whose least G_i y - g_i over the closed cell exceeds the
+margin m_i = _CELL_MARGIN max(1, |D|) max(1, |G_i|): every next state in
+the cell then lies strictly outside the member.  Each cell keeps its
+candidate set, the members that do not clear it; a clear cell's set is
+empty.  Take a nominal action u that passes U's rows as the screen tests
+them, from a state x within the box's bounds whose next state A x + B u
+falls in a cell.  When every member of the cell's set has a row with
+GA_i x + alpha_i u > g_i + m_i, the screen admits u: the members outside
+the set are cleared by the cell, those in it at the point.  The margin
 dominates the rounding of the lookup, which may place a next state on a
-cell's edge in its neighbour, and that of the screen's slacks.  So a
-nominal action that passes U's rows as the screen tests them, from a state
-within the box's bounds whose next state A x + B u falls in a clear cell,
-is one the screen admits.  The table only accepts: any other call goes on
-to the screen, so the table cannot change a governed action.
+cell's edge in its neighbour, that of GA_i x + alpha_i u and that of the
+screen's slacks.  The table only accepts: any other call goes on to the
+screen, so the table cannot change a governed action.
 
 When the nominal action's margins pass at FEAS_TOL, govern() returns its
 checked copy of the nominal action and builds no problem.  Otherwise
@@ -62,6 +66,8 @@ one warning per artifact that is not a fixpoint of the recursion.
 
 from __future__ import annotations
 
+import array
+import functools
 import itertools
 import logging
 import math
@@ -91,8 +97,8 @@ class GovernorError(RuntimeError):
     pass
 
 
-# The cell table of an artifact has at most this many cells, one byte each,
-# and its rows clear a cell by this times max(1, |D|) max(1, |a|).
+# The cell table of an artifact has at most this many cells, and its rows
+# clear a cell by this times max(1, |D|) max(1, |a|).
 _CELL_BUDGET = 2 ** 15
 _CELL_MARGIN = 1e-8
 
@@ -413,28 +419,55 @@ class _FaceRows:
         return lo, hi, I, K, alpha[I], np.where(fall[I], hi, lo), den, pair
 
 
+@functools.lru_cache(maxsize=None)
+def _row_test(n: int):
+    """clears(rows, x_1, ..., x_n, t): whether some row (a_1, ..., a_n, b, c)
+    of rows has a'x + b t + c > 0.  It is compiled once per state count n,
+    from source built from n alone, with the sum written out in the order
+    sum() over the row would take: sum(map(operator.mul, row, point))
+    costs about three times as much per row."""
+    xs, cs = ", ".join(f"x{i}" for i in range(n)), ", ".join(f"a{i}" for i in range(n))
+    total = " + ".join([f"a{i} * x{i}" for i in range(n)] + ["b * t", "c"])
+    scope = {}
+    exec(f"def clears(rows, {xs}, t):\n"
+         f"    for {cs}, b, c in rows:\n"
+         f"        if {total} > 0.0:\n"
+         f"            return True\n"
+         f"    return False\n", scope)
+    return scope["clears"]
+
+
 class _CellTable:
-    """The clear cells of the next nominal states A x + B u, x in the box
-    with vertices V and u in U, for the face rows G y <= g of the inflated
-    members whose _FaceRows are rows: govern()'s certificate that the
-    nominal action is admissible (see the module docstring).
+    """The cells of the next nominal states A x + B u, x in the box with
+    vertices V and u in U, each with its candidate set among the inflated
+    members whose face rows G y <= g have the _FaceRows rows: govern()'s
+    certificate that the nominal action is admissible (see the module
+    docstring).
 
     D is the box that bounds A box (+) B U, widened on every side by
     margin = _CELL_MARGIN max(1, |D|); lo is its lower corner and h its
     cell widths.  D is split into N equal cells per axis, the most with
-    N^n <= _CELL_BUDGET, and clear holds one byte per cell in C order: 1
-    where every member has a row (a, g) whose least a'y - g over the
-    closed cell exceeds margin max(1, |a|).  A member with no rows clears
-    no cell.
+    N^n <= _CELL_BUDGET.  A member clears a cell when it has a row (a, g)
+    whose least a'y - g over the closed cell exceeds margin max(1, |a|);
+    a member with no rows clears no cell.  A cell's candidate set lists,
+    in ascending order, the members that do not clear it, and a clear cell
+    is one whose set is empty.  The sets are interned: sets holds each
+    distinct set once as a tuple of member indices, and codes, in C order,
+    the index in sets of each cell's set.  members holds each member's
+    rows as Python floats, (GA_i, alpha_i, -(g_i + margin max(1, |G_i|))),
+    so that a row clears the point x, u when GA_i x + alpha_i u plus its
+    last entry is positive, which clears (from _row_test) tests.  They
+    are kept in the order settles tries them: the rows that clear the
+    centres of more of the cells whose set holds the member come first.
 
     A lookup takes only states within the box's bounds, so that the
-    rounding of A x + B u stays far below the margin.  A cell's index
-    along axis i is the integer part of (A_i x + B_i u - lo_i) / h_i.
-    axes holds, per axis i, A_i / h_i as (j, entry) pairs of its nonzero
-    entries, B_i / h_i, lo_i / h_i and the box's bounds on state i, all
-    Python floats.  u_rows holds U's rows as (a_i, b_i, FEAS_TOL
-    max(1, |a_i|)), so that u passes them exactly when _FaceRows.admits
-    passes U's rows at FEAS_TOL.
+    rounding of A x + B u, and that of GA_i x + alpha_i u, stays far
+    below the margin.  A cell's index along axis i is the integer part of
+    (A_i x + B_i u - lo_i) / h_i.  axes holds, per axis i, A_i / h_i as
+    (j, entry) pairs of its nonzero entries, B_i / h_i, lo_i / h_i and the
+    box's bounds on state i, all Python floats.  u_rows holds U's rows as
+    (a_i, b_i, FEAS_TOL max(1, |a_i|)), so that u passes them exactly when
+    _FaceRows.admits passes U's rows at FEAS_TOL.
     """
 
     def __init__(self, rows: _FaceRows, G: np.ndarray, V: np.ndarray, A: np.ndarray, B: np.ndarray):
@@ -454,18 +487,54 @@ class _CellTable:
                  for i, e in enumerate(ends)]
         offset = -(g + margin * np.maximum(1.0, np.linalg.norm(G, axis=1)))
         shape = (N,) * n
-        clear, member, hit, total = np.ones(shape, bool), np.empty(shape, bool), np.empty(shape, bool), np.empty(shape)
-        for j in range(len(starts) - 1):
+        member, hit, total = np.empty(shape, bool), np.empty(shape, bool), np.empty(shape)
+        # node[k] is cell k's set so far, as a node of a trie: node 0 is the
+        # empty set and node m > 0 the set of node parent[m] with member
+        # owner[m] added.  Cells with one set share every node on its path.
+        node = np.zeros(N ** n, np.intp)
+        parent, owner = [0], [-1]
+        face = np.column_stack([rows.GA[:g.size], rows.alpha, offset]).tolist()
+        self.members = []
+        for j, (a, b) in enumerate(zip(starts[:-1].tolist(), starts[1:].tolist())):
             member[...] = False
-            for r in range(starts[j], starts[j + 1]):
+            for r in range(a, b):
                 rest = offset[r]
                 for i in range(1, n):
                     rest = rest + least[i][r]
                 np.add(least[0][r], rest, out=total)
                 member |= np.greater(total, 0.0, out=hit)
-            clear &= member
+            miss = np.flatnonzero(~member)
+            order = range(a, b)
+            if len(miss):
+                old = node[miss]
+                seen = np.zeros(len(parent), bool)
+                seen[old] = True
+                node[miss] = len(parent) - 1 + np.cumsum(seen)[old]
+                up = np.flatnonzero(seen).tolist()
+                parent += up
+                owner += [j] * len(up)
+            if len(miss) and b - a > 1:
+                # The member's rows go in descending order of the number of
+                # these cells (at most 256 of them, evenly spread) at whose
+                # centre they have the largest slack.
+                some = miss[::-(-len(miss) // 256)]
+                centre = lo + (np.column_stack(np.unravel_index(some, shape)) + 0.5) * h
+                first = (centre @ G[a:b].T + offset[a:b]).argmax(axis=1)
+                order = a + np.argsort(-np.bincount(first, minlength=b - a), kind="stable")
+            self.members.append(tuple(tuple(face[r]) for r in order))
+        used = np.zeros(len(parent), bool)
+        used[node] = True
+        leaves = np.flatnonzero(used)
+        self.sets = []
+        for m in leaves.tolist():
+            path = []
+            while m:
+                path.append(owner[m])
+                m = parent[m]
+            self.sets.append(tuple(path[::-1]))
+        self.codes = array.array("I", (np.cumsum(used) - 1)[node].astype(np.uint32).tobytes())
+        self.clears = _row_test(n)
         self.N, self.margin, self.lo, self.h = N, margin, lo, h
-        self.clear = clear.astype(np.uint8).tobytes()
         x_lo, x_hi = V.min(axis=0).tolist(), V.max(axis=0).tolist()
         self.axes = [([(j, a) for j, a in enumerate((A[i] / h[i]).tolist()) if a != 0.0],
                       float(B[i, 0] / h[i]), float(lo[i] / h[i]), x_lo[i], x_hi[i]) for i in range(n)]
@@ -487,13 +556,19 @@ class _CellTable:
         return k
 
     def settles(self, x: list[float], t: float) -> bool:
-        """Whether the action t passes U's rows as admits tests them and
-        A x + B t lies in a clear cell: then the screen admits t at x."""
+        """Whether the action t passes U's rows as admits tests them, A x + B t
+        lies in a cell, and each member of the cell's candidate set has a
+        row that clears x, t by the margin: then the screen admits t at x."""
         for a, b, s in self.u_rows:
             if not a * t - b <= s:
                 return False
         k = self.cell(x, t)
-        return k >= 0 and self.clear[k] == 1
+        if k < 0:
+            return False
+        for j in self.sets[self.codes[k]]:
+            if not self.clears(self.members[j], *x, t):
+                return False
+        return True
 
 
 def _prepared(artifact: SafeSetArtifact, sys: LinearSystem) -> _FaceRows:

@@ -548,43 +548,70 @@ def settled_by_table(cells, x, u) -> bool:
     return cells.settles(np.asarray(x, dtype=float).tolist(), float(u))
 
 
+def candidates(cells, k) -> tuple:
+    """The candidate set of cell k of the table: () for a clear cell."""
+    return cells.sets[cells.codes[k]]
+
+
+def empty_table(monkeypatch, cells):
+    """Empty the cell table: every cell's candidate set holds every member,
+    and no member has a row, so the table settles nothing."""
+    monkeypatch.setattr(cells, "sets", [tuple(range(len(cells.members)))] * len(cells.sets))
+    monkeypatch.setattr(cells, "members", [()] * len(cells.members))
+
+
 def govern_bytes(calls, art, sys, cfg) -> list[bytes]:
     """result_bytes of govern() on each (x, u) of calls."""
     return [result_bytes(govern(x, [u], art, sys, cfg)) for x, u in calls]
 
 
-def test_cell_table_clear_cells_clear_every_member():
-    # Every corner and the centre of each clear cell of the ACC K = 1
-    # table lies beyond some row of every inflated member by more than the
-    # margin, tested on the members' own rows rather than through a lookup.
+def test_cell_table_members_outside_a_cells_set_clear_it():
+    # In each of the 32,768 cells of the ACC K = 1 table, every inflated
+    # member outside the cell's candidate set has a row that clears the
+    # cell's 8 corners and centre by more than the margin, tested on the
+    # members' own rows rather than through a lookup.  The 7,196 cells
+    # with an empty set are the clear cells; the 59 distinct sets hold
+    # 1.49 members per cell.
     art, env = acc_artifact(1)
     cells = governor._prepared(art, env.system).cells
+    members = art.inflated_unsafe.members
     n, N = 3, cells.N
     assert N == 32 and N ** n <= governor._CELL_BUDGET < (N + 1) ** n
-    clear = np.frombuffer(cells.clear, dtype=np.uint8).reshape((N,) * n)
-    k = np.argwhere(clear == 1)
-    assert 0.1 * clear.size < len(k) < clear.size
+    assert len(cells.codes) == N ** n and len(cells.sets) == len(set(cells.sets)) == 59
+    assert all(list(s) == sorted(set(s)) and set(s) <= set(range(len(members))) for s in cells.sets)
+    held = np.zeros((len(cells.sets), len(members)), bool)
+    for c, s in enumerate(cells.sets):
+        held[c, list(s)] = True
+    held = held[np.array(cells.codes)]
+    assert (~held.any(axis=1)).sum() == 7196 and held.sum() == 48927
+    k = np.stack(np.unravel_index(np.arange(N ** n), (N,) * n), axis=1)
     offsets = np.array(list(itertools.product((0.0, 1.0), repeat=n)) + [(0.5,) * n])
-    points = (cells.lo + (k[:, None, :] + offsets) * cells.h).reshape(-1, n)
-    for mbr in art.inflated_unsafe.members:
-        excess = points @ mbr.A.T - mbr.b - cells.margin * np.maximum(1.0, np.linalg.norm(mbr.A, axis=1))
-        assert (excess.max(axis=1) > 0.0).all()
-
+    points = cells.lo + (k[:, None, :] + offsets) * cells.h
+    for j, mbr in enumerate(members):
+        excess = points[~held[:, j]] @ mbr.A.T - mbr.b - cells.margin * np.maximum(1.0, np.linalg.norm(mbr.A, axis=1))
+        assert (excess.max(axis=2) > 0.0).all(), j
 
 
 def test_cell_table_keeps_the_margin_at_a_cell_edge():
     # A member whose face y <= c lies on the edge between cells k - 1 and
-    # k leaves cell k, where the face's least slack is 0, uncleared, and
-    # clears cell k + 1, where it is one cell width; the table of the
-    # fallback chain's system has 32,768 cells over [-11, 11].
+    # k stays in the candidate set of cell k, where the face's least slack
+    # is 0, and clears cell k + 1, where it is one cell width; the table
+    # of the fallback chain's system has 32,768 cells over [-11, 11].
     art, sys = fallback_chain_artifact(2.0)
     cells = governor._prepared(art, sys).cells
     k = cells.N // 2 + 100
     c = cells.lo[0] + cells.h[0] * k
     member = PolyUnion([interval(-10, c)])
     edge = dataclasses.replace(art, inflated_unsafe=member, unrecoverable=member, fixpoint_reached=True)
-    clear = governor._prepared(edge, sys).cells.clear
-    assert (cells.N, clear[k - 1], clear[k], clear[k + 1]) == (32768, 0, 0, 1)
+    table = governor._prepared(edge, sys).cells
+    assert (cells.N, *(candidates(table, i) for i in (k - 1, k, k + 1))) == (32768, (0,), (0,), ())
+    # A member with no rows, the whole line, clears no cell: it joins every
+    # cell's set, and the table settles nothing.
+    whole = PolyUnion([interval(-10, c), HPolytope(np.zeros((0, 1)), np.zeros(0), 1)])
+    table = governor._prepared(dataclasses.replace(edge, inflated_unsafe=whole, unrecoverable=whole), sys).cells
+    assert [candidates(table, i) for i in (k - 1, k, k + 1)] == [(0, 1), (0, 1), (1,)]
+    assert not any(settled_by_table(table, [x], 0.0) for x in np.linspace(-10.0, 10.0, 41))
+
 
 def near_face_calls(art, sys, rng, per_face):
     """States whose next nominal state lies 1e-9 to 1e-3 outside or inside
@@ -626,8 +653,8 @@ def test_cell_table_settles_only_what_the_screen_admits(monkeypatch):
     unsettled = [(x, u) for x, u in uniform[:6000] if not settled_by_table(cells, x, u)][:3000]
     calls = settled + near + unsettled
     with_table = govern_bytes(calls, art, sys, cfg)
-    monkeypatch.setattr(cells, "clear", bytes(len(cells.clear)))
-    assert not any(settled_by_table(cells, x, u) for x, u in settled[:100])
+    empty_table(monkeypatch, cells)
+    assert not any(settled_by_table(cells, x, u) for x, u in settled)
     assert govern_bytes(calls, art, sys, cfg) == with_table
 
 
@@ -642,7 +669,7 @@ def test_cell_table_misses_outside_its_domain():
 
     def clear_cell(x, u):
         k = np.floor((sys.A @ x + sys.B[:, 0] * u - cells.lo) / cells.h).astype(int)
-        return bool(cells.clear[np.ravel_multi_index(k, (cells.N,) * 3)])
+        return candidates(cells, np.ravel_multi_index(k, (cells.N,) * 3)) == ()
 
     x = np.array([50.0, 0.0, 30.0])
     assert clear_cell(x, -3.0) and clear_cell(x, 3.0) and clear_cell([60.0, -20.5, 30.0], 0.0)
@@ -655,14 +682,35 @@ def test_cell_table_misses_outside_its_domain():
     assert [cells.cell(x, 0.0) for x, _ in calls[:4]] == [-1] * 4
 
 
-def test_cell_table_settles_most_of_the_pinned_corpus():
-    # The table settles 1,730 of the pinned corpus's 3,000 calls, of the
-    # 2,311 that keep the nominal action.  A table that stops settling
-    # loses the gain with no other test failing.
+def test_cell_table_settles_every_fast_call_of_the_pinned_corpus():
+    # The table settles all 2,311 of the pinned corpus's 3,000 calls that
+    # keep the nominal action, 1,730 of them in clear cells.  A table that
+    # stops settling loses the gain with no other test failing.
     art, env = acc_artifact(1)
-    cells = governor._prepared(art, env.system).cells
-    settled = sum(settled_by_table(cells, x, u) for x, u in zip(*acc_inputs(art, env, 3000, 53)))
-    assert settled >= 1600, settled
+    sys, cfg = env.system, GovernorConfig(S=np.eye(1))
+    cells = governor._prepared(art, sys).cells
+    calls = list(zip(*acc_inputs(art, env, 3000, 53)))
+    fast = [(x, u) for x, u in calls if govern_path(govern(x, [u], art, sys, cfg)) == "fast"]
+    settled = [(x, u) for x, u in calls if settled_by_table(cells, x, u)]
+    clear = [(x, u) for x, u in settled if candidates(cells, cells.cell(x.tolist(), u)) == ()]
+    assert (len(fast), len(settled), len(clear)) == (2311, 2311, 1730)
+
+
+def test_cell_table_leaves_the_k2_corpus_unchanged(monkeypatch):
+    # On the pinned corpus's draw for the ACC K = 2 artifact, govern()
+    # gives the same bytes with the table emptied, and the table settles
+    # at least 2,300 of the 2,312 calls that keep the nominal action.
+    art, env = acc_artifact(2)
+    sys, cfg = env.system, GovernorConfig(S=np.eye(1))
+    cells = governor._prepared(art, sys).cells
+    calls = list(zip(*acc_inputs(art, env, 3000, 53)))
+    with_table = govern_bytes(calls, art, sys, cfg)
+    fast = sum(b.startswith(b"optimal||False|0|") for b in with_table)
+    settled = sum(settled_by_table(cells, x, u) for x, u in calls)
+    assert fast == 2312 and settled >= 2300, (fast, settled)
+    empty_table(monkeypatch, cells)
+    assert not any(settled_by_table(cells, x, u) for x, u in calls)
+    assert govern_bytes(calls, art, sys, cfg) == with_table
 
 
 def test_offset_slabs_are_the_padded_offsets_gathered():
@@ -1043,9 +1091,16 @@ if __name__ == "__main__":
     # episodes); and on the fallback chain's 60 near states of the
     # every-path reference test, which take the relaxed retry that the
     # corpora never take.  A call that keeps the nominal action is "fast
-    # (table)" when the cell table settles it and "fast (screen)" otherwise.
+    # (clear cell)" or "fast (candidate set)" when the cell table settles
+    # it in a cell whose candidate set is empty or not, and "fast (screen)"
+    # otherwise.  Each corpus's line also gives its table's distinct sets,
+    # their mean size per cell, and the median time of five fresh
+    # _prepared calls, which build the rows and the table.
+    import time
+
     from safegov import learner
 
+    logging.disable(logging.WARNING)    # the not-a-fixpoint warning, repeated by each fresh _prepared
     art, env = acc_artifact(1)
     art2, _ = acc_artifact(2)
     cfg = GovernorConfig(S=np.eye(1))
@@ -1060,8 +1115,16 @@ if __name__ == "__main__":
         "fallback chain near states": [(chain, chain_sys, [-10.0 ** rng.uniform(-9, -5)], [rng.uniform(-1, 1)])
                                        for _ in range(60)],
     }
+    paths = ("fast (clear cell)", "fast (candidate set)", "fast (screen)", "branch", "relaxed_tol", "min_violation")
     for name, calls in corpora.items():
-        times = {path: [] for path in ("fast (table)", "fast (screen)", "branch", "relaxed_tol", "min_violation")}
+        a, system = calls[0][:2]
+        builds = []
+        for _ in range(5):
+            a.__dict__.pop("_governor_cache", None)
+            t0 = time.perf_counter()
+            cells = governor._prepared(a, system).cells
+            builds.append(time.perf_counter() - t0)
+        times = {path: [] for path in paths}
         digests = set()
         for _ in range(5):
             digest = hashlib.sha256()
@@ -1070,12 +1133,18 @@ if __name__ == "__main__":
                 digest.update(result_bytes(res))
                 path = govern_path(res)
                 if path == "fast":
-                    table = settled_by_table(governor._prepared(a, system).cells, x, u[0])
-                    path += " (table)" if table else " (screen)"
+                    if not settled_by_table(cells, x, u[0]):
+                        path += " (screen)"
+                    elif candidates(cells, cells.cell(np.asarray(x, dtype=float).tolist(), float(u[0]))):
+                        path += " (candidate set)"
+                    else:
+                        path += " (clear cell)"
                 times[path].append(res.solve_time)
             digests.add(digest.hexdigest())
-        share = len(times["fast (table)"]) / (5 * len(calls))
-        print(f"{name}: {len(calls)} calls, 5 passes; the table settles {share:.1%}")
+        share = (len(times["fast (clear cell)"]) + len(times["fast (candidate set)"])) / (5 * len(calls))
+        size = np.mean([len(cells.sets[c]) for c in cells.codes])
+        print(f"{name}: {len(calls)} calls, 5 passes; the table settles {share:.1%}; its {len(cells.sets)} "
+              f"candidate sets hold {size:.2f} members per cell; _prepared {np.median(builds) * 1e3:.1f} ms")
         for path, t in times.items():
             print(f"  {path}: {len(t) // 5} calls" + (f", median {np.median(t) * 1e6:.1f} us" if t else ""))
         if name.startswith("ACC K=1"):

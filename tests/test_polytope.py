@@ -1183,6 +1183,26 @@ def test_vertex_certificates_match_the_lps():
     assert kept[1] >= 60, kept      # 62 of the 64 kept pairs when written
 
 
+def cone_bound_reference(A, b, a, reach):
+    """The normal-cone bound of one row a over the rows A x <= b, one solve
+    per subset, as _cut_verdicts formed it row by row before its bounds
+    were batched: the reference _cone_bounds must equal bit for bit."""
+    from safegov.geometry.polytope import _VERTEX_BATCH
+
+    if math.comb(len(b), len(a)) > _VERTEX_BATCH:
+        return np.inf
+    combos = np.array(list(itertools.combinations(range(len(b)), len(a))), dtype=np.intp).reshape(-1, len(a))
+    mats = A[combos]
+    ok = np.abs(np.linalg.det(mats)) > 1e-8
+    if not ok.any():
+        return np.inf
+    combos, mats = combos[ok], mats[ok]
+    rhs = np.broadcast_to(a[:, None], (len(mats), len(a), 1))
+    lam = np.maximum(np.linalg.solve(mats.transpose(0, 2, 1), rhs)[..., 0], 0.0)
+    rest = np.abs(a - np.einsum("ki,kij->kj", lam, mats)).sum(axis=1)
+    return float((np.einsum("ki,ki->k", lam, b[combos]) + rest * reach).min())
+
+
 def test_normal_cone_bound_matches_the_support_lp():
     """Rows that touch a piece at a vertex are settled by the normal-cone
     bound where the vertex margin cannot decide them, and every verdict is
@@ -1191,8 +1211,9 @@ def test_normal_cone_bound_matches_the_support_lp():
     (a nonnegative mix of the rows active there), on its boundary (one
     active row, tilted by 1e-9), and outside it (a random direction, or a
     cone normal pushed out).  The pieces are random hulls and awkward
-    sets with near-vertex and duplicated rows."""
-    from safegov.geometry.polytope import _cut_verdicts
+    sets with near-vertex and duplicated rows.  The bounds, solved for all
+    rows in one batch, equal those of cone_bound_reference bit for bit."""
+    from safegov.geometry.polytope import _cone_bounds, _cut_verdicts
 
     rng = np.random.default_rng(71)
     settled = touching = 0
@@ -1216,6 +1237,12 @@ def test_normal_cone_bound_matches_the_support_lp():
                         inside.append(cone and off == 0.0)
             A, b, inside = np.array(rows), np.array(offsets), np.array(inside)
             cuts, clear = _cut_verdicts(R, VR, *margins, HPolytope(A, b, dim))
+            reach = 2.0 * (1.0 + np.abs(VR).max())
+            tops, which = np.unique((VR @ A.T).argmax(axis=0), return_inverse=True)
+            active = margins[0][tops] >= -FEAS_TOL * (1.0 + np.abs(R.b))
+            batched = _cone_bounds(R.A, R.b, active, which, A, reach)
+            alone = [cone_bound_reference(R.A[active[m]], R.b[active[m]], a, reach) for m, a in zip(which, A)]
+            assert batched.tobytes() == np.array(alone).tobytes(), (dim, trial)
             lp = np.array([lp_set.support(a) > beta + FEAS_TOL for a, beta in zip(A, b)])
             assert not np.any(cuts & ~lp) and not np.any(clear & lp), (dim, trial)
             if trial % 3:
