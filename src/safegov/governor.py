@@ -41,6 +41,21 @@ cell's edge in its neighbour, that of GA_i x + alpha_i u and that of the
 screen's slacks.  The table only accepts: any other call goes on to the
 screen, so the table cannot change a governed action.
 
+The table's test is one settle, a single frame over Python floats compiled
+once per state count (_settler): U's rows, the box's bounds, the cell
+index from dense per-axis rows, then the rows of the cell's candidate set.
+It reads the state as a list and the action as a float, which _checked
+makes once per call.  The forms learner.run_trajectory and perfbench pass,
+a contiguous float64 vector of n entries and a list holding one float or
+np.float64, are read with type tests and one tolist(), without numpy's
+conversion; any other form goes through it.  The finiteness checks follow
+either way, before _prepared: the settle's comparisons would turn a NaN
+or infinite input away on their own, but the screen and the branch would
+not (a NaN action came back as U's upper bound), and a bad input is to
+raise GovernorError without preparing the artifact's rows and table.  The
+action's array that _checked makes is the one a kept nominal action is
+returned in.
+
 When the nominal action's margins pass at FEAS_TOL, govern() returns its
 checked copy of the nominal action and builds no problem.  Otherwise
 _FaceRows.problem builds one and hands it the rows, the offsets' slabs and
@@ -91,6 +106,7 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_FALLBACK = "fallback"
 
 _FLOAT = np.dtype(float)
+_FLOATS = (float, np.float64)
 
 
 class GovernorError(RuntimeError):
@@ -420,21 +436,55 @@ class _FaceRows:
 
 
 @functools.lru_cache(maxsize=None)
-def _row_test(n: int):
-    """clears(rows, x_1, ..., x_n, t): whether some row (a_1, ..., a_n, b, c)
-    of rows has a'x + b t + c > 0.  It is compiled once per state count n,
-    from source built from n alone, with the sum written out in the order
-    sum() over the row would take: sum(map(operator.mul, row, point))
-    costs about three times as much per row."""
-    xs, cs = ", ".join(f"x{i}" for i in range(n)), ", ".join(f"a{i}" for i in range(n))
-    total = " + ".join([f"a{i} * x{i}" for i in range(n)] + ["b * t", "c"])
-    scope = {}
-    exec(f"def clears(rows, {xs}, t):\n"
-         f"    for {cs}, b, c in rows:\n"
-         f"        if {total} > 0.0:\n"
-         f"            return True\n"
-         f"    return False\n", scope)
-    return scope["clears"]
+def _settler(n: int):
+    """settler(table): the settle of a _CellTable of n states,
+    settles(x, t) for a list x of n Python floats and a Python float t,
+    which reads the table's data as they are when settler is called.
+
+    It is compiled once per state count n, from source built from n alone,
+    so that one frame over Python floats tests U's rows, the box's bounds,
+    the cell index and the rows of the cell's candidate set, with every
+    per-axis and per-row sum written out and formed left to right:
+    sum(map(operator.mul, row, point)) costs about three times as much per
+    row.  A cell's index is compared with N as a float and floored by
+    math.floor, which equals int() on [0, N) and costs a third of it."""
+    def names(prefix: str) -> str:
+        return ", ".join(f"{prefix}{i}" for i in range(n))
+
+    def dot(prefix: str) -> str:
+        return " + ".join(f"{prefix}{i} * x{i}" for i in range(n))
+
+    index = "floor(z0)"
+    for i in range(1, n):
+        index = f"({index} * N + floor(z{i}))"
+    src = ["def settler(table):",
+           "    u_rows, N, top, codes = table.u_rows, table.N, float(table.N), table.codes",
+           "    candidates = [tuple(table.members[j] for j in s) for s in table.sets]",
+           f"    {names('l')}, = table.x_lo",
+           f"    {names('h')}, = table.x_hi"]
+    src += [f"    ({names(f'a{i}_')},), b{i}, c{i} = table.index[{i}]" for i in range(n)]
+    src += ["    def settles(x, t):",
+            f"        {names('x')}, = x",
+            "        for a, b, s in u_rows:",
+            "            if not a * t - b <= s:",
+            "                return False",
+            f"        if not ({' and '.join(f'l{i} <= x{i} <= h{i}' for i in range(n))}):",
+            "            return False"]
+    for i in range(n):
+        src += [f"        z{i} = b{i} * t - c{i} + {dot(f'a{i}_')}",
+                f"        if not 0.0 <= z{i} < top:",
+                "            return False"]
+    src += [f"        for rows in candidates[codes[{index}]]:",
+            f"            for {names('r')}, rb, rc in rows:",
+            f"                if {dot('r')} + rb * t + rc > 0.0:",
+            "                    break",
+            "            else:",
+            "                return False",
+            "        return True",
+            "    return settles"]
+    scope = {"floor": math.floor}
+    exec("\n".join(src) + "\n", scope)
+    return scope["settler"]
 
 
 class _CellTable:
@@ -456,18 +506,24 @@ class _CellTable:
     the index in sets of each cell's set.  members holds each member's
     rows as Python floats, (GA_i, alpha_i, -(g_i + margin max(1, |G_i|))),
     so that a row clears the point x, u when GA_i x + alpha_i u plus its
-    last entry is positive, which clears (from _row_test) tests.  They
-    are kept in the order settles tries them: the rows that clear the
-    centres of more of the cells whose set holds the member come first.
+    last entry is positive.  They are kept in the order settles tries
+    them: the rows that clear the centres of more of the cells whose set
+    holds the member come first.
 
-    A lookup takes only states within the box's bounds, so that the
-    rounding of A x + B u, and that of GA_i x + alpha_i u, stays far
-    below the margin.  A cell's index along axis i is the integer part of
-    (A_i x + B_i u - lo_i) / h_i.  axes holds, per axis i, A_i / h_i as
-    (j, entry) pairs of its nonzero entries, B_i / h_i, lo_i / h_i and the
-    box's bounds on state i, all Python floats.  u_rows holds U's rows as
-    (a_i, b_i, FEAS_TOL max(1, |a_i|)), so that u passes them exactly when
-    _FaceRows.admits passes U's rows at FEAS_TOL.
+    settles(x, t), compiled by _settler from these data, is the table's
+    one settle, for a state x given as a list of Python floats and an
+    action t as a Python float: whether t passes U's rows as
+    _FaceRows.admits tests them at FEAS_TOL, x lies within the box's bounds
+    x_lo and x_hi, A x + B t lies in a cell, and each member of the cell's
+    candidate set has a row that clears x, t by the margin.  Then the
+    screen admits t at x.  u_rows holds U's rows as
+    (a_i, b_i, FEAS_TOL max(1, |a_i|)).  A lookup takes only states within
+    the box's bounds, so that the rounding of A x + B t, and that of
+    GA_i x + alpha_i t, stays far below the margin.  A cell's index along
+    axis i is the integer part of (A_i x + B_i t - lo_i) / h_i, formed as
+    B_i t / h_i - lo_i / h_i plus the terms A_ij x_j / h_i in the order of
+    j; index holds, per axis i, the dense row A_i / h_i as a list,
+    B_i / h_i and lo_i / h_i, all Python floats.
     """
 
     def __init__(self, rows: _FaceRows, G: np.ndarray, V: np.ndarray, A: np.ndarray, B: np.ndarray):
@@ -533,42 +589,11 @@ class _CellTable:
                 m = parent[m]
             self.sets.append(tuple(path[::-1]))
         self.codes = array.array("I", (np.cumsum(used) - 1)[node].astype(np.uint32).tobytes())
-        self.clears = _row_test(n)
         self.N, self.margin, self.lo, self.h = N, margin, lo, h
-        x_lo, x_hi = V.min(axis=0).tolist(), V.max(axis=0).tolist()
-        self.axes = [([(j, a) for j, a in enumerate((A[i] / h[i]).tolist()) if a != 0.0],
-                      float(B[i, 0] / h[i]), float(lo[i] / h[i]), x_lo[i], x_hi[i]) for i in range(n)]
+        self.x_lo, self.x_hi = V.min(axis=0).tolist(), V.max(axis=0).tolist()
+        self.index = [((A[i] / h[i]).tolist(), float(B[i, 0] / h[i]), float(lo[i] / h[i])) for i in range(n)]
         self.u_rows = [(a, b, FEAS_TOL * s) for a, b, s in rows.u_rows]
-
-    def cell(self, x: list[float], t: float) -> int:
-        """The index of the cell of A x + B t, -1 outside D or when x lies
-        outside the box."""
-        N, k = self.N, 0
-        for (row, b, lo, x_lo, x_hi), v in zip(self.axes, x):
-            if not x_lo <= v <= x_hi:
-                return -1
-            z = b * t - lo
-            for j, a in row:
-                z += a * x[j]
-            if not 0.0 <= z < N:
-                return -1
-            k = k * N + int(z)
-        return k
-
-    def settles(self, x: list[float], t: float) -> bool:
-        """Whether the action t passes U's rows as admits tests them, A x + B t
-        lies in a cell, and each member of the cell's candidate set has a
-        row that clears x, t by the margin: then the screen admits t at x."""
-        for a, b, s in self.u_rows:
-            if not a * t - b <= s:
-                return False
-        k = self.cell(x, t)
-        if k < 0:
-            return False
-        for j in self.sets[self.codes[k]]:
-            if not self.clears(self.members[j], *x, t):
-                return False
-        return True
+        self.settles = _settler(n)(self)
 
 
 def _prepared(artifact: SafeSetArtifact, sys: LinearSystem) -> _FaceRows:
@@ -615,30 +640,54 @@ def _real(a: np.ndarray) -> np.ndarray:
     return a.ravel()
 
 
-def _checked(x, u_nom, sys: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
-    """x as a float vector of sys.n entries and u_nom as a new float array
-    of one entry, both finite.  GovernorError names the input that is not,
-    or the system's input count when it is not one.  The action array is
-    always a copy (np.array), so an action returned as it is never shares
-    the caller's memory."""
-    if sys.m != 1:
-        raise GovernorError(f"the governor needs a scalar action, not {sys.m} inputs")
+def _checked(x, u_nom, sys: LinearSystem) -> tuple[np.ndarray, list[float], np.ndarray, float]:
+    """x as a float vector of sys.n entries and as a list of Python floats,
+    and u_nom as a new float array of one entry and as a Python float, all
+    finite.  GovernorError names the input that is not, or the system's
+    input count when it is not one.  The action array is always a new one,
+    so an action returned as it is never shares the caller's memory.
+
+    The forms learner.run_trajectory and perfbench pass, a contiguous
+    float64 ndarray of sys.n entries and a list holding one float or
+    np.float64, are read with type tests and one tolist(); every other
+    form goes through numpy's conversion.  Either way the finiteness
+    checks come after the forms are read and before govern() prepares the
+    artifact's rows, so that a bad input raises here and never reaches
+    _prepared or the cell table."""
+    n, m = sys.B.shape      # sys.n and sys.m, in one attribute read
+    if m != 1:
+        raise GovernorError(f"the governor needs a scalar action, not {m} inputs")
+    if (type(x) is np.ndarray and x.dtype is _FLOAT and x.strides == (8,) and len(x) == n
+            and type(u_nom) is list and len(u_nom) == 1 and type(u_nom[0]) in _FLOATS):
+        xs, t = x.tolist(), float(u_nom[0])
+        u = np.empty(1)
+        u[0] = t
+    else:
+        x, u = _converted(x, u_nom, n)
+        xs, t = x.tolist(), u.item()
+    if not all(map(math.isfinite, xs)):
+        raise GovernorError(f"x must be finite, not {xs}")
+    if not math.isfinite(t):
+        raise GovernorError(f"u_nom must be finite, not {[t]}")
+    return x, xs, u, t
+
+
+def _converted(x, u_nom, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and u_nom read by numpy as a float vector of n entries and a new
+    float array of one entry, for _checked; GovernorError when numpy cannot
+    read them as real numbers or their sizes are wrong."""
     try:
         x = _real(np.asarray(x))
     except (TypeError, ValueError) as exc:
         raise GovernorError(f"x must be real numbers, not {x!r} ({exc})") from None
-    if x.size != sys.n:
-        raise GovernorError(f"x has {x.size} entries; the system has {sys.n} states")
+    if x.size != n:
+        raise GovernorError(f"x has {x.size} entries; the system has {n} states")
     try:
         u_nom = _real(np.array(u_nom))
     except (TypeError, ValueError) as exc:
         raise GovernorError(f"u_nom must be a real number, not {u_nom!r} ({exc})") from None
     if u_nom.size != 1:
         raise GovernorError(f"u_nom has {u_nom.size} entries; the action is scalar")
-    if not all(map(math.isfinite, x.tolist())):
-        raise GovernorError(f"x must be finite, not {x.tolist()}")
-    if not math.isfinite(u_nom[0]):
-        raise GovernorError(f"u_nom must be finite, not {u_nom.tolist()}")
     return x, u_nom
 
 
@@ -652,7 +701,7 @@ def build_miqp(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Gove
     sys.n finite entries and u_nom one finite entry (GovernorError).  The
     problem is built as govern() builds it.
     """
-    x, u_nom = _checked(x, u_nom, sys)
+    x, _, u_nom, _ = _checked(x, u_nom, sys)
     rows = _prepared(artifact, sys)
     return rows.problem(u_nom, cfg.S, *rows.screen(x, u_nom))
 
@@ -788,10 +837,10 @@ def govern(x, u_nom, artifact: SafeSetArtifact, sys: LinearSystem, cfg: Governor
     u_nom that is not one finite real number raise GovernorError.
     """
     t0 = time.perf_counter()
-    x, u_nom = _checked(x, u_nom, sys)
+    x, xs, u_nom, t = _checked(x, u_nom, sys)
     rows = _prepared(artifact, sys)
     cells = rows.cells
-    if cells is not None and cells.settles(x.tolist(), u_nom.item()):
+    if cells is not None and cells.settles(xs, t):
         return GovernorResult(u_nom, False, 0.0, 0, time.perf_counter() - t0, STATUS_OPTIMAL)
     GAx, beta_slabs, margins = rows.screen(x, u_nom)
     if rows.admits(margins, FEAS_TOL):

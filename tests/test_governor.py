@@ -470,13 +470,17 @@ def test_govern_rejects_bad_inputs_by_name():
     assert len(states) == 63 and all(not np.isfinite(s).all() for s in states)
     fresh = dataclasses.replace(art)
     for step in (build_miqp, govern):
-        for u in ([np.nan], [np.inf], [-np.inf], np.nan):
+        for u in ([np.nan], [np.inf], [-np.inf], np.nan, [np.float64(np.nan)], [np.float64(-np.inf)]):
             with pytest.raises(GovernorError, match=r"u_nom must be finite, not \[-?(nan|inf)\]"):
                 step(x, u, fresh, env.system, cfg)
         for bad in states:
             for u in actions:
                 with pytest.raises(GovernorError, match=r"x must be finite"):
                     step(list(bad), u, fresh, env.system, cfg)
+                # perfbench's forms, which _checked reads without numpy's
+                # conversion.
+                with pytest.raises(GovernorError, match=r"x must be finite"):
+                    step(np.array(bad), [np.float64(u[0])], fresh, env.system, cfg)
         for wrong in (x[:2], np.append(x, 1.0), x[:, None][:2], []):
             with pytest.raises(GovernorError, match=rf"x has {np.size(wrong)} entries; the system has 3 states"):
                 step(wrong, [0.0], fresh, env.system, cfg)
@@ -505,15 +509,20 @@ def test_govern_takes_every_form_of_a_scalar_action():
     # A list, a tuple, a bare number, a numpy scalar, a nested list and
     # arrays of shape (1,) and (1, 1) give the bytes of the one-entry list
     # on each path, and the action returned never shares the caller's
-    # memory, the kept nominal action included.
+    # memory, the kept nominal action included.  The state given as a
+    # list, a tuple, a (1, n) array or a non-contiguous float64 view gives
+    # the bytes of the float64 vector, and a float32 array those of its
+    # values as a float64 vector.
     art, env = acc_artifact(1)
     cfg = GovernorConfig(S=np.eye(1))
     cases = [(art, env.system, x, u) for x, u in zip(*acc_inputs(art, env, 400, 53))]
     chain, sys = fallback_chain_artifact(1.0)
-    cases += [(chain, sys, [-1e-7], 0.3)]
-    forms = (lambda u: (u,), lambda u: u, np.float64, lambda u: [[u]], lambda u: np.array([u]),
-             lambda u: np.array([[u]]))
-    paths = set()
+    cases += [(chain, sys, np.array([-1e-7]), 0.3)]
+    forms = (lambda u: (u,), lambda u: u, np.float64, lambda u: [float(u)], lambda u: [[u]],
+             lambda u: np.array([u]), lambda u: np.array([[u]]))
+    state_forms = (lambda x: x.tolist(), lambda x: tuple(x.tolist()), lambda x: x[None, :],
+                   lambda x: np.repeat(x, 2)[::2])
+    paths, paths32 = set(), set()
     for art, sys, x, u in cases:
         first = govern(x, [u], art, sys, cfg)
         assert same_result(first, governor_reference.govern(x, [u], art, sys, cfg))
@@ -523,7 +532,15 @@ def test_govern_takes_every_form_of_a_scalar_action():
             res = govern(x, u_in, art, sys, cfg)
             assert result_bytes(res) == result_bytes(first), (x, u_in)
             assert not np.shares_memory(res.u_safe, u_in)
-    assert paths == {"fast", "branch", "relaxed_tol", "min_violation"}
+        for form in state_forms:
+            x_in = form(x)
+            assert result_bytes(govern(x_in, [u], art, sys, cfg)) == result_bytes(first), (x_in, u)
+        x32 = x.astype(np.float32)
+        res = govern(x32, [u], art, sys, cfg)
+        assert result_bytes(res) == result_bytes(govern(x32.astype(float), [u], art, sys, cfg)), (x32, u)
+        paths32.add(govern_path(res))
+    assert not state_forms[-1](cases[0][2]).flags.c_contiguous
+    assert paths == paths32 == {"fast", "branch", "relaxed_tol", "min_violation"}
 
 
 def test_fast_path_builds_no_problem(monkeypatch):
@@ -548,6 +565,47 @@ def settled_by_table(cells, x, u) -> bool:
     return cells.settles(np.asarray(x, dtype=float).tolist(), float(u))
 
 
+def cell_reference(cells, x, t) -> int:
+    """The index of the cell of A x + B t, -1 outside D or when x lies
+    outside the box: the table's lookup as it stood before it was merged
+    into one settle, a loop per axis over the nonzero entries of
+    A_i / h_i."""
+    N, k = cells.N, 0
+    for (row, b, lo), x_lo, x_hi, v in zip(cells.index, cells.x_lo, cells.x_hi, x):
+        if not x_lo <= v <= x_hi:
+            return -1
+        z = b * t - lo
+        for j, a in enumerate(row):
+            if a != 0.0:
+                z += a * x[j]
+        if not 0.0 <= z < N:
+            return -1
+        k = k * N + int(z)
+    return k
+
+
+def settles_reference(cells, x, t) -> bool:
+    """The table's settle as it stood before it was one compiled frame:
+    U's rows, then cell_reference, then a row test per member of the
+    cell's candidate set, each row's sum formed left to right."""
+    for a, b, s in cells.u_rows:
+        if not a * t - b <= s:
+            return False
+    k = cell_reference(cells, x, t)
+    if k < 0:
+        return False
+    for j in cells.sets[cells.codes[k]]:
+        for row in cells.members[j]:
+            total = 0.0
+            for a, v in zip(row, [*x, t, 1.0]):
+                total += a * v
+            if total > 0.0:
+                break
+        else:
+            return False
+    return True
+
+
 def candidates(cells, k) -> tuple:
     """The candidate set of cell k of the table: () for a clear cell."""
     return cells.sets[cells.codes[k]]
@@ -555,9 +613,11 @@ def candidates(cells, k) -> tuple:
 
 def empty_table(monkeypatch, cells):
     """Empty the cell table: every cell's candidate set holds every member,
-    and no member has a row, so the table settles nothing."""
+    and no member has a row, so the table settles nothing.  The settle is
+    compiled again from the emptied data."""
     monkeypatch.setattr(cells, "sets", [tuple(range(len(cells.members)))] * len(cells.sets))
     monkeypatch.setattr(cells, "members", [()] * len(cells.members))
+    monkeypatch.setattr(cells, "settles", governor._settler(len(cells.index))(cells))
 
 
 def govern_bytes(calls, art, sys, cfg) -> list[bytes]:
@@ -633,9 +693,10 @@ def near_face_calls(art, sys, rng, per_face):
 def test_cell_table_settles_only_what_the_screen_admits(monkeypatch):
     # On 200,000 uniform box states with uniform actions of U, and on
     # states whose next nominal state lies 1e-9 to 1e-3 from a member's
-    # face, the screen admits every nominal action the table settles, and
-    # govern() gives the bytes it gives with the table emptied: on every
-    # settled call, on every near-face call and on 3,000 other calls.
+    # face, the table's settle gives settles_reference's verdict, the
+    # screen admits every nominal action the table settles, and govern()
+    # gives the bytes it gives with the table emptied: on every settled
+    # call, on every near-face call and on 3,000 other calls.
     art, env = acc_artifact(1)
     sys, cfg = env.system, GovernorConfig(S=np.eye(1))
     rows = governor._prepared(art, sys)
@@ -645,8 +706,11 @@ def test_cell_table_settles_only_what_the_screen_admits(monkeypatch):
     U = rng.uniform(env.params.u_min, env.params.u_max, size=len(X))
     uniform = list(zip(X, U))
     near = near_face_calls(art, sys, rng, 10)
-    settled = [(x, u) for x, u in uniform + near if settled_by_table(cells, x, u)]
-    near_settled = sum(settled_by_table(cells, x, u) for x, u in near)
+    verdicts = [settled_by_table(cells, x, u) for x, u in uniform + near]
+    assert verdicts == [settles_reference(cells, x.tolist(), float(u)) for x, u in uniform + near]
+    assert len(verdicts) == 201_010
+    settled = [call for call, v in zip(uniform + near, verdicts) if v]
+    near_settled = sum(verdicts[len(uniform):])
     assert len(settled) - near_settled > 0.1 * len(uniform) and len(near) > 900
     for x, u in settled:
         assert rows.admits(rows.screen(x, np.array([u]))[2], FEAS_TOL), (x, u)
@@ -679,7 +743,7 @@ def test_cell_table_misses_outside_its_domain():
         assert not settled_by_table(cells, x, u)
         res, ref = govern(x, [u], art, sys, cfg), governor_reference.govern(x, [u], art, sys, cfg)
         assert same_result(res, ref), (x, u, res, ref)
-    assert [cells.cell(x, 0.0) for x, _ in calls[:4]] == [-1] * 4
+    assert [cell_reference(cells, x, 0.0) for x, _ in calls[:4]] == [-1] * 4
 
 
 def test_cell_table_settles_every_fast_call_of_the_pinned_corpus():
@@ -692,21 +756,24 @@ def test_cell_table_settles_every_fast_call_of_the_pinned_corpus():
     calls = list(zip(*acc_inputs(art, env, 3000, 53)))
     fast = [(x, u) for x, u in calls if govern_path(govern(x, [u], art, sys, cfg)) == "fast"]
     settled = [(x, u) for x, u in calls if settled_by_table(cells, x, u)]
-    clear = [(x, u) for x, u in settled if candidates(cells, cells.cell(x.tolist(), u)) == ()]
+    clear = [(x, u) for x, u in settled if candidates(cells, cell_reference(cells, x.tolist(), u)) == ()]
     assert (len(fast), len(settled), len(clear)) == (2311, 2311, 1730)
 
 
 def test_cell_table_leaves_the_k2_corpus_unchanged(monkeypatch):
     # On the pinned corpus's draw for the ACC K = 2 artifact, govern()
-    # gives the same bytes with the table emptied, and the table settles
-    # at least 2,300 of the 2,312 calls that keep the nominal action.
+    # gives the same bytes with the table emptied, the table's settle gives
+    # settles_reference's verdict on every call, and it settles at least
+    # 2,300 of the 2,312 calls that keep the nominal action.
     art, env = acc_artifact(2)
     sys, cfg = env.system, GovernorConfig(S=np.eye(1))
     cells = governor._prepared(art, sys).cells
     calls = list(zip(*acc_inputs(art, env, 3000, 53)))
     with_table = govern_bytes(calls, art, sys, cfg)
     fast = sum(b.startswith(b"optimal||False|0|") for b in with_table)
-    settled = sum(settled_by_table(cells, x, u) for x, u in calls)
+    verdicts = [settled_by_table(cells, x, u) for x, u in calls]
+    assert verdicts == [settles_reference(cells, x.tolist(), float(u)) for x, u in calls]
+    settled = sum(verdicts)
     assert fast == 2312 and settled >= 2300, (fast, settled)
     empty_table(monkeypatch, cells)
     assert not any(settled_by_table(cells, x, u) for x, u in calls)
@@ -840,7 +907,7 @@ def test_screened_problem_solves_as_built_on_every_path():
         paths[govern_path(res)] += 1
         built = build_miqp(x, u, art, sys, cfg)
         first = solve_miqp(built)
-        x_checked, u_checked = governor._checked(x, u, sys)
+        x_checked, _, u_checked, _ = governor._checked(x, u, sys)
         screened = govern_screen(built.rows, x_checked, u_checked, cfg)
         assert (screened is None) == (govern_path(res) == "fast") == (govern_path(first) == "fast")
         if screened is None:
@@ -1095,7 +1162,9 @@ if __name__ == "__main__":
     # it in a cell whose candidate set is empty or not, and "fast (screen)"
     # otherwise.  Each corpus's line also gives its table's distinct sets,
     # their mean size per cell, and the median time of five fresh
-    # _prepared calls, which build the rows and the table.
+    # _prepared calls, which build the rows and the table.  "rejected
+    # attempt" is the median time of the table's settle, timed alone with
+    # one perf_counter pair, on the calls it does not settle.
     import time
 
     from safegov import learner
@@ -1125,17 +1194,22 @@ if __name__ == "__main__":
             cells = governor._prepared(a, system).cells
             builds.append(time.perf_counter() - t0)
         times = {path: [] for path in paths}
+        rejected = []
         digests = set()
         for _ in range(5):
             digest = hashlib.sha256()
             for a, system, x, u in calls:
+                _, xs, _, t = governor._checked(x, u, system)
+                t0 = time.perf_counter()
+                if not cells.settles(xs, t):
+                    rejected.append(time.perf_counter() - t0)
                 res = govern(x, u, a, system, cfg)
                 digest.update(result_bytes(res))
                 path = govern_path(res)
                 if path == "fast":
                     if not settled_by_table(cells, x, u[0]):
                         path += " (screen)"
-                    elif candidates(cells, cells.cell(np.asarray(x, dtype=float).tolist(), float(u[0]))):
+                    elif candidates(cells, cell_reference(cells, np.asarray(x, dtype=float).tolist(), float(u[0]))):
                         path += " (candidate set)"
                     else:
                         path += " (clear cell)"
@@ -1145,8 +1219,8 @@ if __name__ == "__main__":
         size = np.mean([len(cells.sets[c]) for c in cells.codes])
         print(f"{name}: {len(calls)} calls, 5 passes; the table settles {share:.1%}; its {len(cells.sets)} "
               f"candidate sets hold {size:.2f} members per cell; _prepared {np.median(builds) * 1e3:.1f} ms")
-        for path, t in times.items():
-            print(f"  {path}: {len(t) // 5} calls" + (f", median {np.median(t) * 1e6:.1f} us" if t else ""))
+        for path, t in [*times.items(), ("rejected attempt", rejected)]:
+            print(f"  {path}: {len(t) // 5} calls" + (f", median {np.median(t) * 1e6:.2f} us" if t else ""))
         if name.startswith("ACC K=1"):
             match = digests == {GOVERN_ACC_K1_SHA256}
             print(f"  digest {'match' if match else 'DIFFER'}")
