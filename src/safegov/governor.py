@@ -659,12 +659,13 @@ def _checked(x, u_nom, sys: LinearSystem) -> tuple[np.ndarray, list[float], np.n
         raise GovernorError(f"the governor needs a scalar action, not {m} inputs")
     if (type(x) is np.ndarray and x.dtype is _FLOAT and x.strides == (8,) and len(x) == n
             and type(u_nom) is list and len(u_nom) == 1 and type(u_nom[0]) in _FLOATS):
-        xs, t = x.tolist(), float(u_nom[0])
+        t = float(u_nom[0])
         u = np.empty(1)
         u[0] = t
     else:
         x, u = _converted(x, u_nom, n)
-        xs, t = x.tolist(), u.item()
+        t = u.item()
+    xs = x.tolist()
     if not all(map(math.isfinite, xs)):
         raise GovernorError(f"x must be finite, not {xs}")
     if not math.isfinite(t):
